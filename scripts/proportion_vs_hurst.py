@@ -9,7 +9,7 @@ Plot-ready: p_hat against H with ci_low/ci_high as an error band.
 import argparse
 
 from fracbin import HurstParams, McConfig, limit_proportion, rho_sq_total
-from fracbin.asymptotics import regime_constants
+from fracbin.asymptotics import DEFAULT_TRUNCATION_K, regime_constants
 from fracbin.reports import render_csv, write_text
 
 
@@ -17,7 +17,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--trunc-k", type=int, default=8192)
+    ap.add_argument("--trunc-k", type=int, default=DEFAULT_TRUNCATION_K)
     ap.add_argument("--h-min", type=float, default=0.55)
     ap.add_argument("--h-max", type=float, default=0.95)
     ap.add_argument("--steps", type=int, default=9)

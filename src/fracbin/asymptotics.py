@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,6 +33,7 @@ from .hurst import HurstParams, rho, rho_pow_tail, rho_sq_sum, rho_sq_total
 from .market import level_sign_values
 
 __all__ = [
+    "DEFAULT_TRUNCATION_K",
     "McConfig",
     "McEstimate",
     "resolve_truncation",
@@ -48,6 +49,8 @@ __all__ = [
     "regime_constants",
 ]
 
+# series truncation index of the samplers when no tail-sd target is given
+DEFAULT_TRUNCATION_K = 8192
 _GENERATOR_ID = "philox4x64:key=[seed,chunk];bytes-le;8bit-blocks"
 _SAMPLER_K_CAP = 1 << 16
 _EXACT_LEVEL_MAX = 20
@@ -66,7 +69,7 @@ class McConfig:
 
     samples: int = 100_000
     seed: int = 0
-    truncation_k: Optional[int] = 8192
+    truncation_k: Optional[int] = DEFAULT_TRUNCATION_K
     tail_sd_tol: Optional[float] = None
     confidence: float = 0.99
     chunk: int = 4096
@@ -154,34 +157,60 @@ def _block_tables(w: np.ndarray) -> np.ndarray:
 
 
 def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int) -> np.ndarray:
-    """Values of one chunk: n samples, each eating nblocks bytes of Philox."""
+    """Values of one chunk: n samples, each eating nblocks bytes of Philox.
+
+    The bytes are read as little-endian 64-bit words and the (n, words)
+    matrix is transposed once, so block b is byte b % 8 of the contiguous
+    word row b // 8; rows are zero-padded to whole words (pad bytes are
+    never read).  Per-block partial sums are still added in byte order.
+    """
     nblocks = tables.shape[0]
     key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     raw = np.frombuffer(rng.bytes(n * nblocks), dtype=np.uint8).reshape(n, nblocks)
-    y = tables[0][raw[:, 0]].copy()
-    for b in range(1, nblocks):
-        y += tables[b][raw[:, b]]
+    if nblocks % 8:
+        padded = np.zeros((n, (nblocks + 7) // 8 * 8), dtype=np.uint8)
+        padded[:, :nblocks] = raw
+        raw = padded
+    words = np.ascontiguousarray(raw.view("<u8").T)
+    byte = np.empty(n, dtype=np.uint64)
+    idx = byte.view(np.int64)
+    part = np.empty(n)
+    y = np.empty(n)
+    for b in range(nblocks):
+        np.right_shift(words[b // 8], 8 * (b % 8), out=byte)
+        np.bitwise_and(byte, 0xFF, out=byte)
+        # "clip" lets take write into out; it never clips, since indices are
+        # masked to [0, 255] and every table row holds 256 entries
+        if b == 0:
+            np.take(tables[0], idx, out=y, mode="clip")
+        else:
+            np.take(tables[b], idx, out=part, mode="clip")
+            y += part
     return y
 
 
-def _sample_with_weights(w: np.ndarray, cfg: McConfig, threads: int = 1) -> np.ndarray:
-    tables = _block_tables(w)
-    nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
-    out = np.empty(cfg.samples)
+def _map_chunks(tables: np.ndarray, cfg: McConfig, threads: int,
+                per_chunk: Callable[[np.ndarray], object]) -> list:
+    """per_chunk(values) of every chunk's kept samples, in chunk order.
 
-    def fill(c: int) -> None:
-        lo = c * cfg.chunk
-        n = min(cfg.chunk, cfg.samples - lo)
-        out[lo : lo + n] = _chunk_values(tables, cfg.seed, c, cfg.chunk)[:n]
+    Every chunk is generated at full cfg.chunk size, so a sample's value
+    never depends on cfg.samples or on the thread count.
+    """
+    nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
+
+    def one(c: int):
+        n = min(cfg.chunk, cfg.samples - c * cfg.chunk)
+        return per_chunk(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(nchunks)))
-    else:
-        for c in range(nchunks):
-            fill(c)
-    return out
+            return list(pool.map(one, range(nchunks)))
+    return [one(c) for c in range(nchunks)]
+
+
+def _sample_with_weights(w: np.ndarray, cfg: McConfig, threads: int = 1) -> np.ndarray:
+    return np.concatenate(_map_chunks(_block_tables(w), cfg, threads, lambda y: y))
 
 
 def sample_limit_variable(params: HurstParams, cfg: McConfig, threads: int = 1) -> np.ndarray:
@@ -220,26 +249,16 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
     tables = _block_tables(limit_weights(params, K))
     g = params.g_H
     delta = 6.0 * tail_sd
-    nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
 
-    def one(c: int) -> tuple[int, int, int]:
-        lo = c * cfg.chunk
-        n = min(cfg.chunk, cfg.samples - lo)
-        y = np.abs(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n])
+    def counts(y: np.ndarray) -> tuple[int, int, int]:
+        y = np.abs(y)
         return (
             int(np.count_nonzero(y > g)),
             int(np.count_nonzero(y > g + delta)),
             int(np.count_nonzero(y > g - delta)),
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            triples = list(pool.map(one, range(nchunks)))
-    else:
-        triples = [one(c) for c in range(nchunks)]
-    hit = sum(t[0] for t in triples)
-    hit_lo = sum(t[1] for t in triples)
-    hit_hi = sum(t[2] for t in triples)
+    hit, hit_lo, hit_hi = map(sum, zip(*_map_chunks(tables, cfg, threads, counts)))
     stderr, lo, hi = _interval(hit, cfg.samples, cfg.confidence)
     return McEstimate(
         p_hat=hit / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,
@@ -268,20 +287,12 @@ def _level_estimate(table: CoefficientTable, offset: float, cfg: McConfig,
             K=n_level - 1, seed=cfg.seed, generator="exact-enumeration",
             confidence=cfg.confidence, tail_sd=0.0, bias_window=(p, p), exact=True,
         )
-    tables = _block_tables(table.j)
-    nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
 
-    def one(c: int) -> int:
-        lo = c * cfg.chunk
-        n = min(cfg.chunk, cfg.samples - lo)
-        y = np.abs(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n] + offset)
+    def count(y: np.ndarray) -> int:
+        y = np.abs(y + offset)
         return int(np.count_nonzero(y > g) if strict else np.count_nonzero(y >= g))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(one, range(nchunks)))
-    else:
-        hits = sum(one(c) for c in range(nchunks))
+    hits = sum(_map_chunks(_block_tables(table.j), cfg, threads, count))
     stderr, lo, hi = _interval(hits, cfg.samples, cfg.confidence)
     return McEstimate(
         p_hat=hits / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,

@@ -65,7 +65,7 @@ class RunConfig:
     quad_abs_tol: float = 1e-10
     quad_rel_tol: float = 1e-9
     tail_sd_tol: Optional[float] = None
-    trunc_k: Optional[int] = 8192
+    trunc_k: Optional[int] = asym.DEFAULT_TRUNCATION_K
     confidence: float = 0.99
     tol: float = 1e-8
     threads: int = 1
@@ -100,7 +100,8 @@ def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
         "tail-sd-tol": dict(type=float, default=_env_default("tail-sd-tol", None, float),
                             help="target sd of the discarded series tail (may be infeasible; see docs)"),
         "trunc-k": dict(type=int, default=_env_default("trunc-k", None, int),
-                        help="explicit series truncation index (default 8192 when tail-sd-tol unset)"),
+                        help="explicit series truncation index "
+                             f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
         "confidence": dict(type=float, default=_env_default("confidence", 0.99, float)),
         "tol": dict(type=float, default=_env_default("tol", 1e-8, float)),
         "threads": dict(type=int, default=_env_default("threads", 1, int),
@@ -181,7 +182,7 @@ def _resolved(args: argparse.Namespace) -> RunConfig:
     cfg = {k: v for k, v in fields.items() if k in known}
     rc = RunConfig(**cfg)
     if rc.command in ("mc-limit", "convergence") and rc.trunc_k is None and rc.tail_sd_tol is None:
-        rc = RunConfig(**{**asdict(rc), "trunc_k": 8192})
+        rc = RunConfig(**{**asdict(rc), "trunc_k": asym.DEFAULT_TRUNCATION_K})
     return rc
 
 

@@ -89,7 +89,7 @@ class DriftSpec:
         return out if out.ndim else float(out)
 
     def sup_norm(self) -> float:
-        """max |a| over [0,1] on a 1e4-point grid plus the monomial bound."""
+        """max |a| over [0,1] on a 1e4-point grid (a grid maximum, not a bound)."""
         if self.kind == "zero":
             return 0.0
         grid = float(np.max(np.abs(self.value(np.linspace(0.0, 1.0, 10**4 + 1)))))
@@ -290,8 +290,10 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
 
     The condition at level L = len(prefix)+1+m uses the proof convention of a
     moving horizon N = L, so the drift offset is a(1) * L^{H-1}.  Absence
-    within n_max is returned as None (existence is a theorem, so None at
-    large n_max indicates a defect upstream).
+    within n_max is returned as None.  Existence is a theorem, but near
+    H = 1/2 the gap closes very slowly (at H = 0.51, prefix +-+-+-+-, up,
+    y - g_L only moves from -0.943 at L = 100 to -0.880 at L = 3e4), so None
+    is a genuine result even for large n_max.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")

@@ -197,7 +197,8 @@ def check_limit_bounds(samples: int = 10**5, seed: int = 11) -> dict:
     measured = {}
     for H in (0.55, 0.95):
         p = HurstParams(H)
-        est = asym.limit_proportion(p, asym.McConfig(samples=samples, seed=seed, truncation_k=8192))
+        est = asym.limit_proportion(p, asym.McConfig(samples=samples, seed=seed,
+                                                     truncation_k=asym.DEFAULT_TRUNCATION_K))
         s = rho_sq_total(p.h)
         measured[str(H)] = est.p_hat
         if H == 0.55:

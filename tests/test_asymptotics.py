@@ -62,29 +62,51 @@ def test_sampler_golden_trace():
     np.testing.assert_allclose(y, GOLDEN_SAMPLES, rtol=0, atol=0)
 
 
-def test_sampler_matches_bytewise_oracle():
-    # replay the documented byte layout independently, bit for bit
+@pytest.mark.parametrize("K", [20, 64, 8192 - 3])
+def test_sampler_matches_bytewise_oracle(K):
+    # replay the documented byte layout independently, bit for bit; 20 is
+    # one padded word, 64 one full word, 8189 many words with padding weights
     p = HurstParams(0.8)
-    K, chunk = 20, 3
-    cfg = McConfig(samples=7, seed=9, truncation_k=K, chunk=chunk)
+    samples, chunk = 7, 3
+    cfg = McConfig(samples=samples, seed=9, truncation_k=K, chunk=chunk)
     got = sample_limit_variable(p, cfg)
-    w = asym.limit_weights(p, K)
-    padded = np.zeros(24)
-    padded[:K] = w
+    nblocks = (K + 7) // 8
+    padded = np.zeros(8 * nblocks)
+    padded[:K] = asym.limit_weights(p, K)
     expect = []
-    for c in range((7 + chunk - 1) // chunk):
+    for c in range((samples + chunk - 1) // chunk):
         rng = np.random.Generator(np.random.Philox(key=np.array([9, c], dtype=np.uint64)))
-        raw = np.frombuffer(rng.bytes(chunk * 3), dtype=np.uint8).reshape(chunk, 3)
+        raw = np.frombuffer(rng.bytes(chunk * nblocks), dtype=np.uint8).reshape(chunk, nblocks)
         for s in range(chunk):
             total = 0.0
-            for b in range(3):
+            for b in range(nblocks):
                 block = 0.0
                 for j in range(8):
                     bit = (int(raw[s, b]) >> j) & 1
                     block = block + padded[8 * b + j] if bit else block - padded[8 * b + j]
                 total += block
             expect.append(total)
-    np.testing.assert_allclose(got, expect[:7], rtol=0, atol=0)
+    np.testing.assert_array_equal(got.view(np.uint64), np.array(expect[:samples]).view(np.uint64))
+
+
+def _column_chunk_values(tables, seed, chunk_index, n):
+    # reference route: one strided byte column per block
+    nblocks = tables.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+    raw = np.frombuffer(rng.bytes(n * nblocks), dtype=np.uint8).reshape(n, nblocks)
+    y = tables[0][raw[:, 0]].copy()
+    for b in range(1, nblocks):
+        y += tables[b][raw[:, b]]
+    return y
+
+
+@pytest.mark.parametrize("K", [8192, 1999])
+def test_chunk_values_match_column_reference(p08, K):
+    # a full 4096-sample chunk; 1999 needs rows padded to whole words
+    tables = asym._block_tables(asym.limit_weights(p08, K))
+    got = asym._chunk_values(tables, 17, 2, 4096)
+    expect = _column_chunk_values(tables, 17, 2, 4096)
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def test_sampler_moments(p08):
