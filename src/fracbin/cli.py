@@ -23,6 +23,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import verify as verify_mod
 from .coefficients import (
+    DEFAULT_QUAD,
     QuadratureConfig,
     coefficient_table,
     table_fingerprint,
@@ -62,8 +63,8 @@ class RunConfig:
     s0: float = 1.0
     seed: int = 0
     samples: int = 100_000
-    quad_abs_tol: float = 1e-10
-    quad_rel_tol: float = 1e-9
+    quad_abs_tol: float = DEFAULT_QUAD.abs_tol
+    quad_rel_tol: float = DEFAULT_QUAD.rel_tol
     tail_sd_tol: Optional[float] = None
     trunc_k: Optional[int] = asym.DEFAULT_TRUNCATION_K
     confidence: float = 0.99
@@ -84,44 +85,50 @@ class RunConfig:
     output_path: str = "-"
 
 
+# argparse fallbacks that differ from the RunConfig field default
+_CLI_FALLBACKS = {
+    "n-list": "10,14,18",  # RunConfig's "" is what the other commands' reports embed
+    "trunc-k": None,  # left unset so --tail-sd-tol can choose K; _resolved fills it in
+}
+
+
+def _fallback(name: str):
+    field = RunConfig.__dataclass_fields__[name.replace("-", "_")]
+    return _CLI_FALLBACKS.get(name, field.default)
+
+
 def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
     opt = {
-        "H": dict(type=float, default=_env_default("H", 0.75, float), help="memory exponent in (1/2,1)"),
-        "sigma": dict(type=float, default=_env_default("sigma", 1.0, float), help="volatility > 0"),
-        "N": dict(type=int, default=_env_default("N", 16, int), help="number of periods"),
-        "n": dict(type=int, default=_env_default("n", 16, int), help="tree level"),
-        "drift": dict(type=str, default=_env_default("drift", "zero", str),
-                      help="zero | const:c | poly:c0,c1,..."),
-        "s0": dict(type=float, default=_env_default("s0", 1.0, float), help="initial price"),
-        "seed": dict(type=int, default=_env_default("seed", 0, int), help="64-bit RNG seed"),
-        "samples": dict(type=int, default=_env_default("samples", 100_000, int), help="MC sample count"),
-        "quad-abs-tol": dict(type=float, default=_env_default("quad-abs-tol", 1e-10, float)),
-        "quad-rel-tol": dict(type=float, default=_env_default("quad-rel-tol", 1e-9, float)),
-        "tail-sd-tol": dict(type=float, default=_env_default("tail-sd-tol", None, float),
+        "H": dict(type=float, help="memory exponent in (1/2,1)"),
+        "sigma": dict(type=float, help="volatility > 0"),
+        "N": dict(type=int, help="number of periods"),
+        "n": dict(type=int, help="tree level"),
+        "drift": dict(type=str, help="zero | const:c | poly:c0,c1,..."),
+        "s0": dict(type=float, help="initial price"),
+        "seed": dict(type=int, help="64-bit RNG seed"),
+        "samples": dict(type=int, help="MC sample count"),
+        "quad-abs-tol": dict(type=float),
+        "quad-rel-tol": dict(type=float),
+        "tail-sd-tol": dict(type=float,
                             help="target sd of the discarded series tail (may be infeasible; see docs)"),
-        "trunc-k": dict(type=int, default=_env_default("trunc-k", None, int),
-                        help="explicit series truncation index "
-                             f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
-        "confidence": dict(type=float, default=_env_default("confidence", 0.99, float)),
-        "tol": dict(type=float, default=_env_default("tol", 1e-8, float)),
-        "threads": dict(type=int, default=_env_default("threads", 1, int),
-                        help="worker threads; never changes any output"),
-        "n-list": dict(type=str, default=_env_default("n-list", "10,14,18", str)),
-        "offset": dict(type=float, default=_env_default("offset", 0.0, float),
-                       help="scaled drift offset added to the level sum"),
-        "prefix": dict(type=str, default=_env_default("prefix", "", str),
-                       help="sign word like '+-+' or '' for the root"),
-        "direction": dict(type=str, choices=("up", "down"),
-                          default=_env_default("direction", "up", str)),
-        "n-max": dict(type=int, default=_env_default("n-max", 10_000, int)),
-        "v-min": dict(type=float, default=_env_default("v-min", 0.0, float)),
-        "v-max": dict(type=float, default=_env_default("v-max", 4.0, float)),
-        "points": dict(type=int, default=_env_default("points", 21, int)),
-        "cap": dict(type=int, default=_env_default("cap", DEFAULT_ENUM_CAP, int),
-                    help="enumeration cap on N"),
+        "trunc-k": dict(type=int, help="explicit series truncation index "
+                                       f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
+        "confidence": dict(type=float),
+        "tol": dict(type=float),
+        "threads": dict(type=int, help="worker threads; never changes any output"),
+        "n-list": dict(type=str),
+        "offset": dict(type=float, help="scaled drift offset added to the level sum"),
+        "prefix": dict(type=str, help="sign word like '+-+' or '' for the root"),
+        "direction": dict(type=str, choices=("up", "down")),
+        "n-max": dict(type=int),
+        "v-min": dict(type=float),
+        "v-max": dict(type=float),
+        "points": dict(type=int),
+        "cap": dict(type=int, help="enumeration cap on N"),
     }
     for name in names:
-        sp.add_argument("--" + name, **opt[name])
+        kw = opt[name]
+        sp.add_argument("--" + name, default=_env_default(name, _fallback(name), kw["type"]), **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         p.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                       default=_env_default("format", "json", str))
+                       default=_env_default("format", _fallback("output_format"), str))
         p.add_argument("--out", dest="output_path",
-                       default=_env_default("out", "-", str), help="output file or - for stdout")
+                       default=_env_default("out", _fallback("output_path"), str),
+                       help="output file or - for stdout")
     return parser
 
 

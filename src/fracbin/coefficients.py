@@ -12,8 +12,9 @@ singularities,
 plus the N-dependent originals (J, g unscaled) that serve as the independent
 route for the N^{-H} scaling law.  Every singular factor here is algebraic,
 so fixed Gauss-Legendre / Gauss-Jacobi tensor rules converge spectrally; the
-order is doubled until two consecutive rules agree within tolerance, and that
-difference is the reported error bound.
+(outer, inner) orders climb the ladder (16,24) -> (24,32) -> ... -> (96,128)
+until two consecutive rules agree within tolerance, and that difference is the
+reported error bound.
 
 Special cases:
   * i = n-1 (the x-integral runs into the (v+n-1-x)^{a-1} blow-up at the
@@ -42,7 +43,7 @@ from scipy.special import betainc as _betainc
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import QuadratureError
-from .hurst import HurstParams
+from .hurst import HurstParams, normalizing_constant
 
 __all__ = [
     "QuadratureConfig",
@@ -150,6 +151,15 @@ def _j_last_stage(a: float, n: int, qs: int, qt: int) -> float:
     return p1 + p2
 
 
+def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
+    """Adaptive int_lo^hi f with its error estimate, checked against cfg."""
+    val, err = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
+                     limit=cfg.max_subdivisions)
+    if err > cfg.tol_for(val):
+        raise QuadratureError(f"{what}: adaptive error {err:g} above tolerance", best=val, err=err)
+    return val, err
+
+
 def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
     """j_2(1)/(sigma*C_H): exact incomplete-Beta x-integral, adaptive in v."""
     bfull = math.pi / math.sin(math.pi * a)  # B(1-a, a)
@@ -157,25 +167,27 @@ def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
     def f(v: float) -> float:
         return (1.0 + v) ** a * _betainc(1.0 - a, a, 1.0 / (1.0 + v))
 
-    val, err = _quad(
-        f, 0.0, 1.0,
-        epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
-        limit=cfg.max_subdivisions,
-    )
+    val, err = _adaptive(f, 0.0, 1.0, cfg, "j_2(1)")
     return bfull * val, bfull * err
 
 
-def _escalate_scalar(stage_fn, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-    """Run stage_fn over the order ladder until two stages agree."""
+def _escalate(stage_fn, cfg: QuadratureConfig, what: str):
+    """Run stage_fn up the order ladder until two consecutive stages agree.
+
+    Stages return a float or an array (all entries must agree); the result is
+    (last stage, |difference|) of the same kind.
+    """
     prev = None
     for qo, qi in _ORDER_LADDER:
-        val = stage_fn(qo, qi)
+        cur = stage_fn(qo, qi)
         if prev is not None:
-            err = abs(val - prev)
-            if err <= cfg.tol_for(val):
-                return val, err
-        prev = val
-    raise QuadratureError(f"{what}: order ladder exhausted", best=val, err=abs(val - prev))
+            err = abs(cur - prev)
+            if np.all(err <= np.maximum(cfg.abs_tol, cfg.rel_tol * abs(cur))):
+                return cur, err
+        prev = cur
+    worst = np.argmax(err)
+    raise QuadratureError(f"{what}: order ladder exhausted",
+                          best=float(np.ravel(cur)[worst]), err=float(np.ravel(err)[worst]))
 
 
 @lru_cache(maxsize=256)
@@ -210,6 +222,11 @@ def _inner_t(a: float, c: float, m: int) -> float:
     return head + total
 
 
+def _kernel_value(a: float, c_big: float, t: float, s: float, inner: float) -> float:
+    """The kernel C_H s^{-a} (t-s)^{2a} T(s/(t-s)) given inner = T(s/(t-s))."""
+    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * inner
+
+
 def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Singular kernel C_H s^{1/2-H} int_s^t u^{H-1/2} (u-s)^{H-3/2} du.
 
@@ -218,16 +235,11 @@ def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -
     """
     if s <= 0 or t <= s:
         raise ValueError(f"kernel requires 0 < s < t, got t={t}, s={s}")
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"H must lie strictly in (1/2, 1), got {H}")
     a = H - 0.5
-    c_big = (math.sqrt(2.0 * H * math.gamma(1.5 - H) / (math.gamma(H + 0.5) * math.gamma(2.0 - 2.0 * H))) * a)
-
-    def stage(qo: int, qi: int) -> float:
-        return _inner_t(a, s / (t - s), qi)
-
-    val, _ = _escalate_scalar(stage, cfg, f"kernel(H={H},t={t},s={s})")
-    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * val
+    c_big = normalizing_constant(H) * a
+    val, _ = _escalate(lambda qo, qi: _inner_t(a, s / (t - s), qi), cfg,
+                       f"kernel(H={H},t={t},s={s})")
+    return _kernel_value(a, c_big, t, s, val)
 
 
 def _j_values(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -248,26 +260,12 @@ def _j_values(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple[np.nd
     # interior columns, vectorised across i with a shared order ladder
     if n >= 4:
         i_arr = np.arange(2, n - 1, dtype=np.float64)
-        prev = None
-        for qo, qi in _ORDER_LADDER:
-            cur = _j_middle_stage(a, n, i_arr, qo, qi)
-            if prev is not None:
-                delta = np.abs(cur - prev)
-                if np.all(delta <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur))):
-                    vals[1 : n - 2] = cur
-                    errs[1 : n - 2] = delta
-                    break
-            prev = cur
-        else:
-            raise QuadratureError(
-                f"j table level {n}: interior ladder exhausted",
-                best=float(cur[np.argmax(delta)]), err=float(delta.max()),
-            )
-
-    v1, e1 = _escalate_scalar(lambda qo, qi: _j_first_stage(a, n, qo, qi), cfg, f"j_{n}(1)")
-    vals[0], errs[0] = v1, e1
-    vl, el = _escalate_scalar(lambda qo, qi: _j_last_stage(a, n, qo, qi), cfg, f"j_{n}({n-1})")
-    vals[n - 2], errs[n - 2] = vl, el
+        vals[1 : n - 2], errs[1 : n - 2] = _escalate(
+            lambda qo, qi: _j_middle_stage(a, n, i_arr, qo, qi), cfg,
+            f"j_{n}(2..{n - 2})")
+    vals[0], errs[0] = _escalate(lambda qo, qi: _j_first_stage(a, n, qo, qi), cfg, f"j_{n}(1)")
+    vals[n - 2], errs[n - 2] = _escalate(lambda qo, qi: _j_last_stage(a, n, qo, qi), cfg,
+                                         f"j_{n}({n-1})")
     return scale * vals, scale * errs
 
 
@@ -294,7 +292,7 @@ def _g_value(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple[float,
         inner = ((y[None, :] * (n - x)[:, None] + x[:, None]) ** a) @ wy
         return float(np.dot(x ** (-a) * inner, wu))
 
-    val, err = _escalate_scalar(stage, cfg, f"g_{n}")
+    val, err = _escalate(stage, cfg, f"g_{n}")
     return scale * val, scale * err
 
 
@@ -309,17 +307,25 @@ def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -
 # Unscaled originals: the independent route for the N^{-H} scaling law.
 # ---------------------------------------------------------------------------
 
-def _kernel_fast(H: float, c_big: float, t: float, s: float, m: int = 48) -> float:
-    a = H - 0.5
-    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * _inner_t(a, s / (t - s), m)
+def _kernel_fast(a: float, c_big: float, t: float, s: float) -> float:
+    return _kernel_value(a, c_big, t, s, _inner_t(a, s / (t - s), 48))
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> float:
-    val, err = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
-                     limit=cfg.max_subdivisions)
-    if err > cfg.tol_for(val):
-        raise QuadratureError(f"{what}: adaptive error {err:g} above tolerance", best=val, err=err)
-    return val
+def _unscaled(params: HurstParams, N: int, k: int, f, cfg: QuadratureConfig,
+              what: str) -> float:
+    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u) du by adaptive quadrature."""
+    pref = params.sigma * math.sqrt(N)
+    if k > 1:
+        return pref * _adaptive(f, (k - 1) / N, k / N, cfg, what)[0]
+    # k = 1: remove the u^{-a} left singularity exactly via tau = u^{1-a}
+    a = params.alpha
+    q = 1.0 / (1.0 - a)
+
+    def sub(tau: float) -> float:
+        u = tau**q
+        return u**a * f(u)
+
+    return pref * q * _adaptive(sub, 0.0, (1.0 / N) ** (1.0 - a), cfg, what)[0]
 
 
 def J_unscaled(params: HurstParams, N: int, n: int, i: int,
@@ -331,24 +337,13 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     """
     if not (1 <= i < n <= N):
         raise ValueError(f"need 1 <= i < n <= N, got N={N}, n={n}, i={i}")
-    H, a = params.H, params.alpha
-    c_big = params.C_H
+    a, c_big = params.alpha, params.C_H
     t_hi, t_lo = n / N, (n - 1) / N
-    pref = params.sigma * math.sqrt(N)
 
     def diff(u: float) -> float:
-        return _kernel_fast(H, c_big, t_hi, u) - _kernel_fast(H, c_big, t_lo, u)
+        return _kernel_fast(a, c_big, t_hi, u) - _kernel_fast(a, c_big, t_lo, u)
 
-    if i > 1:
-        return pref * _adaptive(diff, (i - 1) / N, i / N, cfg, f"J({N},{n},{i})")
-    # i = 1: remove the u^{-a} left singularity exactly via tau = u^{1-a}
-    q = 1.0 / (1.0 - a)
-
-    def sub(tau: float) -> float:
-        u = tau**q
-        return u**a * diff(u)
-
-    return pref * q * _adaptive(sub, 0.0, (1.0 / N) ** (1.0 - a), cfg, f"J({N},{n},1)")
+    return _unscaled(params, N, i, diff, cfg, f"J({N},{n},{i})")
 
 
 def g_unscaled(params: HurstParams, N: int, n: int,
@@ -356,23 +351,10 @@ def g_unscaled(params: HurstParams, N: int, n: int,
     """Original N-dependent present-move weight (independent route)."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got N={N}, n={n}")
-    H, a = params.H, params.alpha
-    c_big = params.C_H
+    a, c_big = params.alpha, params.C_H
     t_hi = n / N
-    pref = params.sigma * math.sqrt(N)
-
-    def f(u: float) -> float:
-        return _kernel_fast(H, c_big, t_hi, u)
-
-    if n > 1:
-        return pref * _adaptive(f, (n - 1) / N, n / N, cfg, f"g({N},{n})")
-    q = 1.0 / (1.0 - a)
-
-    def sub(tau: float) -> float:
-        u = tau**q
-        return u**a * f(u)
-
-    return pref * q * _adaptive(sub, 0.0, (1.0 / N) ** (1.0 - a), cfg, f"g({N},1)")
+    return _unscaled(params, N, n, lambda u: _kernel_fast(a, c_big, t_hi, u), cfg,
+                     f"g({N},{n})")
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +420,7 @@ def I_integrals(H: float, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.nd
             out[n - 2] = part1 - part2
         return out
 
-    prev = None
-    for qo, qi in _ORDER_LADDER:
-        cur = stage(qo, qi)
-        if prev is not None:
-            delta = np.abs(cur - prev)
-            if np.all(delta <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur))):
-                return cur
-        prev = cur
-    raise QuadratureError(f"I_{n}: order ladder exhausted",
-                          best=float(cur[0]), err=float(np.abs(cur - prev).max()))
+    return _escalate(stage, cfg, f"I_{n}")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from fracbin import HurstParams, coefficient_table, solve_critical_hurst
-from fracbin.cli import EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
+from fracbin.cli import EXIT_CAP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from fracbin.coefficients import _TABLE_CACHE
 from fracbin import verify as verify_mod
 
@@ -116,6 +116,14 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == EXIT_VALIDATION
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_nonconvergence_exit_code(tmp_path):
+    rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
+                  tmp_path)
+    assert rc == EXIT_NONCONVERGENCE
+    assert not out.exists()
 
 
 def test_env_override(tmp_path, monkeypatch):

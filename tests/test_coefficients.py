@@ -19,7 +19,8 @@ from fracbin import (
     kernel,
     turning_point,
 )
-from fracbin.coefficients import table_fingerprint, write_tables_csv
+from fracbin.coefficients import DEFAULT_QUAD, table_fingerprint, write_tables_csv
+from fracbin.errors import QuadratureError
 
 # 40-digit nested-quadrature oracle values (sigma = 1)
 KERNEL_GOLDEN = 0.9375919636980572333  # k_H(1, 0.5) at H = 0.75
@@ -169,6 +170,35 @@ def test_error_estimates_within_config():
     t = coefficient_table(HurstParams(0.65), 30, cfg)
     assert np.all(t.j_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(t.j)))
     assert t.g_err <= cfg.tol_for(t.g)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_j2_adaptive_error_is_checked():
+    # one quad subdivision leaves j_2(1) about 3e-2 off; it must not be accepted
+    cfg = QuadratureConfig(max_subdivisions=1)
+    with pytest.raises(QuadratureError) as exc:
+        coefficient_table(HurstParams(0.75), 2, cfg)
+    assert exc.value.err > cfg.tol_for(exc.value.best)
+    t = coefficient_table(HurstParams(0.75), 2)
+    assert t.j_err[0] <= DEFAULT_QUAD.tol_for(t.j[0])
+
+
+_UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda: coefficient_table(HurstParams(0.75), 6, _UNREACHABLE), id="interior"),
+    pytest.param(lambda: coefficient_table(HurstParams(0.75), 3, _UNREACHABLE), id="j_first"),
+    pytest.param(lambda: I_integrals(0.75, 10, _UNREACHABLE), id="I_integrals"),
+    pytest.param(lambda: kernel(0.75, 1.0, 0.5, _UNREACHABLE), id="kernel"),
+    pytest.param(lambda: J_unscaled(HurstParams(0.75), 10, 5, 2, _UNREACHABLE), id="J_unscaled"),
+])
+def test_nonconvergence_raises(route):
+    with pytest.raises(QuadratureError) as exc:
+        route()
+    assert isinstance(exc.value.best, float) and np.isfinite(exc.value.best)
+    assert exc.value.err > 0
 
 
 def test_validation_errors():
