@@ -152,9 +152,16 @@ def _j_last_stage(a: float, n: int, qs: int, qt: int) -> float:
 
 
 def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-    """Adaptive int_lo^hi f with its error estimate, checked against cfg."""
-    val, err = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
-                     limit=cfg.max_subdivisions)
+    """Adaptive int_lo^hi f with its error estimate, checked against cfg.
+
+    Any QUADPACK flag (subdivision limit, roundoff, bad integrand, ...) counts
+    as nonconvergence, whatever the error estimate says.
+    """
+    val, err, _info, *flag = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
+                                   limit=cfg.max_subdivisions, full_output=1)
+    if flag:
+        raise QuadratureError(f"{what}: QUADPACK flagged: {' '.join(flag[0].split())}",
+                              best=val, err=err)
     if err > cfg.tol_for(val):
         raise QuadratureError(f"{what}: adaptive error {err:g} above tolerance", best=val, err=err)
     return val, err

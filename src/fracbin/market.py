@@ -11,8 +11,11 @@ which is the same condition multiplied through by N^H.
 Enumeration convention (fixed so censuses are portable): sign words are
 little-endian bit words, bit i-1 set <=> xi_i = +1, and the canonical float
 value of a word is the left-to-right sequential sum (((+-j_1) +- j_2) ...).
-The census builds each level by index doubling V -> [V - j_m, V + j_m],
-which reproduces those sums bit-for-bit.
+Index doubling V -> [V - j_m, V + j_m] (level_sign_values) reproduces those
+sums bit-for-bit.  The census never holds a whole level: it writes each word
+as high * 2^14 + low, doubles the low sums once, and walks the high signs
+depth first, adding one weight per depth into a reused block, so each entry
+is still the same left-to-right sum.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 26
+# census levels are enumerated in blocks of 2^_BLOCK_BITS words (128 KiB of
+# float sums, small enough to stay in cache through a block's classification)
+_BLOCK_BITS = 14
+# the census path mask takes one byte per leaf; larger N fail fast
+_MASK_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -244,41 +252,111 @@ def _level_tolerance(table: CoefficientTable, offset: float) -> float:
     return quad + slop
 
 
+def _census_level(j: np.ndarray, g: float, o: float, tol: float,
+                  alive: np.ndarray) -> tuple[int, int]:
+    """Classify every word of the level with weights j; update alive in place.
+
+    Returns (arbitrage points, boundary-uncertain words).  A word of m signs is
+    high * 2^b + low with b = min(m - 1, _BLOCK_BITS): the low sums come from
+    level_sign_values(j[:b]) and a depth-first walk over the high signs
+    j[b:m-1] adds one weight per depth into a reused 2^b buffer, so every
+    entry is the same left-to-right sum as index doubling.  A walk leaf holds
+    the parent block of the last sign's two children, which share one block
+    of alive[:2^(m-1)]: the upper child's block (xi_m = +1) is written from it
+    before the lower child's is updated in place.
+    """
+    m = len(j)
+    b = min(max(m - 1, 0), _BLOCK_BITS)
+    size = 1 << b
+    t, band = np.empty(size), np.empty(size, dtype=bool)
+    count = uncertain = 0
+
+    def classify(y: np.ndarray, arb: np.ndarray) -> None:
+        # arb = (y + g <= -o) | (y - g >= -o), band = |(|y + o|) - g| <= tol
+        nonlocal count, uncertain
+        np.less_equal(np.add(y, g, out=t), -o, out=arb)
+        np.greater_equal(np.subtract(y, g, out=t), -o, out=band)
+        arb |= band
+        np.abs(np.subtract(np.abs(np.add(y, o, out=t), out=t), g, out=t), out=t)
+        np.less_equal(t, tol, out=band)
+        count += int(np.count_nonzero(arb))
+        uncertain += int(np.count_nonzero(band))
+
+    if m == 0:
+        arb = np.empty(1, dtype=bool)
+        classify(level_sign_values(j), arb)
+        alive[:1] &= ~arb
+        return count, uncertain
+
+    high, half = j[b:m - 1], 1 << (m - 1)
+    stack = [level_sign_values(j[:b])] + [np.empty(size) for _ in high]
+    y = np.empty(size)
+    minus, plus = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+
+    def leaf(sums: np.ndarray, start: int) -> None:
+        classify(np.subtract(sums, j[m - 1], out=y), minus)
+        classify(np.add(sums, j[m - 1], out=y), plus)
+        lower, upper = alive[start:start + size], alive[half + start:half + start + size]
+        np.logical_and(lower, np.logical_not(plus, out=plus), out=upper)
+        lower &= np.logical_not(minus, out=minus)
+
+    _walk_high_signs(stack, high, leaf)
+    return count, uncertain
+
+
+def _walk_high_signs(stack: list, high: np.ndarray, leaf, d: int = 0, start: int = 0) -> None:
+    """Depth-first over the high signs: stack[d+1] = stack[d] -/+ high[d].
+
+    stack[0] holds the low sums of one block; leaf(sums, start) receives each
+    bottom block with the index of its first word.  Kept at module level: as a
+    recursive closure it would be a reference cycle holding every level's
+    buffers until the next garbage collection.
+    """
+    if d == len(high):
+        leaf(stack[d], start)
+        return
+    np.subtract(stack[d], high[d], out=stack[d + 1])
+    _walk_high_signs(stack, high, leaf, d + 1, start)
+    np.add(stack[d], high[d], out=stack[d + 1])
+    _walk_high_signs(stack, high, leaf, d + 1, start + (len(stack[0]) << d))
+
+
 def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
            cap: int = DEFAULT_ENUM_CAP) -> ArbitrageCensus:
     """Exhaustive arbitrage census of all levels plus the path count.
 
-    Levels are enumerated by index doubling (exact-equivalent to a naive
-    sweep); a path is counted as soon as any of its prefixes is an arbitrage
-    point, by propagating an alive mask down the tree.  Ties within the
+    Each level is enumerated in cache-sized blocks of 2^_BLOCK_BITS words by a
+    depth-first walk over its high signs (see _census_level); the sums are
+    bit-for-bit those of index doubling, so the counts equal a naive sweep.
+    A path is counted as soon as any of its prefixes is an arbitrage point:
+    one byte per leaf, alive[:2^(n-1)] marks the level-n nodes with no
+    arbitrage prefix and each level extends it in place.  Ties within the
     combined quadrature + rounding tolerance are reported separately in
-    boundary_uncertain, never silently reclassified.
+    boundary_uncertain, never silently reclassified.  N above cap, or a path
+    mask above _MASK_BUDGET_BYTES, raises CapExceededError before anything is
+    computed.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
+    leaves = 2 ** (spec.N - 1)
+    if leaves > _MASK_BUDGET_BYTES:
+        raise CapExceededError(f"census N={spec.N} needs a {leaves}-byte path mask, "
+                               f"above the {_MASK_BUDGET_BYTES}-byte budget")
     counts, props, uncertain = [], [], []
-    alive = np.ones(1, dtype=bool)
+    alive = np.ones(leaves, dtype=bool)
     for n in range(1, spec.N + 1):
         table = coefficient_table(spec.params, n, cfg)
-        y = level_sign_values(table.j)
         o = spec.drift.offset_scaled(n, spec.N, spec.params.H)
-        arb = (y + table.g <= -o) | (y - table.g >= -o)
-        margin = np.abs(np.abs(y + o) - table.g)
-        tol = _level_tolerance(table, o)
-        cnt = int(np.count_nonzero(arb))
+        cnt, unc = _census_level(table.j, table.g, o, _level_tolerance(table, o), alive)
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
-        uncertain.append(int(np.count_nonzero(margin <= tol)))
-        alive &= ~arb
-        if n < spec.N:
-            alive = np.concatenate([alive, alive])
-    path_count = 2 ** (spec.N - 1) - int(np.count_nonzero(alive))
+        uncertain.append(unc)
     return ArbitrageCensus(
         N=spec.N,
         per_level_counts=tuple(counts),
         per_level_proportions=tuple(props),
         total=sum(counts),
-        path_count=path_count,
+        path_count=leaves - int(np.count_nonzero(alive)),
         boundary_uncertain=tuple(uncertain),
     )
 

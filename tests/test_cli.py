@@ -1,6 +1,7 @@
 """CLI surface: determinism of reports, exit codes, env overrides, verify."""
 
 import json
+import warnings
 
 import pytest
 
@@ -124,6 +125,17 @@ def test_nonconvergence_exit_code(tmp_path):
                   tmp_path)
     assert rc == EXIT_NONCONVERGENCE
     assert not out.exists()
+
+
+def test_quadpack_flag_exits_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
+                      tmp_path)
+    assert rc == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert "j_2(1)" in err and "IntegrationWarning" not in err
+    assert not [w for w in caught if "IntegrationWarning" in w.category.__name__]
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -183,6 +183,13 @@ def test_j2_adaptive_error_is_checked():
     assert t.j_err[0] <= DEFAULT_QUAD.tol_for(t.j[0])
 
 
+def test_adaptive_rejects_a_quadpack_roundoff_flag():
+    # quad meets 1e-14 by its own estimate (4.5e-15) but flags roundoff
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
+    with pytest.raises(QuadratureError, match=r"j_2\(1\)"):
+        coefficient_table(HurstParams(0.75), 2, cfg)
+
+
 _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
 
 

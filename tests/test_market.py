@@ -1,5 +1,7 @@
 """Tree nodes, arbitrage classification, exact censuses, reach, stock paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from fracbin import (
     node_values,
     stock_path,
 )
+from fracbin import market
+from fracbin.cli import EXIT_CAP, main
 from fracbin.market import ZERO_DRIFT, level_sign_values
 from fracbin.verify import gray_level_counts, naive_level_values
 
@@ -177,6 +181,83 @@ def test_census_cap(p075):
     with pytest.raises(CapExceededError):
         census(MarketSpec(N=30, params=p075))
     census(MarketSpec(N=8, params=p075), cap=8)
+
+
+def test_census_budget_fails_before_allocating(p075, tmp_path, monkeypatch):
+    # a 2^39-byte path mask: the check must come before any table or level is
+    # built, so a census that starts enumerating fails here instead
+    def no_tables(*args):
+        raise AssertionError("census built a table before its budget check")
+
+    monkeypatch.setattr(market, "coefficient_table", no_tables)
+    with pytest.raises(CapExceededError, match="budget"):
+        census(MarketSpec(N=40, params=p075), cap=40)
+    for command in ("census", "paths"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--N", "40", "--cap", "40", "--out", str(out)]) == EXIT_CAP
+        assert not out.exists()
+
+
+def _doubling_census(spec):
+    """The whole-level index-doubling census, kept as the oracle for census()."""
+    counts, props, uncertain = [], [], []
+    alive = np.ones(1, dtype=bool)
+    for n in range(1, spec.N + 1):
+        table = coefficient_table(spec.params, n)
+        y = level_sign_values(table.j)
+        o = spec.drift.offset_scaled(n, spec.N, spec.params.H)
+        arb = (y + table.g <= -o) | (y - table.g >= -o)
+        margin = np.abs(np.abs(y + o) - table.g)
+        tol = market._level_tolerance(table, o)
+        cnt = int(np.count_nonzero(arb))
+        counts.append(cnt)
+        props.append(cnt / 2 ** (n - 1))
+        uncertain.append(int(np.count_nonzero(margin <= tol)))
+        alive &= ~arb
+        if n < spec.N:
+            alive = np.concatenate([alive, alive])
+    return dict(N=spec.N, per_level_counts=tuple(counts), per_level_proportions=tuple(props),
+                total=sum(counts), path_count=2 ** (spec.N - 1) - int(np.count_nonzero(alive)),
+                boundary_uncertain=tuple(uncertain))
+
+
+_DRIFTS = (ZERO_DRIFT, DriftSpec("constant", (1.5,)), DriftSpec("polynomial", (0.5, -3.0, 2.0)))
+
+
+def _assert_census_fields_equal(spec):
+    got, want = census(spec), _doubling_census(spec)
+    assert {name: getattr(got, name) for name in want} == want
+
+
+@pytest.mark.parametrize("block_bits", [3, 5])
+def test_blocked_census_equals_doubling_census(block_bits, monkeypatch, p075, p09):
+    monkeypatch.setattr(market, "_BLOCK_BITS", block_bits)
+    for params in (p075, p09):
+        for drift in _DRIFTS:
+            for N in (*range(1, 13), 16, 17, 18):
+                _assert_census_fields_equal(MarketSpec(N=N, params=params, drift=drift))
+
+
+def test_blocked_census_equals_doubling_census_in_a_wide_band(monkeypatch, p075):
+    monkeypatch.setattr(market, "_BLOCK_BITS", 3)
+    monkeypatch.setattr(market, "_level_tolerance", lambda table, offset: 0.05)
+    spec = MarketSpec(N=14, params=p075, drift=DriftSpec("constant", (0.7,)))
+    assert sum(census(spec).boundary_uncertain) > 0
+    _assert_census_fields_equal(spec)
+
+
+def test_census_never_materialises_a_level(p075):
+    spec = MarketSpec(N=22, params=p075)
+    for n in range(1, spec.N + 1):
+        coefficient_table(p075, n)
+    tracemalloc.start()
+    try:
+        census(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # half of one float per last-level word (2^21 words)
+    assert peak < 8 * 2**20
 
 
 def test_monotone_reach_goldens(p075, p09, p06):
