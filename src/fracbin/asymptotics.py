@@ -6,8 +6,8 @@ converges only in L^2 (variance tail ~ K^{1-2beta}), so samplers draw the
 hard-truncated head Y^(K) and every estimate reports the exactly computed
 discarded-tail standard deviation and the induced bias window.
 
-Sampling is deterministic and thread-count invariant: samples are produced
-in fixed chunks, chunk c drawing its bytes from Philox keyed (seed, c); each
+Sampling is deterministic and single-threaded: samples are produced in
+fixed chunks, chunk c drawing its bytes from Philox keyed (seed, c); each
 sample consumes ceil(K/8) bytes, bit j of byte b (little-endian) being the
 sign of weight 8b+j+1.  The canonical float value of a sample is the sum of
 its per-byte partial sums in byte order, each byte's sum accumulated
@@ -20,7 +20,6 @@ separate variable is kept.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -190,33 +189,29 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int) -> np
     return y
 
 
-def _map_chunks(tables: np.ndarray, cfg: McConfig, threads: int,
+def _map_chunks(tables: np.ndarray, cfg: McConfig,
                 per_chunk: Callable[[np.ndarray], object]) -> list:
     """per_chunk(values) of every chunk's kept samples, in chunk order.
 
     Every chunk is generated at full cfg.chunk size, so a sample's value
-    never depends on cfg.samples or on the thread count.
+    never depends on cfg.samples.
     """
     nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
-
-    def one(c: int):
+    out = []
+    for c in range(nchunks):
         n = min(cfg.chunk, cfg.samples - c * cfg.chunk)
-        return per_chunk(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(nchunks)))
-    return [one(c) for c in range(nchunks)]
+        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n]))
+    return out
 
 
-def _sample_with_weights(w: np.ndarray, cfg: McConfig, threads: int = 1) -> np.ndarray:
-    return np.concatenate(_map_chunks(_block_tables(w), cfg, threads, lambda y: y))
+def _sample_with_weights(w: np.ndarray, cfg: McConfig) -> np.ndarray:
+    return np.concatenate(_map_chunks(_block_tables(w), cfg, lambda y: y))
 
 
-def sample_limit_variable(params: HurstParams, cfg: McConfig, threads: int = 1) -> np.ndarray:
+def sample_limit_variable(params: HurstParams, cfg: McConfig) -> np.ndarray:
     """i.i.d. samples of the truncated limit variable Y^(K)."""
     K, _ = resolve_truncation(params, cfg)
-    return _sample_with_weights(limit_weights(params, K), cfg, threads)
+    return _sample_with_weights(limit_weights(params, K), cfg)
 
 
 def _z_value(confidence: float) -> float:
@@ -244,6 +239,8 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
     The limit event is strict (the limit law is atomless); the reported bias
     window brackets the untruncated probability as
     [P(|Y^(K)| > g_H + d), P(|Y^(K)| > g_H - d)] with d = 6 * tail_sd.
+    threads is accepted for compatibility and ignored: sampling always runs
+    on the calling thread.
     """
     K, tail_sd = resolve_truncation(params, cfg)
     tables = _block_tables(limit_weights(params, K))
@@ -258,7 +255,7 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
             int(np.count_nonzero(y > g - delta)),
         )
 
-    hit, hit_lo, hit_hi = map(sum, zip(*_map_chunks(tables, cfg, threads, counts)))
+    hit, hit_lo, hit_hi = map(sum, zip(*_map_chunks(tables, cfg, counts)))
     stderr, lo, hi = _interval(hit, cfg.samples, cfg.confidence)
     return McEstimate(
         p_hat=hit / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,
@@ -269,8 +266,7 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
 
 
 def _level_estimate(table: CoefficientTable, offset: float, cfg: McConfig,
-                    strict: bool, threads: int,
-                    exact: Optional[bool] = None) -> McEstimate:
+                    strict: bool, exact: Optional[bool] = None) -> McEstimate:
     """MC or exact-enumeration estimate of P(|Y_n + offset| >=(>) g_n)."""
     n_level = table.n
     g = table.g
@@ -292,7 +288,7 @@ def _level_estimate(table: CoefficientTable, offset: float, cfg: McConfig,
         y = np.abs(y + offset)
         return int(np.count_nonzero(y > g) if strict else np.count_nonzero(y >= g))
 
-    hits = sum(_map_chunks(_block_tables(table.j), cfg, threads, count))
+    hits = sum(_map_chunks(_block_tables(table.j), cfg, count))
     stderr, lo, hi = _interval(hits, cfg.samples, cfg.confidence)
     return McEstimate(
         p_hat=hits / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,
@@ -304,7 +300,7 @@ def _level_estimate(table: CoefficientTable, offset: float, cfg: McConfig,
 
 def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
                             table: CoefficientTable, cfg: McConfig,
-                            threads: int = 1, exact: Optional[bool] = None) -> McEstimate:
+                            exact: Optional[bool] = None) -> McEstimate:
     """P(|Y_n + drift_offset| >= g_n), exact enumeration for word length <= 20.
 
     The finite-level set uses the non-strict inequality (the arbitrage-set
@@ -313,20 +309,20 @@ def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
     """
     if table.n != n:
         raise ValueError(f"table level {table.n} does not match n={n}")
-    return _level_estimate(table, drift_offset, cfg, strict=False, threads=threads,
-                           exact=exact)
+    if not math.isfinite(drift_offset):
+        raise ValueError(f"drift_offset must be finite, got {drift_offset}")
+    return _level_estimate(table, drift_offset, cfg, strict=False, exact=exact)
 
 
 def exceedance_frequency(params: HurstParams, n_list: Sequence[int], cfg: McConfig,
-                         quad: QuadratureConfig = DEFAULT_QUAD,
-                         threads: int = 1) -> list[tuple[int, McEstimate]]:
+                         quad: QuadratureConfig = DEFAULT_QUAD) -> list[tuple[int, McEstimate]]:
     """P(|Y_n| > g_n) across levels (strict, zero offset) as a regime diagnostic."""
     from .coefficients import coefficient_table
 
     out = []
     for n in n_list:
         table = coefficient_table(params, n, quad)
-        out.append((n, _level_estimate(table, 0.0, cfg, strict=True, threads=threads)))
+        out.append((n, _level_estimate(table, 0.0, cfg, strict=True)))
     return out
 
 
@@ -348,6 +344,8 @@ def characteristic_function(params: HurstParams, v: float, tol: float = 1e-8) ->
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     if v == 0.0:
         return 1.0
     u = 2.0 * params.g_H * abs(v)

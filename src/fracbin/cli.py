@@ -69,7 +69,6 @@ class RunConfig:
     trunc_k: Optional[int] = asym.DEFAULT_TRUNCATION_K
     confidence: float = 0.99
     tol: float = 1e-8
-    threads: int = 1
     n_list: str = ""
     offset: float = 0.0
     prefix: str = ""
@@ -89,12 +88,14 @@ class RunConfig:
 _CLI_FALLBACKS = {
     "n-list": "10,14,18",  # RunConfig's "" is what the other commands' reports embed
     "trunc-k": None,  # left unset so --tail-sd-tol can choose K; _resolved fills it in
+    "threads": 1,  # accepted and ignored; not a RunConfig field
 }
 
 
 def _fallback(name: str):
-    field = RunConfig.__dataclass_fields__[name.replace("-", "_")]
-    return _CLI_FALLBACKS.get(name, field.default)
+    if name in _CLI_FALLBACKS:
+        return _CLI_FALLBACKS[name]
+    return RunConfig.__dataclass_fields__[name.replace("-", "_")].default
 
 
 def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
@@ -115,7 +116,7 @@ def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
                                        f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
         "confidence": dict(type=float),
         "tol": dict(type=float),
-        "threads": dict(type=int, help="worker threads; never changes any output"),
+        "threads": dict(type=int, help="ignored; sampling always runs on one thread"),
         "n-list": dict(type=str),
         "offset": dict(type=float, help="scaled drift offset added to the level sum"),
         "prefix": dict(type=str, help="sign word like '+-+' or '' for the root"),
@@ -203,13 +204,10 @@ def _quad(rc: RunConfig) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=rc.quad_abs_tol, rel_tol=rc.quad_rel_tol)
 
 
-# execution-only knobs: they never influence the numbers, so they are left
-# out of the embedded config and outputs stay byte-identical across them
-_NON_REPRO_FIELDS = ("threads", "output_path")
-
-
 def _emit(rc: RunConfig, payload: dict, csv_spec=None) -> None:
-    cfg_fields = {k: v for k, v in asdict(rc).items() if k not in _NON_REPRO_FIELDS}
+    # the output path never influences the numbers, so it is left out of the
+    # embedded config and reports stay byte-identical across destinations
+    cfg_fields = {k: v for k, v in asdict(rc).items() if k != "output_path"}
     doc = {"config": {k: v for k, v in sorted(cfg_fields.items())}}
     doc.update(payload)
     if rc.output_format == "csv" and csv_spec is not None:
@@ -284,7 +282,7 @@ def _cmd_paths(rc: RunConfig) -> int:
 def _cmd_mc_limit(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     cfg = _mc_config(rc)
-    est = asym.limit_proportion(params, cfg, threads=rc.threads)
+    est = asym.limit_proportion(params, cfg)
     payload = {"coeff_cache_hash": _weights_hash(params, est.K)}
     payload.update(est.to_dict())
     _emit(rc, payload, csv_spec=(("p_hat", "stderr", "ci_low", "ci_high", "samples", "K"),
@@ -299,7 +297,7 @@ def _cmd_mc_level(rc: RunConfig) -> int:
     table = coefficient_table(params, rc.n, quad)
     cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, truncation_k=max(rc.n - 1, 1),
                         confidence=rc.confidence)
-    est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg, threads=rc.threads)
+    est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg)
     payload = {"coeff_cache_hash": table_fingerprint([table])}
     payload.update(est.to_dict())
     _emit(rc, payload, csv_spec=(("p_hat", "stderr", "ci_low", "ci_high", "samples"),
@@ -371,12 +369,12 @@ def _cmd_convergence(rc: RunConfig) -> int:
     rows = []
     for n in levels:
         table = coefficient_table(params, n, quad)
-        est = asym.finite_level_proportion(params, n, 0.0, table, cfg, threads=rc.threads)
-        strict = asym.exceedance_frequency(params, [n], cfg, quad, threads=rc.threads)[0][1]
+        est = asym.finite_level_proportion(params, n, 0.0, table, cfg)
+        strict = asym.exceedance_frequency(params, [n], cfg, quad)[0][1]
         var_bar, var_hat = asym.split_variances(params, n, table)
         rows.append((n, est.p_hat, est.stderr, est.ci_low, est.ci_high,
                      strict.p_hat, var_bar, var_hat))
-    lim = asym.limit_proportion(params, cfg, threads=rc.threads)
+    lim = asym.limit_proportion(params, cfg)
     payload = {
         "levels": [
             {"n": r[0], "p_hat": r[1], "stderr": r[2], "ci": [r[3], r[4]],
@@ -416,9 +414,18 @@ _COMMANDS = {
 }
 
 
+# the last parser built and the sorted FRACBIN_* environment it was built
+# from; the environment only sets argparse defaults, so an unchanged one
+# reuses the parser
+_PARSER: tuple = (None, None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(_ENV_PREFIX)))
+    if _PARSER[0] != env:
+        _PARSER = (env, build_parser())
+    args = _PARSER[1].parse_args(argv)
     try:
         rc = _resolved(args)
         return _COMMANDS[rc.command](rc)

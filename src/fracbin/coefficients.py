@@ -26,14 +26,12 @@ Special cases:
     integral in v.
   * n = 1: g_1 reduces exactly to sigma*C_H*B(1-a,a)/(1+a).
 
-Tables are cached per (params, n, config); construction is idempotent and
-safe to race from multiple threads.
+Tables are cached per (params, n, config); construction is idempotent.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -458,15 +456,13 @@ class CoefficientTable:
 
 
 _TABLE_CACHE: dict[tuple, CoefficientTable] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def coefficient_table(params: HurstParams, n: int,
                       cfg: QuadratureConfig = DEFAULT_QUAD) -> CoefficientTable:
     """Build (or fetch from the cache) the full level-n table."""
     key = (params.H, params.sigma, n, cfg.key())
-    with _CACHE_LOCK:
-        hit = _TABLE_CACHE.get(key)
+    hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     j, j_err = _j_values(params, n, cfg)
@@ -479,13 +475,11 @@ def coefficient_table(params: HurstParams, n: int,
     j_err.setflags(write=False)
     table = CoefficientTable(params=params, n=n, j=j, g=g, j_err=j_err,
                              g_err=g_err, split_index=i_n, turning_point=x_n)
-    with _CACHE_LOCK:
-        return _TABLE_CACHE.setdefault(key, table)
+    return _TABLE_CACHE.setdefault(key, table)
 
 
 def clear_table_cache() -> None:
-    with _CACHE_LOCK:
-        _TABLE_CACHE.clear()
+    _TABLE_CACHE.clear()
 
 
 def table_fingerprint(tables) -> str:

@@ -71,8 +71,8 @@ class HurstParams:
     def __post_init__(self) -> None:
         if not 0.5 < self.H < 1.0:
             raise ValueError(f"H must lie strictly in (1/2, 1), got {self.H}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         c = normalizing_constant(self.H)
         object.__setattr__(self, "h", self.H / 2.0 + 0.25)
         object.__setattr__(self, "alpha", self.H - 0.5)

@@ -66,6 +66,8 @@ class DriftSpec:
             raise ValueError("constant drift takes exactly one coefficient")
         if self.kind == "polynomial" and not self.coefficients:
             raise ValueError("polynomial drift needs at least one coefficient")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError(f"drift coefficients must be finite, got {self.coefficients}")
 
     @classmethod
     def parse(cls, text: str) -> "DriftSpec":
@@ -131,8 +133,8 @@ class MarketSpec:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be positive, got {self.s0}")
+        if not 0 < self.s0 < np.inf:
+            raise ValueError(f"s0 must be positive and finite, got {self.s0}")
 
     def to_dict(self) -> dict:
         return {

@@ -291,3 +291,36 @@ def test_regime_constants_straddle_critical():
     hi = asym.regime_constants(HurstParams(0.86))
     assert "eps" in lo and lo["rho_sq_sum"] < 0.25
     assert "delta" in hi and hi["rho_sq_sum"] > 0.25
+
+
+def test_sampling_starts_no_thread(p08, tmp_path, monkeypatch):
+    # every sampler entry point, and --threads 8 on the CLI, must run on the
+    # calling thread: starting any thread fails the test
+    import threading
+
+    from fracbin.cli import EXIT_OK, main
+
+    def refuse(self):
+        raise AssertionError("a sampler started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = McConfig(samples=10_000, seed=3, truncation_k=256)
+    assert 0.0 < limit_proportion(p08, cfg, threads=8).p_hat < 1.0
+    assert sample_limit_variable(p08, cfg).shape == (10_000,)
+    t = coefficient_table(p08, 30)
+    est = finite_level_proportion(p08, 30, 0.0, t, McConfig(samples=10_000, truncation_k=29),
+                                  exact=False)
+    assert not est.exact and 0.0 < est.p_hat < 1.0
+    out = tmp_path / "mc.json"
+    argv = ["mc-limit", "--H", "0.8", "--samples", "9000", "--trunc-k", "256",
+            "--threads", "8", "--out", str(out)]
+    assert main(argv) == EXIT_OK and out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(p08, bad):
+    t = coefficient_table(p08, 12)
+    with pytest.raises(ValueError, match="drift_offset"):
+        finite_level_proportion(p08, 12, bad, t, McConfig(samples=10, truncation_k=11))
+    with pytest.raises(ValueError, match="finite"):
+        characteristic_function(p08, bad)

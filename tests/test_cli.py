@@ -180,3 +180,56 @@ def test_verify_detects_corrupted_table():
     finally:
         _TABLE_CACHE[key] = table
         assert verify_mod.check_goldens()["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-level", "--H", "0.8", "--n", "30", "--samples", "3000", "--seed", "4"],
+    ["convergence", "--H", "0.8", "--n-list", "10,24", "--samples", "5000", "--seed", "4",
+     "--trunc-k", "512"],
+], ids=["mc-level", "convergence"])
+def test_threads_option_is_ignored(tmp_path, monkeypatch, argv):
+    rc, plain = run(argv, tmp_path, "plain.json")
+    assert rc == EXIT_OK
+    rc, flag = run(argv + ["--threads", "8"], tmp_path, "flag.json")
+    assert rc == EXIT_OK
+    monkeypatch.setenv("FRACBIN_THREADS", "8")
+    rc, env = run(argv, tmp_path, "env.json")
+    assert rc == EXIT_OK
+    assert plain.read_bytes() == flag.read_bytes() == env.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--H", "0.9", "--N", "12", "--drift", "const:nan"],
+    ["census", "--H", "0.9", "--N", "12", "--drift", "poly:0.1,inf"],
+    ["census", "--H", "0.9", "--N", "12", "--sigma", "inf"],
+    ["census", "--H", "0.9", "--N", "12", "--s0", "inf"],
+    ["mc-level", "--n", "30", "--samples", "100", "--offset", "nan"],
+    ["charfn", "--v-max", "nan"],
+], ids=["drift-nan", "poly-inf", "sigma-inf", "s0-inf", "offset-nan", "v-max-nan"])
+def test_non_finite_options_exit_2(tmp_path, capsys, argv):
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypatch):
+    from fracbin import cli
+
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", (None, None))
+    assert run(["hc"], tmp_path, "a.json")[0] == EXIT_OK
+    assert run(["hc"], tmp_path, "b.json")[0] == EXIT_OK
+    assert len(builds) == 1
+    monkeypatch.setenv("FRACBIN_TOL", "1e-6")
+    rc, out = run(["hc"], tmp_path, "c.json")
+    assert rc == EXIT_OK and len(builds) == 2
+    doc = json.loads(out.read_text())
+    assert doc["tol"] == 1e-6 and doc["config"]["tol"] == 1e-6

@@ -216,3 +216,8 @@ def test_solve_critical_hurst_golden():
 def test_solve_critical_hurst_validation():
     with pytest.raises(ValueError):
         solve_critical_hurst(-1.0)
+
+
+def test_params_reject_infinite_sigma():
+    with pytest.raises(ValueError, match="finite"):
+        HurstParams(0.75, sigma=math.inf)

@@ -360,3 +360,16 @@ def test_market_spec_validation(p075):
         MarketSpec(N=0, params=p075)
     with pytest.raises(ValueError):
         MarketSpec(N=4, params=p075, s0=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_drift_and_s0_rejected(p075, bad):
+    with pytest.raises(ValueError, match="finite"):
+        DriftSpec("constant", (bad,))
+    with pytest.raises(ValueError, match="finite"):
+        DriftSpec("polynomial", (0.1, bad))
+    with pytest.raises(ValueError, match="finite"):
+        DriftSpec.parse(f"poly:0.2,{bad}")
+    if bad > 0:  # nan and negative values already failed `s0 > 0`
+        with pytest.raises(ValueError, match="finite"):
+            MarketSpec(N=4, params=p075, s0=bad)
