@@ -44,10 +44,14 @@ _ENV_PREFIX = "FRACBIN_"
 
 
 def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
+    var = _ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{var}={raw!r} is not a valid {cast.__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -318,9 +322,10 @@ def _cmd_hc(rc: RunConfig) -> int:
 
 
 def _cmd_charfn(rc: RunConfig) -> int:
+    if rc.v_min > rc.v_max:
+        raise ValueError(f"v-min {rc.v_min} exceeds v-max {rc.v_max}")
     params = HurstParams(rc.H, rc.sigma)
-    lo = rc.v_min if rc.v_min > 0 else 0.0
-    vs = np.linspace(lo, rc.v_max, rc.points)
+    vs = np.linspace(rc.v_min, rc.v_max, rc.points)
     values = [asym.characteristic_function(params, float(v), rc.tol) for v in vs]
     payload: dict = {"points": [[float(v), f] for v, f in zip(vs, values)]}
     if rc.fit:
@@ -423,11 +428,10 @@ _PARSER: tuple = (None, None)
 def main(argv=None) -> int:
     global _PARSER
     env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith(_ENV_PREFIX)))
-    if _PARSER[0] != env:
-        _PARSER = (env, build_parser())
-    args = _PARSER[1].parse_args(argv)
     try:
-        rc = _resolved(args)
+        if _PARSER[0] != env:
+            _PARSER = (env, build_parser())
+        rc = _resolved(_PARSER[1].parse_args(argv))
         return _COMMANDS[rc.command](rc)
     except (CapExceededError, TruncationError) as exc:
         print(f"fracbin: cap exceeded: {exc}", file=sys.stderr)

@@ -27,6 +27,14 @@ Special cases:
   * n = 1: g_1 reduces exactly to sigma*C_H*B(1-a,a)/(1+a).
 
 Tables are cached per (params, n, config); construction is idempotent.
+The interior powers (v + (n-1) - x)^{a-1} at the outer nodes x = m + xi
+are most of the cost of a table built from nothing.  When m-1 and m lie in
+one binade, fl(m + xi) = fl(m-1 + xi) + 1 exactly, so row m of level n has
+the same bits as row m-1 of level n-1.  One memo entry per ladder rung keeps
+the last level's (a, n, d, powers); the next level copies them and
+recomputes row 0 and every row whose d differs by exact comparison (only
+rows m = 2^k can), so every table is byte-identical to one built from
+scratch.  clear_table_cache() empties the memo as well.
 """
 
 from __future__ import annotations
@@ -112,25 +120,56 @@ def _gj01(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w * 2.0 ** (-alpha - beta - 1.0)
 
 
-def _inner_w(x: np.ndarray, n: int, a: float, qi: int) -> np.ndarray:
-    """W_n at outer nodes x (any shape); requires n-1-x bounded away from 0."""
-    v, wv = _gl01(qi)
-    smooth = (v + (n - 1.0)) ** a * wv
-    b = (v + (n - 1.0 - x)[..., None]) ** (a - 1.0)
-    return b @ smooth
+# Per ladder rung (qo, qi): (a, n, d, b) of the last interior stage built,
+# so the next level can copy the powers it shares with this one.
+_POWER_MEMO: dict[tuple[int, int], tuple] = {}
+
+
+def _power_rows(out: np.ndarray, d: np.ndarray, v: np.ndarray, a: float) -> None:
+    """out[..., q] = (v_q + d[...])**(a-1), computed in place."""
+    np.add(v, d[..., None], out=out)
+    np.power(out, a - 1.0, out=out)
+
+
+def _interior_powers(a: float, n: int, d: np.ndarray, qo: int, qi: int) -> np.ndarray:
+    """b[r, p, q] = (v_q + d[r, p])**(a-1) for the interior rows of level n.
+
+    Row r of level n equals row r-1 of level n-1 wherever their d agree bit
+    for bit, so with level n-1 in the memo only row 0 and the rows whose d
+    changed are computed; the rest are one slice copy.
+    """
+    v, _ = _gl01(qi)
+    b = np.empty(d.shape + (qi,))
+    a_prev, n_prev, d_prev, b_prev = _POWER_MEMO.get((qo, qi), (None,) * 4)
+    if a_prev == a and n_prev == n - 1:
+        b[1:] = b_prev
+        stale = np.flatnonzero(np.any(d[1:] != d_prev, axis=1)) + 1
+        for r in (0, *stale):
+            _power_rows(b[r], d[r], v, a)
+    else:
+        _power_rows(b, d, v, a)
+    b.setflags(write=False)
+    _POWER_MEMO[(qo, qi)] = (a, n, d, b)
+    return b
 
 
 def _j_middle_stage(a: float, n: int, i_arr: np.ndarray, qo: int, qi: int) -> np.ndarray:
     """One quadrature stage of j-values for interior columns 2 <= i <= n-2."""
     xi, wx = _gl01(qo)
+    v, wv = _gl01(qi)
     x = (i_arr - 1.0)[:, None] + xi[None, :]
-    return (x ** (-a) * _inner_w(x, n, a, qi)) @ wx
+    smooth = (v + (n - 1.0)) ** a * wv
+    b = _interior_powers(a, n, (n - 1.0) - x, qo, qi)
+    return (x ** (-a) * (b @ smooth)) @ wx
 
 
 def _j_first_stage(a: float, n: int, qo: int, qi: int) -> float:
     """One stage of j_n(1) for n >= 3: Gauss-Jacobi absorbs x^{-a} at 0."""
     x, wx = _gj01(qo, 0.0, -a)
-    return float(np.dot(_inner_w(x, n, a, qi), wx))
+    v, wv = _gl01(qi)
+    smooth = (v + (n - 1.0)) ** a * wv
+    b = (v + (n - 1.0 - x)[:, None]) ** (a - 1.0)
+    return float(np.dot(b @ smooth, wx))
 
 
 def _j_last_stage(a: float, n: int, qs: int, qt: int) -> float:
@@ -480,6 +519,7 @@ def coefficient_table(params: HurstParams, n: int,
 
 def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
+    _POWER_MEMO.clear()
 
 
 def table_fingerprint(tables) -> str:

@@ -233,3 +233,35 @@ def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypat
     assert rc == EXIT_OK and len(builds) == 2
     doc = json.loads(out.read_text())
     assert doc["tol"] == 1e-6 and doc["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("var, raw, argv", [
+    ("FRACBIN_SAMPLES", "abc", ["hc"]),
+    ("FRACBIN_H", "0.7x", ["census", "--N", "5"]),
+], ids=["samples", "H"])
+def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, var, raw, argv):
+    monkeypatch.setenv(var, raw)
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("fracbin: invalid configuration:") and var in err
+    monkeypatch.delenv(var)
+    assert run(argv, tmp_path)[0] == EXIT_OK
+
+
+def test_charfn_keeps_a_negative_v_min(tmp_path):
+    # F is even, so the grid is evaluated as given rather than clamped at 0
+    rc, out = run(["charfn", "--v-min", "-3", "--v-max", "1", "--points", "3"], tmp_path)
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["config"]["v_min"] == -3.0
+    assert [v for v, _ in doc["points"]] == [-3.0, -1.0, 1.0]
+    assert doc["points"][1][1] == doc["points"][2][1]
+
+
+def test_charfn_rejects_a_descending_grid(tmp_path, capsys):
+    rc, out = run(["charfn", "--v-min", "2", "--v-max", "1"], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert "v-min" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Kernel and level-table quadrature against extended-precision oracles."""
 
+import sys
 import threading
 
 import numpy as np
@@ -12,14 +13,22 @@ from fracbin import (
     I_integrals,
     J_unscaled,
     QuadratureConfig,
+    clear_table_cache,
     coefficient_table,
+    coefficients,
     g_coeff,
     g_unscaled,
     j_coeff,
     kernel,
     turning_point,
 )
-from fracbin.coefficients import DEFAULT_QUAD, table_fingerprint, write_tables_csv
+from fracbin.coefficients import (
+    _ORDER_LADDER,
+    DEFAULT_QUAD,
+    _gl01,
+    table_fingerprint,
+    write_tables_csv,
+)
 from fracbin.errors import QuadratureError
 
 # 40-digit nested-quadrature oracle values (sigma = 1)
@@ -264,3 +273,137 @@ def test_csv_dump_deterministic(tmp_path):
     assert [ln.split(",")[:2] for ln in lines[1:]] == [
         ["2", "1"], ["3", "1"], ["3", "2"], ["4", "1"], ["4", "2"], ["4", "3"]]
     assert len(table_fingerprint(tables)) == 64
+
+
+def _fresh_middle_stage(a, n, i_arr, qo, qi):
+    """The interior stage with every power computed afresh, as before reuse."""
+    xi, wx = _gl01(qo)
+    x = (i_arr - 1.0)[:, None] + xi[None, :]
+    v, wv = _gl01(qi)
+    smooth = (v + (n - 1.0)) ** a * wv
+    b = (v + (n - 1.0 - x)[..., None]) ** (a - 1.0)
+    return (x ** (-a) * (b @ smooth)) @ wx
+
+
+_CLEAR = "clear"  # clear_table_cache(): tables and power memo
+_REBUILD = "rebuild"  # drop only the tables, so a repeated level is built again
+
+
+def _sweep_bytes(requests):
+    """Exact bytes of j, j_err, g and g_err for a sequence of (H, sigma, n)."""
+    clear_table_cache()
+    out = []
+    for req in requests:
+        if req == _CLEAR:
+            clear_table_cache()
+        elif req == _REBUILD:
+            coefficients._TABLE_CACHE.clear()
+        else:
+            out.append(_table_bytes(req))
+    clear_table_cache()
+    return out
+
+
+def _table_bytes(req):
+    H, sigma, n = req
+    t = coefficient_table(HurstParams(H, sigma), n)
+    return req, t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)
+
+
+def _assert_matches_fresh_powers(monkeypatch, requests):
+    got = _sweep_bytes(requests)
+    with monkeypatch.context() as m:
+        m.setattr(coefficients, "_j_middle_stage", _fresh_middle_stage)
+        want = _sweep_bytes(requests)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w, g[0]
+
+
+@pytest.mark.parametrize("H", [0.5005, 0.51, 0.75, 0.97, 0.999])
+def test_ascending_sweep_matches_fresh_powers(monkeypatch, H):
+    # 140 levels cross the binade edges at m = 64 and m = 128
+    _assert_matches_fresh_powers(monkeypatch, [(H, 1.0, n) for n in range(1, 141)])
+
+
+def test_out_of_order_and_repeated_levels_match_fresh_powers(monkeypatch):
+    levels = [30, 31, 31, _REBUILD, 31, 32, 29, 30, 65, 66, 67, _REBUILD, 66, 67, 68,
+              5, 4, 6, 7, 200, 201, 130, 131, 132, 4, 3, 2, 1, 2]
+    _assert_matches_fresh_powers(
+        monkeypatch, [lv if isinstance(lv, str) else (0.7, 1.0, lv) for lv in levels])
+
+
+def test_interleaved_H_and_sigma_match_fresh_powers(monkeypatch):
+    # same alpha with another sigma shares the powers; another H never does
+    requests = [(H, sigma, n) for n in range(1, 71)
+                for H, sigma in ((0.6, 1.0), (0.9, 1.0), (0.6, 2.5))]
+    _assert_matches_fresh_powers(monkeypatch, requests)
+
+
+def test_level_after_clear_matches_fresh_powers(monkeypatch):
+    requests = [(0.75, 1.0, n) for n in range(1, 41)]
+    requests += [_CLEAR, (0.75, 1.0, 41), (0.75, 1.0, 42), _CLEAR, (0.75, 1.0, 300)]
+    _assert_matches_fresh_powers(monkeypatch, requests)
+
+
+def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
+    # threads replace one another's memo entries mid-sweep; entries are never
+    # written after they are stored, so every table must still be exact
+    sweeps = [[(H, sigma, n) for n in range(1, 61)]
+              for H, sigma in ((0.6, 1.0), (0.6, 2.0), (0.8, 1.0), (0.95, 1.0))]
+    with monkeypatch.context() as m:
+        m.setattr(coefficients, "_j_middle_stage", _fresh_middle_stage)
+        want = [_sweep_bytes(sweep) for sweep in sweeps]
+    got = [None] * len(sweeps)
+
+    def run(k):
+        got[k] = [_table_bytes(req) for req in sweeps[k]]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(sweeps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_table_cache()
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+def test_power_memo_is_bounded_and_cleared():
+    clear_table_cache()
+    # at H = 0.99 a 1e-16 tolerance sends the interior up every rung
+    tight = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16)
+    for n in range(4, 40):
+        coefficient_table(HurstParams(0.8), n)
+        with pytest.raises(QuadratureError):
+            coefficient_table(HurstParams(0.99), n, tight)
+    memo = coefficients._POWER_MEMO
+    assert set(memo) == set(_ORDER_LADDER)
+    for (qo, qi), (a, n, d, b) in memo.items():
+        assert d.shape == (n - 3, qo) and b.shape == (n - 3, qo, qi)
+    clear_table_cache()
+    assert not memo
+
+
+def test_ascending_sweep_recomputes_few_rows(monkeypatch):
+    # level n reuses level n-1's powers except row 0 and the rows m = 2^k
+    clear_table_cache()
+    coefficient_table(HurstParams(0.75), 99)
+    rows = []
+    real = coefficients._power_rows
+
+    def counting(out, d, v, a):
+        rows.append(1 if d.ndim == 1 else d.shape[0])
+        real(out, d, v, a)
+
+    monkeypatch.setattr(coefficients, "_power_rows", counting)
+    coefficient_table(HurstParams(0.75), 100)
+    rungs = sum(1 for entry in coefficients._POWER_MEMO.values() if entry[1] == 100)
+    clear_table_cache()
+    assert rungs >= 2
+    assert sum(rows) <= rungs * (1 + 6)  # row 0 and m = 2, 4, ..., 64 of 97 rows
