@@ -378,15 +378,16 @@ def empirical_cf(samples: np.ndarray, v_values: np.ndarray) -> np.ndarray:
     return np.array([float(np.mean(np.cos(v * samples))) for v in v_values])
 
 
-def fit_cf_decay(params: HurstParams, v_lo: float, v_hi: float, points: int = 60,
-                 tol: float = 1e-8, spike_floor: float = 1e-6) -> tuple[float, float, int]:
+def fit_cf_decay(params: HurstParams, v_lo: float, v_hi: float,
+                 points: int = 60) -> tuple[float, float, int]:
     """(theta, exponent, points used) fitting log|F| <= -theta u^{1/beta}.
 
     Regression of log(-log|F(v)|) on log u over a log-spaced v grid.  The fit
     needs the deep regime where many cosine factors oscillate (u = 2 g_H v
     of order 10^2); there the per-point phase noise is a few percent and
     averages out, and only points where a factor lands essentially on a zero
-    (|cos| < spike_floor in the head) or |F| underflows are excluded.
+    (|cos| < 1e-6 in the head) or |F| underflows are excluded.  Each F(v) is
+    evaluated to tol 1e-8.
     theta is a numerical fit, not a theoretically pinned constant.
     """
     if not (0 < v_lo < v_hi):
@@ -397,9 +398,9 @@ def fit_cf_decay(params: HurstParams, v_lo: float, v_hi: float, points: int = 60
     us, lls = [], []
     for v in vs:
         u = 2.0 * params.g_H * v
-        if float(np.min(np.abs(np.cos(u * rho_head)))) < spike_floor:
+        if float(np.min(np.abs(np.cos(u * rho_head)))) < 1e-6:
             continue
-        f = characteristic_function(params, float(v), tol)
+        f = characteristic_function(params, float(v), 1e-8)
         if not 1e-250 < abs(f) < 0.9:
             continue
         us.append(math.log(u))

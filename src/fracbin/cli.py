@@ -65,13 +65,13 @@ class RunConfig:
     n: int = 16
     drift: str = "zero"
     s0: float = 1.0
-    seed: int = 0
-    samples: int = 100_000
+    seed: int = asym.McConfig.seed
+    samples: int = asym.McConfig.samples
     quad_abs_tol: float = DEFAULT_QUAD.abs_tol
     quad_rel_tol: float = DEFAULT_QUAD.rel_tol
     tail_sd_tol: Optional[float] = None
     trunc_k: Optional[int] = asym.DEFAULT_TRUNCATION_K
-    confidence: float = 0.99
+    confidence: float = asym.McConfig.confidence
     tol: float = 1e-8
     n_list: str = ""
     offset: float = 0.0
@@ -232,6 +232,8 @@ def _weights_hash(params: HurstParams, K: int) -> str:
 
 
 def _cmd_coeffs(rc: RunConfig) -> int:
+    if rc.n < 1:
+        raise ValueError(f"n must be >= 1, got {rc.n}")
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
     tables = [coefficient_table(params, n, quad) for n in range(1, rc.n + 1)]
@@ -297,10 +299,10 @@ def _cmd_mc_limit(rc: RunConfig) -> int:
 
 def _cmd_mc_level(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
-    quad = _quad(rc)
-    table = coefficient_table(params, rc.n, quad)
+    # validated before the table build, whose cost grows as n^2
     cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, truncation_k=max(rc.n - 1, 1),
                         confidence=rc.confidence)
+    table = coefficient_table(params, rc.n, _quad(rc))
     est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg)
     payload = {"coeff_cache_hash": table_fingerprint([table])}
     payload.update(est.to_dict())

@@ -377,6 +377,8 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     prefix = tuple(prefix)
     if any(s not in (-1, 1) for s in prefix):
         raise ValueError("prefix entries must be +-1")

@@ -9,16 +9,13 @@ measured value against its bound.  The fast battery targets about a minute;
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
 
 import numpy as np
 
 from . import asymptotics as asym
 from .coefficients import (
-    DEFAULT_QUAD,
     I_integrals,
     J_unscaled,
-    QuadratureConfig,
     coefficient_table,
     g_unscaled,
     j_coeff,
@@ -80,18 +77,17 @@ _GOLDENS = {
 }
 
 
-def check_goldens(cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def check_goldens() -> dict:
     worst = 0.0
     for (kind, H, n, i), want in _GOLDENS.items():
         p = HurstParams(H)
-        got = j_coeff(p, n, i, cfg) if kind == "j" else coefficient_table(p, n, cfg).g
+        got = j_coeff(p, n, i) if kind == "j" else coefficient_table(p, n).g
         worst = max(worst, abs(got - want) / want)
     return _check("stored_goldens", worst <= 1e-9, worst, 1e-9)
 
 
-def check_scaling_law(tuples: int = 12, n_cap: int = 64, seed: int = 1,
-                      cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
-    rng = np.random.default_rng(seed)
+def check_scaling_law(tuples: int = 12, n_cap: int = 64) -> dict:
+    rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(tuples):
         H = float(rng.uniform(0.55, 0.95))
@@ -99,19 +95,19 @@ def check_scaling_law(tuples: int = 12, n_cap: int = 64, seed: int = 1,
         n = int(rng.integers(2, N + 1))
         i = int(rng.integers(1, n))
         p = HurstParams(H)
-        worst = max(worst, abs(N**H * J_unscaled(p, N, n, i, cfg) - j_coeff(p, n, i, cfg)))
-        worst = max(worst, abs(N**H * g_unscaled(p, N, n, cfg) - coefficient_table(p, n, cfg).g))
+        worst = max(worst, abs(N**H * J_unscaled(p, N, n, i) - j_coeff(p, n, i)))
+        worst = max(worst, abs(N**H * g_unscaled(p, N, n) - coefficient_table(p, n).g))
     return _check("scaling_law", worst <= 1e-8, worst, 1e-8)
 
 
-def check_brackets(n_max: int = 40, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def check_brackets(n_max: int = 40) -> dict:
     violations = 0
     worst = 0.0
     for H in H_GRID:
         p = HurstParams(H)
         for n in range(2, n_max + 1):
-            t = coefficient_table(p, n, cfg)
-            i_vals = I_integrals(H, n, cfg)
+            t = coefficient_table(p, n)
+            i_vals = I_integrals(H, n)
             lo = p.sigma * p.c_H * (n - 1.0) ** p.alpha * i_vals - t.j_err - 1e-12
             hi = p.sigma * p.c_H * float(n) ** p.alpha * i_vals + t.j_err + 1e-12
             violations += int(np.count_nonzero(t.j < lo)) + int(np.count_nonzero(t.j > hi))
@@ -140,15 +136,13 @@ def check_turning_point() -> dict:
     return _check("turning_point", worst <= 1e-3 and mono_ok, worst, 1e-3)
 
 
-def check_census_agreement(N: int = 14, H: float = 0.75,
-                           cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
-    p = HurstParams(H)
-    spec = MarketSpec(N=N, params=p)
-    c = census(spec, cfg)
+def check_census_agreement() -> dict:
+    p = HurstParams(0.75)
+    c = census(MarketSpec(N=14, params=p))
     agree = True
     flip_ok = True
-    for n in range(1, N + 1):
-        t = coefficient_table(p, n, cfg)
+    for n in range(1, 15):
+        t = coefficient_table(p, n)
         vals = level_sign_values(t.j)
         naive = naive_level_values(t.j)
         if not np.array_equal(vals, naive):
@@ -167,35 +161,35 @@ def check_census_agreement(N: int = 14, H: float = 0.75,
                   {"total": c.total, "paths": c.path_count}, "exact")
 
 
-def check_reach(n_max: int = 10**4, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def check_reach() -> dict:
+    n_max = 10**4
     worst = 0
     for H in H_GRID:
         p = HurstParams(H)
         for prefix in ((), (-1, -1, -1), (1, -1, 1)):
             for direction in (1, -1):
-                m = monotone_reach(p, prefix, direction, n_max, cfg=cfg)
+                m = monotone_reach(p, prefix, direction, n_max)
                 if m is None:
                     return _check("monotone_reach", False, None, n_max)
                 worst = max(worst, m)
     return _check("monotone_reach", True, worst, n_max)
 
 
-def check_variance_limit(n: int = 3000, H: float = 0.7, rel_tol: float = 0.03,
-                         cfg: QuadratureConfig = DEFAULT_QUAD) -> dict:
-    p = HurstParams(H)
-    vb_large, var_hat = asym.split_variances(p, n, coefficient_table(p, n, cfg))
+def check_variance_limit(n: int = 3000, rel_tol: float = 0.03) -> dict:
+    p = HurstParams(0.7)
+    vb_large, var_hat = asym.split_variances(p, n, coefficient_table(p, n))
     target = 4.0 * p.g_H**2 * rho_sq_total(p.h)
     rel = abs(var_hat - target) / target
-    vb_small, _ = asym.split_variances(p, 100, coefficient_table(p, 100, cfg))
+    vb_small, _ = asym.split_variances(p, 100, coefficient_table(p, 100))
     return _check("variance_limit", rel <= rel_tol and vb_large < vb_small, rel, rel_tol)
 
 
-def check_limit_bounds(samples: int = 10**5, seed: int = 11) -> dict:
+def check_limit_bounds(samples: int = 10**5) -> dict:
     ok = True
     measured = {}
     for H in (0.55, 0.95):
         p = HurstParams(H)
-        est = asym.limit_proportion(p, asym.McConfig(samples=samples, seed=seed,
+        est = asym.limit_proportion(p, asym.McConfig(samples=samples, seed=11,
                                                      truncation_k=asym.DEFAULT_TRUNCATION_K))
         s = rho_sq_total(p.h)
         measured[str(H)] = est.p_hat
@@ -207,13 +201,13 @@ def check_limit_bounds(samples: int = 10**5, seed: int = 11) -> dict:
     return _check("limit_proportion_bounds", ok, measured, "Tchebysheff/Paley-Zygmund")
 
 
-def check_cf(H: float = 0.75, samples: int = 10**5, seed: int = 5) -> dict:
-    p = HurstParams(H)
+def check_cf(samples: int = 10**5) -> dict:
+    p = HurstParams(0.75)
     if asym.characteristic_function(p, 0.0) != 1.0:
         return _check("characteristic_function", False, "F(0) != 1", None)
     if asym.characteristic_function(p, -0.7) != asym.characteristic_function(p, 0.7):
         return _check("characteristic_function", False, "evenness", None)
-    cfg = asym.McConfig(samples=samples, seed=seed, truncation_k=1 << 14)
+    cfg = asym.McConfig(samples=samples, seed=5, truncation_k=1 << 14)
     y = asym.sample_limit_variable(p, cfg)
     vs = np.linspace(0.1, 1.2, 10) / p.g_H
     ecf = asym.empirical_cf(y, vs)
@@ -227,15 +221,16 @@ def check_cf(H: float = 0.75, samples: int = 10**5, seed: int = 5) -> dict:
                   {"ecf_worst": worst, "exponent": expo}, {"ecf": budget, "exponent": "±15%"})
 
 
-def check_determinism(samples: int = 50_000, seed: int = 3) -> dict:
+def check_determinism() -> dict:
     p = HurstParams(0.8)
-    cfg = asym.McConfig(samples=samples, seed=seed, truncation_k=4096)
+    cfg = asym.McConfig(samples=50_000, seed=3, truncation_k=4096)
     a = asym.limit_proportion(p, cfg)
     b = asym.limit_proportion(p, cfg)
     return _check("mc_determinism", a == b, a.p_hat, "byte-identical")
 
 
-def check_critical_point(tol: float = 1e-8) -> dict:
+def check_critical_point() -> dict:
+    tol = 1e-8
     h_c, H_c = solve_critical_hurst(tol)
     residual = abs(rho_sq_total(h_c) - 0.25)
     ok = 0.5 < h_c < 0.75 and 0.5 < H_c < 1.0 and residual <= tol
@@ -266,12 +261,10 @@ _FULL_SIZES = {
 }
 
 
-def run_checks(full: bool = False, names: Optional[Iterable[str]] = None) -> dict:
+def run_checks(full: bool = False) -> dict:
     """Run the battery; `full` raises sizes towards acceptance grade."""
     results = []
     for fn in _FAST_CHECKS:
-        name = fn.__name__.removeprefix("check_")
-        if names is None or name in names:
-            sizes = _FULL_SIZES.get(name, {}) if full else {}
-            results.append(fn(**sizes))
+        sizes = _FULL_SIZES.get(fn.__name__.removeprefix("check_"), {}) if full else {}
+        results.append(fn(**sizes))
     return {"checks": results, "all_passed": all(r["passed"] for r in results)}

@@ -265,3 +265,45 @@ def test_charfn_rejects_a_descending_grid(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert not out.exists()
     assert "v-min" in capsys.readouterr().err
+
+
+def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch):
+    from fracbin import cli
+
+    builds = []
+
+    def no_build(*args, **kwargs):
+        builds.append(args)
+        raise AssertionError("coefficient_table built before validation")
+
+    monkeypatch.setattr(cli, "coefficient_table", no_build)
+    rc, out = run(["mc-level", "--n", "70000"], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists() and builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "-3"],
+    ["coeffs", "--n", "0"],
+    ["reach", "--n-max", "-5"],
+    ["reach", "--n-max", "0"],
+], ids=["coeffs-negative", "coeffs-zero", "reach-negative", "reach-zero"])
+def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_convergence_without_levels_reports_the_mc_limit(tmp_path):
+    # `convergence --n-list=` is the per-H row of the proportion sweep
+    common = ["--H", "0.9", "--samples", "8000", "--seed", "1", "--trunc-k", "2048"]
+    rc, conv = run(["convergence", "--n-list="] + common, tmp_path, "conv.json")
+    assert rc == EXIT_OK
+    rc, lim = run(["mc-limit"] + common, tmp_path, "lim.json")
+    assert rc == EXIT_OK
+    doc, ref = json.loads(conv.read_text()), json.loads(lim.read_text())
+    assert doc["levels"] == []
+    assert {"rho_sq_sum", "floor"} <= set(doc["regime"])
+    for key in ("p_hat", "ci", "tail_sd"):
+        assert doc["limit"][key] == ref[key]
