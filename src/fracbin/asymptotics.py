@@ -7,14 +7,15 @@ hard-truncated head Y^(K) and every estimate reports the exactly computed
 discarded-tail standard deviation and the induced bias window.
 
 Sampling is deterministic and single-threaded: samples are produced in
-fixed chunks, chunk c drawing its bytes from Philox keyed (seed, c); each
-sample consumes ceil(K/8) bytes, bit j of byte b (little-endian) being the
-sign of weight 8b+j+1.  The canonical float value of a sample is the sum of
-its per-byte partial sums in byte order, each byte's sum accumulated
-left-to-right from 0.0 (realised with 256-entry lookup tables; padding
-weights are zero).  Equality in law of the reversed-coefficient walk with
-the split tail walk is realised by feeding the sampler reversed weights; no
-separate variable is kept.
+fixed chunks, chunk c drawing its bytes from Philox keyed (seed, c): the
+generator's 64-bit outputs read little-endian, the same bytes as numpy's
+Generator.bytes.  Each sample consumes ceil(K/8) bytes, bit j of byte b
+(little-endian) being the sign of weight 8b+j+1.  The canonical float value
+of a sample is the sum of its per-byte partial sums in byte order, each
+byte's sum accumulated left-to-right from 0.0 (realised with 256-entry
+lookup tables; padding weights are zero).  Equality in law of the
+reversed-coefficient walk with the split tail walk is realised by feeding
+the sampler reversed weights; no separate variable is kept.
 """
 
 from __future__ import annotations
@@ -158,34 +159,39 @@ def _block_tables(w: np.ndarray) -> np.ndarray:
 def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int) -> np.ndarray:
     """Values of one chunk: n samples, each eating nblocks bytes of Philox.
 
-    The bytes are read as little-endian 64-bit words and the (n, words)
-    matrix is transposed once, so block b is byte b % 8 of the contiguous
-    word row b // 8; rows are zero-padded to whole words (pad bytes are
-    never read).  Per-block partial sums are still added in byte order.
+    The stream is Philox's 64-bit outputs read little-endian, the same bytes
+    Generator.bytes emits, and it is prefix-stable: the first n*nblocks bytes
+    do not depend on how many are drawn, so a sample's value does not depend
+    on n.  Rows are zero-padded to whole words (pad bytes are never read) and
+    the (n, words) matrix is transposed in column blocks, so block b is byte
+    b % 8 of the contiguous word row b // 8.  Per-block partial sums are
+    added in byte order.
     """
     nblocks = tables.shape[0]
+    nwords = (nblocks + 7) // 8
     key = np.array([seed, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    raw = np.frombuffer(rng.bytes(n * nblocks), dtype=np.uint8).reshape(n, nblocks)
-    if nblocks % 8:
-        padded = np.zeros((n, (nblocks + 7) // 8 * 8), dtype=np.uint8)
-        padded[:, :nblocks] = raw
-        raw = padded
-    words = np.ascontiguousarray(raw.view("<u8").T)
-    byte = np.empty(n, dtype=np.uint64)
-    idx = byte.view(np.int64)
+    stream = np.random.Philox(key=key).random_raw((n * nblocks + 7) // 8)
+    stream = stream.astype("<u8", copy=False)
+    if nblocks % 8 == 0:
+        rows = stream.reshape(n, nwords)
+    else:
+        rows = np.zeros((n, nwords), dtype="<u8")
+        rows.view(np.uint8)[:, :nblocks] = stream.view(np.uint8)[: n * nblocks].reshape(n, nblocks)
+    del stream
+    # a 256-sample block of rows stays in cache while it is written out as columns
+    words = np.empty((nwords, n), dtype="<u8")
+    for s in range(0, n, 256):
+        words[:, s:s + 256] = rows[s:s + 256].T
+    del rows
+    wbytes = words.view(np.uint8)
     part = np.empty(n)
     y = np.empty(n)
-    for b in range(nblocks):
-        np.right_shift(words[b // 8], 8 * (b % 8), out=byte)
-        np.bitwise_and(byte, 0xFF, out=byte)
-        # "clip" lets take write into out; it never clips, since indices are
-        # masked to [0, 255] and every table row holds 256 entries
-        if b == 0:
-            np.take(tables[0], idx, out=y, mode="clip")
-        else:
-            np.take(tables[b], idx, out=part, mode="clip")
-            y += part
+    # "wrap" lets take write into out; it never wraps, since uint8 indices lie
+    # in [0, 255] and every table row holds 256 entries
+    np.take(tables[0], wbytes[0, 0::8], out=y, mode="wrap")
+    for b in range(1, nblocks):
+        np.take(tables[b], wbytes[b // 8, b % 8::8], out=part, mode="wrap")
+        y += part
     return y
 
 
@@ -193,14 +199,15 @@ def _map_chunks(tables: np.ndarray, cfg: McConfig,
                 per_chunk: Callable[[np.ndarray], object]) -> list:
     """per_chunk(values) of every chunk's kept samples, in chunk order.
 
-    Every chunk is generated at full cfg.chunk size, so a sample's value
-    never depends on cfg.samples.
+    Chunk c holds samples c*cfg.chunk onwards; the last chunk draws only its
+    kept prefix, which the prefix-stable stream makes equal to the head of a
+    full chunk, so a sample's value never depends on cfg.samples.
     """
     nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
     out = []
     for c in range(nchunks):
         n = min(cfg.chunk, cfg.samples - c * cfg.chunk)
-        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, cfg.chunk)[:n]))
+        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, n)))
     return out
 
 

@@ -216,10 +216,14 @@ def _emit(rc: RunConfig, payload: dict, csv_spec=None) -> None:
     doc.update(payload)
     if rc.output_format == "csv" and csv_spec is not None:
         columns, rows = csv_spec
+        # scalar payload fields join the header, and so do the scalar entries
+        # of dict-valued ones as field.key; lists are the rows' business
         flat_cfg = dict(doc["config"])
         for k, v in payload.items():
-            if isinstance(v, (int, float, str)):
-                flat_cfg[k] = v
+            items = [(f"{k}.{sub}", x) for sub, x in v.items()] if isinstance(v, dict) else [(k, v)]
+            for name, x in items:
+                if isinstance(x, (int, float, str)):
+                    flat_cfg[name] = x
         write_text(rc.output_path, render_csv(flat_cfg, columns, rows))
     else:
         write_text(rc.output_path, render_json(doc))

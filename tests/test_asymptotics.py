@@ -109,6 +109,26 @@ def test_chunk_values_match_column_reference(p08, K):
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
+@pytest.mark.parametrize("K,n", [(20, 3), (1999, 1903), (8192, 1903)])
+def test_short_chunk_values_match_column_reference(p08, K, n):
+    # a short last chunk: padded rows (K=20, 1999) and a transpose whose one
+    # column block is partial
+    tables = asym._block_tables(asym.limit_weights(p08, K))
+    got = asym._chunk_values(tables, 17, 2, n)
+    expect = _column_chunk_values(tables, 17, 2, n)
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("K", [20, 1999, 8192])
+def test_partial_last_chunk_is_a_prefix_of_whole_chunks(p08, K):
+    # the last chunk draws only its kept samples; they must equal the head
+    # of the same chunk drawn in full
+    whole = sample_limit_variable(p08, McConfig(samples=8192, seed=23, truncation_k=K))
+    for s in (1903, 5999):
+        got = sample_limit_variable(p08, McConfig(samples=s, seed=23, truncation_k=K))
+        np.testing.assert_array_equal(got.view(np.uint64), whole[:s].view(np.uint64))
+
+
 def test_sampler_moments(p08):
     cfg = McConfig(samples=200_000, seed=1, truncation_k=8192)
     y = sample_limit_variable(p08, cfg)

@@ -110,6 +110,29 @@ def test_convergence_command(tmp_path):
     assert 0 <= doc["limit"]["p_hat"] <= 1
 
 
+def _csv_header(path):
+    lines = path.read_text().splitlines()
+    return dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+
+
+def test_csv_header_carries_dict_fields(tmp_path):
+    args = ["charfn", "--H", "0.75", "--fit", "--points", "3"]
+    _, js = run(args, tmp_path, "cf.json")
+    _, cs = run(args, tmp_path, "cf.csv", fmt="csv")
+    fit = json.loads(js.read_text())["fit"]
+    head = _csv_header(cs)
+    assert {k: head[f"fit.{k}"] for k in fit} == {k: repr(v) if isinstance(v, float) else str(v)
+                                                  for k, v in fit.items()}
+    args = ["convergence", "--H", "0.8", "--n-list", "10", "--samples", "2000"]
+    _, js = run(args, tmp_path, "conv.json")
+    _, cs = run(args, tmp_path, "conv.csv", fmt="csv")
+    doc = json.loads(js.read_text())
+    head = _csv_header(cs)
+    assert {k for k in head if k.startswith("regime.")} == {f"regime.{k}" for k in doc["regime"]}
+    assert head["limit.p_hat"] == repr(doc["limit"]["p_hat"])
+    assert "limit.ci" not in head  # lists stay out of the header
+
+
 def test_exit_codes(tmp_path):
     assert main(["census", "--H", "1.2", "--N", "5"]) == EXIT_VALIDATION
     assert main(["census", "--H", "0.75", "--N", "40"]) == EXIT_CAP
