@@ -53,18 +53,22 @@ __all__ = [
 DEFAULT_TRUNCATION_K = 8192
 _GENERATOR_ID = "philox4x64:key=[seed,chunk];bytes-le;8bit-blocks"
 _SAMPLER_K_CAP = 1 << 16
+# samples per chunk; chunk c of a stream holds samples c*_CHUNK onwards
+_CHUNK = 4096
+# longest sign word a level estimate enumerates instead of sampling
 _EXACT_LEVEL_MAX = 20
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling configuration; (seed, samples, truncation, chunk) fixes the stream.
+    """Sampling configuration; (seed, samples, truncation) fixes the stream.
 
-    Exactly one of truncation_k / tail_sd_tol must be set.  tail_sd_tol mode
-    picks the smallest K whose exactly-evaluated tail standard deviation
-    2 g_H sqrt(sum_{k>K} rho^2) meets the target, and raises TruncationError
-    when no K <= k_cap does (for H not far above 1/2 even modest targets are
-    genuinely unreachable; see README).
+    Exactly one of truncation_k / tail_sd_tol must be set, and K never
+    exceeds _SAMPLER_K_CAP.  tail_sd_tol mode picks the smallest K whose
+    exactly-evaluated tail standard deviation 2 g_H sqrt(sum_{k>K} rho^2)
+    meets the target, and raises TruncationError when no K within the cap
+    does (for H not far above 1/2 even modest targets are genuinely
+    unreachable; see README).
     """
 
     samples: int = 100_000
@@ -72,8 +76,6 @@ class McConfig:
     truncation_k: Optional[int] = DEFAULT_TRUNCATION_K
     tail_sd_tol: Optional[float] = None
     confidence: float = 0.99
-    chunk: int = 4096
-    k_cap: int = _SAMPLER_K_CAP
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -82,14 +84,12 @@ class McConfig:
             raise ValueError("seed must fit in 64 bits")
         if (self.truncation_k is None) == (self.tail_sd_tol is None):
             raise ValueError("set exactly one of truncation_k / tail_sd_tol")
-        if self.truncation_k is not None and not 1 <= self.truncation_k <= self.k_cap:
-            raise ValueError(f"truncation_k must lie in [1, {self.k_cap}]")
+        if self.truncation_k is not None and not 1 <= self.truncation_k <= _SAMPLER_K_CAP:
+            raise ValueError(f"truncation_k must lie in [1, {_SAMPLER_K_CAP}]")
         if self.tail_sd_tol is not None and not self.tail_sd_tol > 0:
             raise ValueError("tail_sd_tol must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def resolve_truncation(params: HurstParams, cfg: McConfig) -> tuple[int, float]:
         K = cfg.truncation_k
     else:
         target_sq = (cfg.tail_sd_tol / (2.0 * params.g_H)) ** 2
-        K = rho_sq_sum(h, target_sq, k_cap=cfg.k_cap).K
+        K = rho_sq_sum(h, target_sq, k_cap=_SAMPLER_K_CAP).K
     tail_sd = 2.0 * params.g_H * math.sqrt(rho_pow_tail(h, K, 2))
     return K, tail_sd
 
@@ -199,14 +199,14 @@ def _map_chunks(tables: np.ndarray, cfg: McConfig,
                 per_chunk: Callable[[np.ndarray], object]) -> list:
     """per_chunk(values) of every chunk's kept samples, in chunk order.
 
-    Chunk c holds samples c*cfg.chunk onwards; the last chunk draws only its
+    Chunk c holds samples c*_CHUNK onwards; the last chunk draws only its
     kept prefix, which the prefix-stable stream makes equal to the head of a
     full chunk, so a sample's value never depends on cfg.samples.
     """
-    nchunks = (cfg.samples + cfg.chunk - 1) // cfg.chunk
+    nchunks = (cfg.samples + _CHUNK - 1) // _CHUNK
     out = []
     for c in range(nchunks):
-        n = min(cfg.chunk, cfg.samples - c * cfg.chunk)
+        n = min(_CHUNK, cfg.samples - c * _CHUNK)
         out.append(per_chunk(_chunk_values(tables, cfg.seed, c, n)))
     return out
 
@@ -240,6 +240,18 @@ def _interval(count: int, n: int, confidence: float) -> tuple[float, float, floa
     return stderr, max(lo, 0.0), min(hi, 1.0)
 
 
+def _estimate(hits: int, cfg: McConfig, K: int, tail_sd: float = 0.0,
+              bias_window: Optional[tuple[float, float]] = None) -> McEstimate:
+    """The sampled estimate hits / cfg.samples; bias_window defaults to the point."""
+    p = hits / cfg.samples
+    stderr, lo, hi = _interval(hits, cfg.samples, cfg.confidence)
+    return McEstimate(
+        p_hat=p, stderr=stderr, ci_low=lo, ci_high=hi, samples=cfg.samples, K=K,
+        seed=cfg.seed, generator=_GENERATOR_ID, confidence=cfg.confidence,
+        tail_sd=tail_sd, bias_window=(p, p) if bias_window is None else bias_window,
+    )
+
+
 def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> McEstimate:
     """Estimate of P(|Y| > g_H) from the truncated sampler.
 
@@ -263,62 +275,47 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
         )
 
     hit, hit_lo, hit_hi = map(sum, zip(*_map_chunks(tables, cfg, counts)))
-    stderr, lo, hi = _interval(hit, cfg.samples, cfg.confidence)
-    return McEstimate(
-        p_hat=hit / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,
-        samples=cfg.samples, K=K, seed=cfg.seed, generator=_GENERATOR_ID,
-        confidence=cfg.confidence, tail_sd=tail_sd,
-        bias_window=(hit_lo / cfg.samples, hit_hi / cfg.samples),
-    )
+    return _estimate(hit, cfg, K, tail_sd, (hit_lo / cfg.samples, hit_hi / cfg.samples))
 
 
-def _level_estimate(table: CoefficientTable, offset: float, cfg: McConfig,
-                    strict: bool, exact: Optional[bool] = None) -> McEstimate:
-    """MC or exact-enumeration estimate of P(|Y_n + offset| >=(>) g_n)."""
-    n_level = table.n
+def _level_estimate(table: CoefficientTable, offset: float,
+                    cfg: McConfig) -> tuple[McEstimate, McEstimate]:
+    """(P(|Y_n + offset| >= g_n), P(|Y_n + offset| > g_n)) from one pass.
+
+    Both events are counted on the same words: every sign word when the
+    word length n-1 is at most _EXACT_LEVEL_MAX, else cfg's sample stream.
+    """
+    K = table.n - 1
     g = table.g
-    use_exact = n_level - 1 <= _EXACT_LEVEL_MAX if exact is None else exact
-    if use_exact and n_level - 1 > _EXACT_LEVEL_MAX + 4:
-        raise ValueError(f"exact enumeration infeasible at level {n_level}")
-    if use_exact:
-        y = np.abs(level_sign_values(table.j) + offset)
-        hits = int(np.count_nonzero(y > g) if strict else np.count_nonzero(y >= g))
-        total = 1 << (n_level - 1)
-        p = hits / total
-        return McEstimate(
-            p_hat=p, stderr=0.0, ci_low=p, ci_high=p, samples=total,
-            K=n_level - 1, seed=cfg.seed, generator="exact-enumeration",
-            confidence=cfg.confidence, tail_sd=0.0, bias_window=(p, p), exact=True,
-        )
 
-    def count(y: np.ndarray) -> int:
+    def counts(y: np.ndarray) -> tuple[int, int]:
         y = np.abs(y + offset)
-        return int(np.count_nonzero(y > g) if strict else np.count_nonzero(y >= g))
+        return int(np.count_nonzero(y >= g)), int(np.count_nonzero(y > g))
 
-    hits = sum(_map_chunks(_block_tables(table.j), cfg, count))
-    stderr, lo, hi = _interval(hits, cfg.samples, cfg.confidence)
-    return McEstimate(
-        p_hat=hits / cfg.samples, stderr=stderr, ci_low=lo, ci_high=hi,
-        samples=cfg.samples, K=n_level - 1, seed=cfg.seed, generator=_GENERATOR_ID,
-        confidence=cfg.confidence, tail_sd=0.0,
-        bias_window=(hits / cfg.samples, hits / cfg.samples),
-    )
+    if K > _EXACT_LEVEL_MAX:
+        hits = map(sum, zip(*_map_chunks(_block_tables(table.j), cfg, counts)))
+        return tuple(_estimate(h, cfg, K) for h in hits)
+    total = 1 << K
+    probs = [h / total for h in counts(level_sign_values(table.j))]
+    return tuple(McEstimate(
+        p_hat=p, stderr=0.0, ci_low=p, ci_high=p, samples=total, K=K, seed=cfg.seed,
+        generator="exact-enumeration", confidence=cfg.confidence, tail_sd=0.0,
+        bias_window=(p, p), exact=True,
+    ) for p in probs)
 
 
 def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
-                            table: CoefficientTable, cfg: McConfig,
-                            exact: Optional[bool] = None) -> McEstimate:
+                            table: CoefficientTable, cfg: McConfig) -> McEstimate:
     """P(|Y_n + drift_offset| >= g_n), exact enumeration for word length <= 20.
 
     The finite-level set uses the non-strict inequality (the arbitrage-set
-    convention), unlike the strict limit event.  exact=None auto-selects;
-    True forces enumeration (error when infeasible), False forces sampling.
+    convention), unlike the strict limit event.  Deeper levels are sampled.
     """
     if table.n != n:
         raise ValueError(f"table level {table.n} does not match n={n}")
     if not math.isfinite(drift_offset):
         raise ValueError(f"drift_offset must be finite, got {drift_offset}")
-    return _level_estimate(table, drift_offset, cfg, strict=False, exact=exact)
+    return _level_estimate(table, drift_offset, cfg)[0]
 
 
 def exceedance_frequency(params: HurstParams, n_list: Sequence[int], cfg: McConfig,
@@ -326,11 +323,8 @@ def exceedance_frequency(params: HurstParams, n_list: Sequence[int], cfg: McConf
     """P(|Y_n| > g_n) across levels (strict, zero offset) as a regime diagnostic."""
     from .coefficients import coefficient_table
 
-    out = []
-    for n in n_list:
-        table = coefficient_table(params, n, quad)
-        out.append((n, _level_estimate(table, 0.0, cfg, strict=True)))
-    return out
+    return [(n, _level_estimate(coefficient_table(params, n, quad), 0.0, cfg)[1])
+            for n in n_list]
 
 
 def split_variances(params: HurstParams, n: int, table: CoefficientTable) -> tuple[float, float]:

@@ -304,8 +304,9 @@ def _cmd_mc_limit(rc: RunConfig) -> int:
 def _cmd_mc_level(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     # validated before the table build, whose cost grows as n^2
-    cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, truncation_k=max(rc.n - 1, 1),
-                        confidence=rc.confidence)
+    if rc.n - 1 > asym._SAMPLER_K_CAP:
+        raise ValueError(f"n must be at most {asym._SAMPLER_K_CAP + 1}, got {rc.n}")
+    cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, confidence=rc.confidence)
     table = coefficient_table(params, rc.n, _quad(rc))
     est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg)
     payload = {"coeff_cache_hash": table_fingerprint([table])}
@@ -380,8 +381,7 @@ def _cmd_convergence(rc: RunConfig) -> int:
     rows = []
     for n in levels:
         table = coefficient_table(params, n, quad)
-        est = asym.finite_level_proportion(params, n, 0.0, table, cfg)
-        strict = asym.exceedance_frequency(params, [n], cfg, quad)[0][1]
+        est, strict = asym._level_estimate(table, 0.0, cfg)
         var_bar, var_hat = asym.split_variances(params, n, table)
         rows.append((n, est.p_hat, est.stderr, est.ci_low, est.ci_high,
                      strict.p_hat, var_bar, var_hat))

@@ -70,6 +70,8 @@ __all__ = [
 # (outer, inner) Gaussian orders tried in sequence until two consecutive
 # stages agree within tolerance.
 _ORDER_LADDER = ((16, 24), (24, 32), (32, 48), (48, 64), (64, 96), (96, 128))
+# QUADPACK's subdivision limit for the adaptive integrals
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,16 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_subdivisions > 0):
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("quadrature tolerances and subdivision cap must be positive")
 
     def tol_for(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
     def key(self) -> tuple:
-        return (self.abs_tol, self.rel_tol, self.max_subdivisions)
+        return (self.abs_tol, self.rel_tol)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -195,7 +196,7 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tupl
     as nonconvergence, whatever the error estimate says.
     """
     val, err, _info, *flag = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
-                                   limit=cfg.max_subdivisions, full_output=1)
+                                   limit=_MAX_SUBDIVISIONS, full_output=1)
     if flag:
         raise QuadratureError(f"{what}: QUADPACK flagged: {' '.join(flag[0].split())}",
                               best=val, err=err)

@@ -231,7 +231,7 @@ class RhoTailSum:
 
 
 def rho_sq_sum(h: float, target_tail: float, k_cap: int = _DEFAULT_K_CAP) -> RhoTailSum:
-    """Smallest truncation K (within a factor ~2) whose rho^2 tail is <= target_tail.
+    """Smallest truncation K whose rho^2 tail is <= target_tail, by bisection.
 
     Raises TruncationError when no K <= k_cap achieves the target: the tail
     only decays like K^{1-2beta}, so ambitious targets are genuinely

@@ -42,16 +42,18 @@ def test_mcconfig_validation():
         McConfig(samples=0)
 
 
-def test_resolve_truncation_modes(p08):
+def test_resolve_truncation_modes(p08, monkeypatch):
     k_explicit, sd = asym.resolve_truncation(p08, McConfig(truncation_k=4096))
     assert k_explicit == 4096 and sd > 0
     tol = 0.05 * p08.g_H
-    cfg = McConfig(truncation_k=None, tail_sd_tol=tol, k_cap=1 << 22)
+    cfg = McConfig(truncation_k=None, tail_sd_tol=tol)
+    monkeypatch.setattr(asym, "_SAMPLER_K_CAP", 1 << 22)
     k_auto, sd_auto = asym.resolve_truncation(p08, cfg)
     assert sd_auto <= tol
     assert 2.0 * p08.g_H * math.sqrt(
         __import__("fracbin.hurst", fromlist=["rho_pow_tail"]).rho_pow_tail(p08.h, k_auto - 1, 2)
     ) > tol  # minimality
+    monkeypatch.undo()
     with pytest.raises(TruncationError):
         asym.resolve_truncation(p08, McConfig(truncation_k=None, tail_sd_tol=1e-6 * p08.g_H))
 
@@ -63,12 +65,13 @@ def test_sampler_golden_trace():
 
 
 @pytest.mark.parametrize("K", [20, 64, 8192 - 3])
-def test_sampler_matches_bytewise_oracle(K):
+def test_sampler_matches_bytewise_oracle(K, monkeypatch):
     # replay the documented byte layout independently, bit for bit; 20 is
     # one padded word, 64 one full word, 8189 many words with padding weights
     p = HurstParams(0.8)
     samples, chunk = 7, 3
-    cfg = McConfig(samples=samples, seed=9, truncation_k=K, chunk=chunk)
+    monkeypatch.setattr(asym, "_CHUNK", chunk)
+    cfg = McConfig(samples=samples, seed=9, truncation_k=K)
     got = sample_limit_variable(p, cfg)
     nblocks = (K + 7) // 8
     padded = np.zeros(8 * nblocks)
@@ -183,15 +186,16 @@ def test_finite_level_exact_matches_census(p08):
     assert est.samples == 2**17
 
 
-def test_finite_level_mc_ci_calibration(p08):
-    # forced-MC confidence intervals cover the exact value in >= 95/100 runs
+def test_finite_level_mc_ci_calibration(p08, monkeypatch):
+    # sampled confidence intervals cover the exact value in >= 95/100 runs
     t = coefficient_table(p08, 18)
     exact = finite_level_proportion(p08, 18, 0.0, t, McConfig(samples=10, truncation_k=17)).p_hat
+    # a 17-sign level is sampled once enumeration stops at 16 signs
+    monkeypatch.setattr(asym, "_EXACT_LEVEL_MAX", 16)
     cover = 0
     for seed in range(100):
         est = finite_level_proportion(
             p08, 18, 0.0, t, McConfig(samples=4096, seed=seed, truncation_k=17, confidence=0.99),
-            exact=False,
         )
         assert not est.exact
         if est.ci_low <= exact <= est.ci_high:
@@ -216,15 +220,17 @@ def test_finite_level_offset_sensitivity(p08):
     assert abs(p_o - p0) <= 3.0 * (sens + 0.5) * o_n + 2.0 ** -(n - 1)
 
 
-def test_level_proportions_converge_to_limit(p08):
+def test_level_proportions_converge_to_limit(p08, monkeypatch):
     # gap to the limit shrinks along n in {10, 14, 18, 22} (exact levels
     # against a pinned-seed limit estimate)
     lim = limit_proportion(p08, McConfig(samples=10**6, seed=21, truncation_k=8192))
+    # level 22's 21-sign words are enumerated too
+    monkeypatch.setattr(asym, "_EXACT_LEVEL_MAX", 21)
     gaps = []
     for n in (10, 14, 18, 22):
         t = coefficient_table(p08, n)
-        est = finite_level_proportion(p08, n, 0.0, t, McConfig(samples=10, truncation_k=8),
-                                      exact=True)
+        est = finite_level_proportion(p08, n, 0.0, t, McConfig(samples=10, truncation_k=8))
+        assert est.exact
         gaps.append(abs(est.p_hat - lim.p_hat))
     slack = 3.0 * lim.stderr
     assert all(b <= a + slack for a, b in zip(gaps, gaps[1:]))
@@ -328,8 +334,7 @@ def test_sampling_starts_no_thread(p08, tmp_path, monkeypatch):
     assert 0.0 < limit_proportion(p08, cfg, threads=8).p_hat < 1.0
     assert sample_limit_variable(p08, cfg).shape == (10_000,)
     t = coefficient_table(p08, 30)
-    est = finite_level_proportion(p08, 30, 0.0, t, McConfig(samples=10_000, truncation_k=29),
-                                  exact=False)
+    est = finite_level_proportion(p08, 30, 0.0, t, McConfig(samples=10_000, truncation_k=29))
     assert not est.exact and 0.0 < est.p_hat < 1.0
     out = tmp_path / "mc.json"
     argv = ["mc-limit", "--H", "0.8", "--samples", "9000", "--trunc-k", "256",

@@ -110,6 +110,40 @@ def test_convergence_command(tmp_path):
     assert 0 <= doc["limit"]["p_hat"] <= 1
 
 
+def test_convergence_draws_each_level_once(tmp_path, monkeypatch):
+    # one pass per level counts both events: the sampled level and the limit
+    # take two 4096-sample chunks each, so 4 chunks, not 6
+    from fracbin import asymptotics as asym
+
+    calls = []
+    real = asym._chunk_values
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asym, "_chunk_values", counted)
+    rc, _ = run(["convergence", "--n-list", "30", "--samples", "5000"], tmp_path, "one.json")
+    assert rc == EXIT_OK and len(calls) == 4
+    # level 14 is enumerated, level 30 sampled; both agree bit for bit with
+    # the library's non-strict and strict estimates
+    rc, out = run(["convergence", "--n-list", "14,30", "--samples", "5000"], tmp_path)
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    params = HurstParams(doc["config"]["H"])
+    cfg = asym.McConfig(samples=5000, seed=doc["config"]["seed"])
+    routes = []
+    for level in doc["levels"]:
+        n = level["n"]
+        est = asym.finite_level_proportion(params, n, 0.0, coefficient_table(params, n), cfg)
+        [(_, strict)] = asym.exceedance_frequency(params, [n], cfg)
+        assert [level["p_hat"], level["stderr"], level["ci"]] == \
+            [est.p_hat, est.stderr, [est.ci_low, est.ci_high]]
+        assert level["p_strict"] == strict.p_hat
+        routes.append((est.exact, strict.exact))
+    assert routes == [(True, True), (False, False)]
+
+
 def _csv_header(path):
     lines = path.read_text().splitlines()
     return dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
@@ -290,7 +324,7 @@ def test_charfn_rejects_a_descending_grid(tmp_path, capsys):
     assert "v-min" in capsys.readouterr().err
 
 
-def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch):
+def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch, capsys):
     from fracbin import cli
 
     builds = []
@@ -303,6 +337,7 @@ def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch):
     rc, out = run(["mc-level", "--n", "70000"], tmp_path)
     assert rc == EXIT_VALIDATION
     assert not out.exists() and builds == []
+    assert "n must be at most 65537, got 70000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

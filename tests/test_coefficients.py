@@ -182,12 +182,14 @@ def test_error_estimates_within_config():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_j2_adaptive_error_is_checked():
+def test_j2_adaptive_error_is_checked(monkeypatch):
     # one quad subdivision leaves j_2(1) about 3e-2 off; it must not be accepted
-    cfg = QuadratureConfig(max_subdivisions=1)
-    with pytest.raises(QuadratureError) as exc:
-        coefficient_table(HurstParams(0.75), 2, cfg)
-    assert exc.value.err > cfg.tol_for(exc.value.best)
+    clear_table_cache()  # earlier tests cache the (0.75, n=2) table
+    with monkeypatch.context() as m:
+        m.setattr(coefficients, "_MAX_SUBDIVISIONS", 1)
+        with pytest.raises(QuadratureError) as exc:
+            coefficient_table(HurstParams(0.75), 2)
+    assert exc.value.err > DEFAULT_QUAD.tol_for(exc.value.best)
     t = coefficient_table(HurstParams(0.75), 2)
     assert t.j_err[0] <= DEFAULT_QUAD.tol_for(t.j[0])
 
