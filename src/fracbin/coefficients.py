@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import betainc as _betainc
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -87,7 +86,7 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances and subdivision cap must be positive")
+            raise ValueError("quadrature tolerances must be positive")
 
     def tol_for(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -195,6 +194,12 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tupl
     Any QUADPACK flag (subdivision limit, roundoff, bad integrand, ...) counts
     as nonconvergence, whatever the error estimate says.
     """
+    # Imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize, scipy.linalg and scipy.sparse.linalg (about half a
+    # second per process), and only the level-2 table and the N-dependent
+    # originals ever reach this function.
+    from scipy.integrate import quad as _quad
+
     val, err, _info, *flag = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
                                    limit=_MAX_SUBDIVISIONS, full_output=1)
     if flag:
@@ -538,12 +543,13 @@ def table_fingerprint(tables) -> str:
 def write_tables_csv(tables, j_path, g_path) -> None:
     """Dump tables as CSV: (n,i,j_value,err) and (n,g_value,err), sorted."""
     tables = sorted(tables, key=lambda t: t.n)
+    # float() first: numpy >= 2 scalars repr as np.float64(...)
     with open(j_path, "w", newline="") as fh:
         fh.write("n,i,j_value,err\n")
         for t in tables:
             for idx in range(t.n - 1):
-                fh.write(f"{t.n},{idx + 1},{t.j[idx]!r},{t.j_err[idx]!r}\n")
+                fh.write(f"{t.n},{idx + 1},{float(t.j[idx])!r},{float(t.j_err[idx])!r}\n")
     with open(g_path, "w", newline="") as fh:
         fh.write("n,g_value,err\n")
         for t in tables:
-            fh.write(f"{t.n},{t.g!r},{t.g_err!r}\n")
+            fh.write(f"{t.n},{float(t.g)!r},{float(t.g_err)!r}\n")

@@ -1,10 +1,15 @@
 """CLI surface: determinism of reports, exit codes, env overrides, verify."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fracbin
 from fracbin import HurstParams, coefficient_table, solve_critical_hurst
 from fracbin.cli import EXIT_CAP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from fracbin.coefficients import _TABLE_CACHE
@@ -82,6 +87,18 @@ def test_coeffs_csv(tmp_path):
     assert jl[0] == "n,i,j_value,err" and gl[0] == "n,g_value,err"
     assert len(jl) == 1 + sum(n - 1 for n in range(1, 6))
     assert len(gl) == 1 + 5
+    # every field is a plain float literal carrying the table entry's exact bits
+    tables = {n: coefficient_table(HurstParams(0.7), n) for n in range(1, 6)}
+    for line in jl[1:]:
+        n, i, val, err = line.split(",")
+        t = tables[int(n)]
+        assert float(val).hex() == float(t.j[int(i) - 1]).hex()
+        assert float(err).hex() == float(t.j_err[int(i) - 1]).hex()
+    for line in gl[1:]:
+        n, val, err = line.split(",")
+        t = tables[int(n)]
+        assert float(val).hex() == float(t.g).hex()
+        assert float(err).hex() == float(t.g_err).hex()
 
 
 def test_reach_command(tmp_path):
@@ -193,6 +210,42 @@ def test_quadpack_flag_exits_without_a_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "j_2(1)" in err and "IntegrationWarning" not in err
     assert not [w for w in caught if "IntegrationWarning" in w.category.__name__]
+
+
+def test_zero_quadrature_tolerance_exits_2(tmp_path, capsys):
+    rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "0"], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "fracbin: invalid configuration: quadrature tolerances must be positive\n"
+
+
+# A fresh interpreter, because pytest's filterwarnings entry for
+# IntegrationWarning imports scipy.integrate into this process.
+_LOADED_MODULES = """
+import sys
+from fracbin.cli import main
+rc = main(sys.argv[1:])
+print(rc, "scipy.integrate" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["mc-limit", "--samples", "2000"], False),
+    (["mc-level", "--n", "30", "--samples", "200"], False),
+    (["charfn", "--fit"], False),
+    (["hc"], False),
+    (["reach", "--prefix=+-"], False),
+    (["coeffs", "--n", "3"], True),  # the level-2 table runs QUADPACK
+], ids=["mc-limit", "mc-level", "charfn", "hc", "reach", "coeffs-control"])
+def test_table_free_commands_never_load_quadpack(tmp_path, argv, loaded):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FRACBIN_")}
+    env["PYTHONPATH"] = str(Path(fracbin.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv,
+                           "--out", str(tmp_path / "r.json")],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loaded), str(loaded)]
 
 
 def test_env_override(tmp_path, monkeypatch):
