@@ -16,10 +16,21 @@ sums bit-for-bit.  The census never holds a whole level: it writes each word
 as high * 2^14 + low, doubles the low sums once, and walks the high signs
 depth first, adding one weight per depth into a reused block, so each entry
 is still the same left-to-right sum.
+
+Classification is by sorted blocks.  Round-to-nearest fl(x + c) is monotone
+in x, so the low sums, sorted once per level, stay sorted through the walk,
+and every test a word faces (u <= -a, d >= -a, the uncertainty band) holds
+on a range of its parent's sum.  The ends of those ranges (cuts) are found
+once per level on the ordered lattice of doubles with the same float
+operations as the per-word test, so np.searchsorted classifies a block
+exactly.  A cut is -inf when its test holds for every sum and NaN when it
+holds for none, which np.searchsorted places after +inf.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -112,10 +123,18 @@ class DriftSpec:
         return float(self.value(n / N)) / N
 
     def offset_scaled(self, n: int, N: int, H: float) -> float:
-        """a_n^{(N)} N^H, the drift offset in scaled curly-Y coordinates."""
+        """a_n^{(N)} N^H, the drift offset in scaled curly-Y coordinates.
+
+        Raises ValueError when it is not finite (a drift that overflows).
+        """
         if self.kind == "zero":
             return 0.0
-        return self.step_drift(n, N) * N**H
+        with np.errstate(over="ignore", invalid="ignore"):
+            o = self.step_drift(n, N) * N**H
+        if not math.isfinite(o):
+            raise ValueError(f"drift {self.to_text()} gives a non-finite offset at level {n} "
+                             f"of N={N}")
+        return o
 
 
 ZERO_DRIFT = DriftSpec()
@@ -254,54 +273,143 @@ def _level_tolerance(table: CoefficientTable, offset: float) -> float:
     return quad + slop
 
 
+# the ordered lattice of doubles: _key gives a double's rank among all
+# doubles (-0.0 and 0.0 share rank 0) and _value maps a rank back
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+_KEY_INF = 0x7FF0_0000_0000_0000  # the rank of +inf; _value(_KEY_INF + 1) is a NaN
+
+
+def _key(x: float) -> int:
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _value(k: int) -> float:
+    x = _DOUBLE.unpack(_INT64.pack(abs(k)))[0]
+    return -x if k < 0 else x
+
+
+def _first_true(up, guess: float) -> float:
+    """The least double x in [-inf, inf] at which the up-set predicate up holds.
+
+    up must be monotone on the ordered doubles: false below some point, true
+    from it on.  The search gallops from guess in steps of 1, 2, 4, ... ulps,
+    then bisects the bracket on the lattice, so a guess k ulps off costs about
+    2 log2(k) + 2 calls.  Returns -inf when up holds everywhere and NaN when
+    it holds nowhere; np.searchsorted sorts NaN above +inf, so for a sorted
+    array a, np.searchsorted(a, x) counts the entries at which up fails.
+    """
+    k = _key(guess if guess == guess else 0.0)
+    step = 1
+    if up(_value(k)):
+        hi = k  # up holds at hi; gallop down until it fails
+        while True:
+            lo = hi - step
+            if lo < -_KEY_INF or not up(_value(lo)):
+                break
+            hi, step = lo, 2 * step
+        lo = max(lo, -_KEY_INF - 1)
+    else:
+        lo = k  # up fails at lo; gallop up until it holds
+        while True:
+            hi = lo + step
+            if hi > _KEY_INF or up(_value(hi)):
+                break
+            lo, step = hi, 2 * step
+        hi = min(hi, _KEY_INF + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if up(_value(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _value(hi)
+
+
+def _child_cuts(w: float, g: float, o: float, tol: float) -> list[float]:
+    """Six cuts on the parent sum s for the child whose sum is y = fl(s + w).
+
+    Each cut is _first_true of an up-set in s, written with the float
+    operations of the classification, z = fl(y + o):
+      0: not fl(y + g) <= -o; below it the child is an arbitrage point;
+      1: fl(y - g) >= -o; from it on the child is an arbitrage point;
+      2: z >= 0 and not fl(z - g) < -tol, and 3: not fl(z - g) <= tol, so
+         [2, 3) is the band |fl(|z| - g)| <= tol where z >= 0;
+      4: fl(z + g) >= -tol, and 5: z >= 0 or fl(z + g) > tol, so [4, 5) is
+         the band where z < 0, because there fl(|z| - g) = -fl(z + g).
+    Where g is inf, inf - inf is NaN at s = +-inf; the negations sit where
+    NaN must read as true for the set to stay an up-set.  The guesses are
+    the same bounds in real arithmetic.
+    """
+    base = -o - w
+    return [
+        _first_true(lambda s: not s + w + g <= -o, base - g),
+        _first_true(lambda s: s + w - g >= -o, base + g),
+        _first_true(lambda s: (z := s + w + o) >= 0 and not z - g < -tol,
+                    base + max(g - tol, 0.0)),
+        _first_true(lambda s: not s + w + o - g <= tol, base + g + tol),
+        _first_true(lambda s: s + w + o + g >= -tol, base - g - tol),
+        _first_true(lambda s: (z := s + w + o) >= 0 or z + g > tol, base + min(tol - g, 0.0)),
+    ]
+
+
 def _census_level(j: np.ndarray, g: float, o: float, tol: float,
                   alive: np.ndarray) -> tuple[int, int]:
     """Classify every word of the level with weights j; update alive in place.
 
     Returns (arbitrage points, boundary-uncertain words).  A word of m signs is
     high * 2^b + low with b = min(m - 1, _BLOCK_BITS): the low sums come from
-    level_sign_values(j[:b]) and a depth-first walk over the high signs
-    j[b:m-1] adds one weight per depth into a reused 2^b buffer, so every
-    entry is the same left-to-right sum as index doubling.  A walk leaf holds
-    the parent block of the last sign's two children, which share one block
-    of alive[:2^(m-1)]: the upper child's block (xi_m = +1) is written from it
-    before the lower child's is updated in place.
+    level_sign_values(j[:b]) and are sorted once, and a depth-first walk over
+    the high signs j[b:m-1] adds one weight per depth into a reused 2^b
+    buffer, so every entry is the same left-to-right sum as index doubling.
+    Round-to-nearest fl(x + c) is monotone in x, so each block of the walk
+    stays sorted, and each child's classification is monotone in its parent
+    sum s: arbitrage below one cut or from another on, and the two halves of
+    the uncertainty band each between two cuts (_child_cuts).  The cuts are
+    found once per level and child; np.searchsorted then classifies a whole
+    block: a -inf cut (test true for every sum) has no entry below it and a
+    NaN cut (true for none) has every entry below it.  A walk leaf holds the
+    parent block of the last sign's two children, which share one block of
+    alive[:2^(m-1)]: the upper child's block (xi_m = +1) is written from it
+    before the lower child's is updated in place.  alive stays in word
+    order; a child keeps the words whose rank in the sorted block lies
+    between its two arbitrage cuts.  The root (m = 0) is its own only child,
+    y = fl(0 + 0).
     """
     m = len(j)
     b = min(max(m - 1, 0), _BLOCK_BITS)
-    size = 1 << b
-    t, band = np.empty(size), np.empty(size, dtype=bool)
+    low = level_sign_values(j[:b])
+    size = len(low)
+    order = np.argsort(low)
+    # unsigned and at least 2 * size wide, so rank - k wraps past any range length
+    rank = np.empty(size, dtype=np.min_scalar_type(2 * size - 1))
+    rank[order] = np.arange(size)
+    weights = (-float(j[m - 1]), float(j[m - 1])) if m else (0.0,)
+    cuts = np.array([c for w in weights for c in _child_cuts(w, float(g), float(o), float(tol))])
+    half = 1 << max(m - 1, 0)
+    shifted, keep = np.empty(size, dtype=rank.dtype), np.empty(size, dtype=bool)
     count = uncertain = 0
 
-    def classify(y: np.ndarray, arb: np.ndarray) -> None:
-        # arb = (y + g <= -o) | (y - g >= -o), band = |(|y + o|) - g| <= tol
-        nonlocal count, uncertain
-        np.less_equal(np.add(y, g, out=t), -o, out=arb)
-        np.greater_equal(np.subtract(y, g, out=t), -o, out=band)
-        arb |= band
-        np.abs(np.subtract(np.abs(np.add(y, o, out=t), out=t), g, out=t), out=t)
-        np.less_equal(t, tol, out=band)
-        count += int(np.count_nonzero(arb))
-        uncertain += int(np.count_nonzero(band))
-
-    if m == 0:
-        arb = np.empty(1, dtype=bool)
-        classify(level_sign_values(j), arb)
-        alive[:1] &= ~arb
-        return count, uncertain
-
-    high, half = j[b:m - 1], 1 << (m - 1)
-    stack = [level_sign_values(j[:b])] + [np.empty(size) for _ in high]
-    y = np.empty(size)
-    minus, plus = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-
     def leaf(sums: np.ndarray, start: int) -> None:
-        classify(np.subtract(sums, j[m - 1], out=y), minus)
-        classify(np.add(sums, j[m - 1], out=y), plus)
-        lower, upper = alive[start:start + size], alive[half + start:half + start + size]
-        np.logical_and(lower, np.logical_not(plus, out=plus), out=upper)
-        lower &= np.logical_not(minus, out=minus)
+        nonlocal count, uncertain
+        pos = np.searchsorted(sums, cuts).tolist()
+        lower = alive[start:start + size]
+        for child in reversed(range(len(weights))):
+            k1, k2, hi1, hi2, lo1, lo2 = pos[6 * child:6 * child + 6]
+            count += size - max(k2 - k1, 0)
+            uncertain += max(hi2 - hi1, 0) + max(lo2 - lo1, 0)
+            out = alive[half + start:half + start + size] if child else lower
+            if k1 == 0 and k2 == size:
+                if child:
+                    out[:] = lower
+            elif k2 <= k1:
+                out[:] = False
+            else:
+                np.less(np.subtract(rank, k1, out=shifted), k2 - k1, out=keep)
+                np.logical_and(lower, keep, out=out)
 
+    high = j[b:m - 1]
+    stack = [low[order]] + [np.empty(size) for _ in high]
     _walk_high_signs(stack, high, leaf)
     return count, uncertain
 
@@ -336,7 +444,8 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     combined quadrature + rounding tolerance are reported separately in
     boundary_uncertain, never silently reclassified.  N above cap, or a path
     mask above _MASK_BUDGET_BYTES, raises CapExceededError before anything is
-    computed.
+    computed; a drift offset that is not finite at some level raises
+    ValueError, also before any table or mask is built.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
@@ -344,12 +453,14 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     if leaves > _MASK_BUDGET_BYTES:
         raise CapExceededError(f"census N={spec.N} needs a {leaves}-byte path mask, "
                                f"above the {_MASK_BUDGET_BYTES}-byte budget")
+    offsets = [spec.drift.offset_scaled(n, spec.N, spec.params.H) for n in range(1, spec.N + 1)]
     counts, props, uncertain = [], [], []
     alive = np.ones(leaves, dtype=bool)
-    for n in range(1, spec.N + 1):
+    for n, o in enumerate(offsets, 1):
         table = coefficient_table(spec.params, n, cfg)
-        o = spec.drift.offset_scaled(n, spec.N, spec.params.H)
-        cnt, unc = _census_level(table.j, table.g, o, _level_tolerance(table, o), alive)
+        # a sum that overflows is +-inf, which the cuts order like any double
+        with np.errstate(over="ignore"):
+            cnt, unc = _census_level(table.j, table.g, o, _level_tolerance(table, o), alive)
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
         uncertain.append(unc)

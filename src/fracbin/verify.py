@@ -22,7 +22,7 @@ from .coefficients import (
     turning_point,
 )
 from .hurst import HurstParams, rho_sq_total, solve_critical_hurst
-from .market import MarketSpec, census, level_sign_values, monotone_reach
+from .market import DriftSpec, MarketSpec, census, level_sign_values, monotone_reach
 
 H_GRID = (0.6, 0.75, 0.9)
 
@@ -157,8 +157,23 @@ def check_census_agreement() -> dict:
             flip_ok = False
     even_ok = all(cnt % 2 == 0 for cnt in c.per_level_counts[1:])
     root_ok = c.per_level_counts[0] == 0
-    return _check("census_agreement", agree and flip_ok and even_ok and root_ok,
-                  {"total": c.total, "paths": c.path_count}, "exact")
+    # a drifted market past one 2^14-word block, so the census walks its high
+    # signs: per-level counts and the path count against a naive path mask
+    spec = MarketSpec(N=17, params=p, drift=DriftSpec("polynomial", (0.4, -1.5, 3.0)))
+    cd = census(spec)
+    alive = np.ones(1, dtype=bool)
+    for n in range(1, spec.N + 1):
+        t = coefficient_table(p, n)
+        o = spec.drift.offset_scaled(n, spec.N, p.H)
+        naive = naive_level_values(t.j)
+        arb = (naive + t.g <= -o) | (naive - t.g >= -o)
+        if int(np.count_nonzero(arb)) != cd.per_level_counts[n - 1]:
+            agree = False
+        alive = (np.concatenate([alive, alive]) if n > 1 else alive) & ~arb
+    paths_ok = cd.path_count == alive.size - int(np.count_nonzero(alive))
+    return _check("census_agreement", agree and flip_ok and even_ok and root_ok and paths_ok,
+                  {"total": c.total, "paths": c.path_count,
+                   "drifted_total": cd.total, "drifted_paths": cd.path_count}, "exact")
 
 
 def check_reach() -> dict:

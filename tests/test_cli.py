@@ -323,6 +323,30 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--N", "5", "--drift", "poly:1e308,1e308"],
+    ["paths", "--N", "5", "--drift", "poly:1e308,1e308"],
+    ["reach", "--prefix=+-", "--drift", "poly:1e308,1e308"],
+], ids=["census", "paths", "reach"])
+def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a(t) overflows to inf at t = 1: the census must check every level's
+    # offset before it builds a table or a mask, and no numpy warning leaks
+    from fracbin import market
+
+    if argv[0] != "reach":
+        def no_tables(*args):
+            raise AssertionError("census built a table before checking its offsets")
+
+        monkeypatch.setattr(market, "coefficient_table", no_tables)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(argv, tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert caught == []
+    assert "non-finite offset" in capsys.readouterr().err
+
+
 def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypatch):
     from fracbin import cli
 

@@ -1,5 +1,6 @@
 """Tree nodes, arbitrage classification, exact censuses, reach, stock paths."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,99 @@ def test_blocked_census_equals_doubling_census_in_a_wide_band(monkeypatch, p075)
     spec = MarketSpec(N=14, params=p075, drift=DriftSpec("constant", (0.7,)))
     assert sum(census(spec).boundary_uncertain) > 0
     _assert_census_fields_equal(spec)
+
+
+def _doubling_level(j, g, o, tol, alive):
+    """One level of _doubling_census on given weights: (count, uncertain, new alive)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = level_sign_values(j)
+        arb = (y + g <= -o) | (y - g >= -o)
+        margin = np.abs(np.abs(y + o) - g)
+    parent = alive[:max(len(y) // 2, 1)]
+    new = (np.concatenate([parent, parent]) if len(j) else parent) & ~arb
+    return int(np.count_nonzero(arb)), int(np.count_nonzero(margin <= tol)), new
+
+
+# weights from subnormal to huge: sums may overflow to +-inf
+_WEIGHTS = st.one_of(st.floats(1e-3, 10.0), st.floats(5e-324, 1e-300), st.floats(1e300, 1e308))
+
+
+@st.composite
+def _levels(draw):
+    """(j, g, o, tol, alive) with, most of the time, one word exactly on an edge."""
+    j = np.array(draw(st.lists(_WEIGHTS, max_size=9)))
+    g = draw(st.one_of(_WEIGHTS, st.just(np.inf)))
+    o = draw(st.floats(-20.0, 20.0))
+    tol = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(np.inf)))
+    edge = draw(st.sampled_from(["none", "low", "high", "band", "meet"]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = float(level_sign_values(j)[draw(st.integers(0, 2 ** len(j) - 1))])
+        if edge == "low":  # fl(y + g) == -o
+            o = -(y + g)
+        elif edge == "high":  # fl(y - g) == -o
+            o = -(y - g)
+        elif edge == "band":  # |fl(|y + o| - g)| == tol
+            tol = abs(abs(y + o) - g)
+        elif edge == "meet":  # tol >= g: the two halves of the band meet at z = 0
+            tol = g * draw(st.floats(1.0, 3.0))
+    if not np.isfinite(o):
+        o = 0.0
+    if tol != tol:
+        tol = 0.0
+    alive = np.array(draw(st.lists(st.booleans(), min_size=2 ** len(j), max_size=2 ** len(j))))
+    return j, g, o, tol, alive
+
+
+@pytest.mark.parametrize("block_bits", [3, 5, 14])
+@given(level=_levels())
+@settings(max_examples=150, deadline=None)
+def test_census_level_equals_whole_level_doubling(block_bits, level):
+    j, g, o, tol, alive = level
+    want_count, want_uncertain, want_alive = _doubling_level(j, g, o, tol, alive)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(market, "_BLOCK_BITS", block_bits)
+        got = market._census_level(j, g, o, tol, alive)
+    assert got == (want_count, want_uncertain)
+    assert np.array_equal(alive, want_alive)
+
+
+def _neighbours(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+@given(w=st.one_of(_WEIGHTS, _WEIGHTS.map(lambda x: -x)), g=st.one_of(_WEIGHTS, st.just(np.inf)),
+       o=st.floats(-1e308, 1e308), tol=st.one_of(st.floats(0.0, 1e3), st.just(np.inf)),
+       others=st.lists(st.floats(allow_nan=False), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_child_cuts_split_a_sorted_block_exactly(w, g, o, tol, others):
+    # every cut, the doubles next to it and both infinities: a one-ulp error
+    # in any cut changes the classification of one of these sums
+    cuts = market._child_cuts(w, g, o, tol)
+    near = [x for c in cuts if np.isfinite(c) for x in _neighbours(c)]
+    s = np.unique(np.array(near + others + [-np.inf, np.inf, 0.0]))
+    k1, k2, hi1, hi2, lo1, lo2 = np.searchsorted(s, cuts).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = s + w
+        arb = (y + g <= -o) | (y - g >= -o)
+        z = y + o
+        band = np.abs(np.abs(z) - g) <= tol
+    rank = np.arange(len(s))
+    assert np.array_equal(arb, (rank < k1) | (rank >= max(k1, k2)))
+    assert np.array_equal(band & (z >= 0), (rank >= hi1) & (rank < hi2))
+    assert np.array_equal(band & (z < 0), (rank >= lo1) & (rank < lo2))
+
+
+@given(shift=st.floats(-1e308, 1e308), t=st.floats(allow_nan=False),
+       guess=st.one_of(st.floats(), st.just(-0.0)))
+@settings(max_examples=300, deadline=None)
+def test_first_true_is_the_first_double_where_an_up_set_holds(shift, t, guess):
+    for up in (lambda x: x >= t, lambda x: x + shift > t, lambda x: not x - shift <= t):
+        cut = market._first_true(up, guess)
+        if cut != cut:  # NaN: nowhere
+            assert not up(math.inf)
+        else:
+            assert up(cut)
+            assert cut == -math.inf or not up(math.nextafter(cut, -math.inf))
 
 
 def test_census_never_materialises_a_level(p075):
