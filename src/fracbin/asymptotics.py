@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
 from .errors import TruncationError
 from .hurst import HurstParams, rho, rho_pow_tail, rho_sq_sum, rho_sq_total
-from .market import level_sign_values
+from .market import arbitrage_event, level_sign_values
 
 __all__ = [
     "DEFAULT_TRUNCATION_K",
@@ -280,17 +280,17 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
 
 def _level_estimate(table: CoefficientTable, offset: float,
                     cfg: McConfig) -> tuple[McEstimate, McEstimate]:
-    """(P(|Y_n + offset| >= g_n), P(|Y_n + offset| > g_n)) from one pass.
+    """(P(u <= -a or d >= -a), P(u < -a or d > -a)) at level n from one pass.
 
-    Both events are counted on the same words: every sign word when the
-    word length n-1 is at most _EXACT_LEVEL_MAX, else cfg's sample stream.
+    Both are the census's arbitrage_event, counted on the same words: every
+    sign word when the word length n-1 is at most _EXACT_LEVEL_MAX, else
+    cfg's sample stream.
     """
     K = table.n - 1
-    g = table.g
 
     def counts(y: np.ndarray) -> tuple[int, int]:
-        y = np.abs(y + offset)
-        return int(np.count_nonzero(y >= g)), int(np.count_nonzero(y > g))
+        return tuple(int(np.count_nonzero(arbitrage_event(y, table.g, offset, strict)))
+                     for strict in (False, True))
 
     if K > _EXACT_LEVEL_MAX:
         hits = map(sum, zip(*_map_chunks(_block_tables(table.j), cfg, counts)))
@@ -306,7 +306,7 @@ def _level_estimate(table: CoefficientTable, offset: float,
 
 def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
                             table: CoefficientTable, cfg: McConfig) -> McEstimate:
-    """P(|Y_n + drift_offset| >= g_n), exact enumeration for word length <= 20.
+    """P(u <= -a or d >= -a), exact for word length n-1 <= _EXACT_LEVEL_MAX.
 
     The finite-level set uses the non-strict inequality (the arbitrage-set
     convention), unlike the strict limit event.  Deeper levels are sampled.
@@ -379,18 +379,20 @@ def empirical_cf(samples: np.ndarray, v_values: np.ndarray) -> np.ndarray:
     return np.array([float(np.mean(np.cos(v * samples))) for v in v_values])
 
 
-def fit_cf_decay(params: HurstParams, v_lo: float, v_hi: float,
-                 points: int = 60) -> tuple[float, float, int]:
+def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
+                 v_hi: Optional[float] = None, points: int = 60) -> tuple[float, float, int]:
     """(theta, exponent, points used) fitting log|F| <= -theta u^{1/beta}.
 
     Regression of log(-log|F(v)|) on log u over a log-spaced v grid.  The fit
     needs the deep regime where many cosine factors oscillate (u = 2 g_H v
     of order 10^2); there the per-point phase noise is a few percent and
     averages out, and only points where a factor lands essentially on a zero
-    (|cos| < 1e-6 in the head) or |F| underflows are excluded.  Each F(v) is
-    evaluated to tol 1e-8.
+    (|cos| < 1e-6 in the head) or |F| underflows are excluded.  The window
+    defaults to v in [40, 400] / g_H; F is at characteristic_function's tol.
     theta is a numerical fit, not a theoretically pinned constant.
     """
+    v_lo = 40.0 / params.g_H if v_lo is None else v_lo
+    v_hi = 400.0 / params.g_H if v_hi is None else v_hi
     if not (0 < v_lo < v_hi):
         raise ValueError("need 0 < v_lo < v_hi")
     vs = np.geomspace(v_lo, v_hi, points)
@@ -401,7 +403,7 @@ def fit_cf_decay(params: HurstParams, v_lo: float, v_hi: float,
         u = 2.0 * params.g_H * v
         if float(np.min(np.abs(np.cos(u * rho_head)))) < 1e-6:
             continue
-        f = characteristic_function(params, float(v), 1e-8)
+        f = characteristic_function(params, float(v))
         if not 1e-250 < abs(f) < 0.9:
             continue
         us.append(math.log(u))

@@ -336,7 +336,7 @@ def _cmd_charfn(rc: RunConfig) -> int:
     values = [asym.characteristic_function(params, float(v), rc.tol) for v in vs]
     payload: dict = {"points": [[float(v), f] for v, f in zip(vs, values)]}
     if rc.fit:
-        theta, expo, used = asym.fit_cf_decay(params, 40.0 / params.g_H, 400.0 / params.g_H)
+        theta, expo, used = asym.fit_cf_decay(params)
         payload["fit"] = {"theta": theta, "exponent": expo, "points_used": used,
                           "target_exponent": 1.0 / (2.0 - 2.0 * params.h)}
     _emit(rc, payload, csv_spec=(("v", "F"), list(zip(map(float, vs), values))))

@@ -15,7 +15,10 @@ Index doubling V -> [V - j_m, V + j_m] (level_sign_values) reproduces those
 sums bit-for-bit.  The census never holds a whole level: it writes each word
 as high * 2^14 + low, doubles the low sums once, and walks the high signs
 depth first, adding one weight per depth into a reused block, so each entry
-is still the same left-to-right sum.
+is still the same left-to-right sum.  One float rule classifies every node:
+arbitrage_event(y, g_n, o), fl(y + g) <= -o or fl(y - g) >= -o, on the
+canonical sum y (_node_sum for one word); is_arbitrage, monotone_reach and
+the finite-level estimates apply it, and the census's cuts mirror it.
 
 Classification is by sorted blocks.  Round-to-nearest fl(x + c) is monotone
 in x, so the low sums, sorted once per level, stay sorted through the walk,
@@ -47,6 +50,7 @@ __all__ = [
     "ArbitrageCensus",
     "node_values",
     "is_arbitrage",
+    "arbitrage_event",
     "census",
     "monotone_reach",
     "stock_path",
@@ -100,41 +104,26 @@ class DriftSpec:
         return "poly:" + ",".join(repr(c) for c in self.coefficients)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(t)
-        elif self.kind == "constant":
-            out = np.full_like(t, self.coefficients[0])
-        else:
-            out = np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
+        """a(t) by one polyval for every kind, zero drift as the coefficients (0.0,)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.polynomial.polynomial.polyval(t, self.coefficients or (0.0,))
         return out if out.ndim else float(out)
 
     def sup_norm(self) -> float:
         """max |a| over [0,1] on a 1e4-point grid (a grid maximum, not a bound)."""
-        if self.kind == "zero":
-            return 0.0
-        grid = float(np.max(np.abs(self.value(np.linspace(0.0, 1.0, 10**4 + 1)))))
-        return grid
+        return float(np.max(np.abs(self.value(np.linspace(0.0, 1.0, 10**4 + 1)))))
 
     def step_drift(self, n: int, N: int) -> float:
-        """a_n^{(N)} = a(n/N) / N; satisfies |a_n| <= sup_norm / N."""
-        if self.kind == "zero":
-            return 0.0
-        return float(self.value(n / N)) / N
-
-    def offset_scaled(self, n: int, N: int, H: float) -> float:
-        """a_n^{(N)} N^H, the drift offset in scaled curly-Y coordinates.
-
-        Raises ValueError when it is not finite (a drift that overflows).
-        """
-        if self.kind == "zero":
-            return 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            o = self.step_drift(n, N) * N**H
-        if not math.isfinite(o):
+        """a_n^{(N)} = a(n/N) / N, |a_n| <= sup_norm / N; ValueError if not finite."""
+        a = self.value(n / N) / N
+        if not math.isfinite(a):
             raise ValueError(f"drift {self.to_text()} gives a non-finite offset at level {n} "
                              f"of N={N}")
-        return o
+        return a
+
+    def offset_scaled(self, n: int, N: int, H: float) -> float:
+        """a_n^{(N)} N^H, the scaled drift offset; finite, as |a_n N^H| <= |a(n/N)|."""
+        return self.step_drift(n, N) * N**H
 
 
 ZERO_DRIFT = DriftSpec()
@@ -196,12 +185,15 @@ class NodeId:
         return NodeId(self.level, self.signs ^ mask)
 
 
-def _scaled_y(node: NodeId, table: CoefficientTable) -> float:
-    """Canonical (left-to-right) scaled past sum for one node."""
-    y = 0.0
-    for i in range(node.level - 1):
-        y = y + table.j[i] if (node.signs >> i) & 1 else y - table.j[i]
-    return y
+def _node_sum(signs: Sequence[int], j: np.ndarray) -> float:
+    """The canonical sum ((0.0 +- j_1) +- j_2) ... of a node's +-1 signs."""
+    return float(np.add.accumulate(np.r_[0.0, np.multiply(signs, j[:len(signs)])])[-1])
+
+
+def arbitrage_event(y, g, o, strict: bool = False):
+    """u <= -a or d >= -a on floats or arrays; strict=True: u < -a or d > -a."""
+    with np.errstate(over="ignore"):  # y +- g may overflow to +-inf, which compares as usual
+        return ((y + g < -o) | (y - g > -o)) if strict else ((y + g <= -o) | (y - g >= -o))
 
 
 def node_values(spec: MarketSpec, node: NodeId, table: CoefficientTable):
@@ -211,7 +203,7 @@ def node_values(spec: MarketSpec, node: NodeId, table: CoefficientTable):
     if node.level > spec.N:
         raise ValueError(f"node level {node.level} exceeds N={spec.N}")
     scale = spec.N ** (-spec.params.H)
-    y = scale * _scaled_y(node, table)
+    y = scale * _node_sum(node.sign_tuple(), table.j)
     g = scale * table.g
     return y, y + g, y - g, spec.drift.step_drift(node.level, spec.N)
 
@@ -220,9 +212,8 @@ def is_arbitrage(spec: MarketSpec, node: NodeId, table: CoefficientTable) -> boo
     """u <= -a or d >= -a, evaluated in scaled coordinates (x N^H)."""
     if table.n != node.level:
         raise ValueError(f"table level {table.n} does not match node level {node.level}")
-    y = _scaled_y(node, table)
     o = spec.drift.offset_scaled(node.level, spec.N, spec.params.H)
-    return (y + table.g <= -o) or (y - table.g >= -o)
+    return bool(arbitrage_event(_node_sum(node.sign_tuple(), table.j), table.g, o))
 
 
 def level_sign_values(j: np.ndarray) -> np.ndarray:
@@ -330,7 +321,8 @@ def _child_cuts(w: float, g: float, o: float, tol: float) -> list[float]:
     """Six cuts on the parent sum s for the child whose sum is y = fl(s + w).
 
     Each cut is _first_true of an up-set in s, written with the float
-    operations of the classification, z = fl(y + o):
+    operations of the classification, z = fl(y + o).  Cuts 0 and 1 are
+    arbitrage_event(y, g, o) on the lattice of doubles, one per disjunct:
       0: not fl(y + g) <= -o; below it the child is an arbitrage point;
       1: fl(y - g) >= -o; from it on the child is an arbitrage point;
       2: z >= 0 and not fl(z - g) < -tol, and 3: not fl(z - g) <= tol, so
@@ -445,7 +437,8 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     boundary_uncertain, never silently reclassified.  N above cap, or a path
     mask above _MASK_BUDGET_BYTES, raises CapExceededError before anything is
     computed; a drift offset that is not finite at some level raises
-    ValueError, also before any table or mask is built.
+    ValueError, also before any table or mask is built; so does, when it is
+    reached, a level whose tolerance is not finite, which certifies nothing.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
@@ -460,7 +453,11 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
         table = coefficient_table(spec.params, n, cfg)
         # a sum that overflows is +-inf, which the cuts order like any double
         with np.errstate(over="ignore"):
-            cnt, unc = _census_level(table.j, table.g, o, _level_tolerance(table, o), alive)
+            tol = _level_tolerance(table, o)
+            if not math.isfinite(tol):  # so is g_n, and sum |j| + g_n + |o| does not overflow
+                raise ValueError(f"census level {n} has a non-finite boundary tolerance "
+                                 f"(sigma={spec.params.sigma!r} is too large)")
+            cnt, unc = _census_level(table.j, table.g, o, tol, alive)
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
         uncertain.append(unc)
@@ -494,13 +491,12 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
     if any(s not in (-1, 1) for s in prefix):
         raise ValueError("prefix entries must be +-1")
     k = len(prefix) + 1
-    pref_arr = np.asarray(prefix, dtype=float)
+    signs = np.array(prefix + (direction,) * n_max, dtype=float)
     for m in range(1, n_max + 1):
         level = k + m
         table = coefficient_table(params, level, cfg)
-        y = float(np.dot(pref_arr, table.j[: k - 1])) + direction * float(np.sum(table.j[k - 1 :]))
-        o = drift.offset_scaled(level, level, params.H)
-        if (y + table.g <= -o) or (y - table.g >= -o):
+        y = _node_sum(signs[:level - 1], table.j)
+        if arbitrage_event(y, table.g, drift.offset_scaled(level, level, params.H)):
             return m
     return None
 
@@ -518,7 +514,8 @@ def stock_path(spec: MarketSpec, signs: Sequence[int],
     """Trajectory S_0..S_L for a sign word of length L (N-1 or N allowed).
 
     S_n = (1 + a_n + X_n) S_{n-1} with X_n = N^{-H}(curly-Y_n + g_n xi_n).
-    Steps with a nonpositive multiplier are flagged, not raised.
+    Steps with a nonpositive multiplier are flagged, not raised; a price or
+    step drift that is not finite raises ValueError.
     """
     signs = tuple(signs)
     if len(signs) not in (spec.N - 1, spec.N):
@@ -528,14 +525,13 @@ def stock_path(spec: MarketSpec, signs: Sequence[int],
     scale = spec.N ** (-spec.params.H)
     prices = [spec.s0]
     violations = []
-    y_scaled = 0.0
     for n in range(1, len(signs) + 1):
         table = coefficient_table(spec.params, n, cfg)
-        node = NodeId.from_signs(signs[: n - 1])
-        y_scaled = _scaled_y(node, table)
-        x = scale * (y_scaled + table.g * signs[n - 1])
+        x = scale * (_node_sum(signs[:n - 1], table.j) + table.g * signs[n - 1])
         factor = 1.0 + spec.drift.step_drift(n, spec.N) + x
         if factor <= 0:
             violations.append(n)
         prices.append(prices[-1] * factor)
+        if not math.isfinite(prices[-1]):
+            raise ValueError(f"price S_{n} is not finite (factor {factor!r})")
     return StockPath(prices=np.asarray(prices), violations=tuple(violations))

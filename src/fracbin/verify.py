@@ -229,7 +229,7 @@ def check_cf(samples: int = 10**5) -> dict:
     ana = np.array([asym.characteristic_function(p, float(v)) for v in vs])
     worst = float(np.max(np.abs(ecf - ana)))
     budget = 6.0 / math.sqrt(samples)
-    _, expo, _ = asym.fit_cf_decay(p, 40.0 / p.g_H, 400.0 / p.g_H, points=40)
+    _, expo, _ = asym.fit_cf_decay(p, points=40)
     target = 1.0 / (2.0 - 2.0 * p.h)
     slope_ok = abs(expo - target) / target <= 0.15
     return _check("characteristic_function", worst <= budget and slope_ok,

@@ -186,6 +186,27 @@ def test_finite_level_exact_matches_census(p08):
     assert est.samples == 2**17
 
 
+@pytest.mark.parametrize("H", [0.75, 0.9])
+def test_finite_level_exact_matches_census_on_edge_offsets(H):
+    # an offset on a word's edge, o = -fl(y_k + g) or -fl(y_k - g): the
+    # estimate and the census must apply the same float test to that word
+    from fracbin import market
+
+    p = HurstParams(H)
+    cfg = McConfig(samples=10, seed=1)
+    for n in range(3, 13):
+        t = coefficient_table(p, n)
+        y = market.level_sign_values(t.j)
+        for k in range(0, len(y), max(len(y) // 4, 1)):
+            for o in (-(y[k] + t.g), -(y[k] - t.g)):
+                o = float(o)
+                est = finite_level_proportion(p, n, o, t, cfg)
+                alive = np.ones(len(y), dtype=bool)
+                count, _ = market._census_level(t.j, t.g, o, market._level_tolerance(t, o), alive)
+                assert est.exact
+                assert est.p_hat * 2 ** (n - 1) == count, (n, k, o)
+
+
 def test_finite_level_mc_ci_calibration(p08, monkeypatch):
     # sampled confidence intervals cover the exact value in >= 95/100 runs
     t = coefficient_table(p08, 18)

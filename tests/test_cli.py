@@ -347,6 +347,20 @@ def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert "non-finite offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["census", "paths"])
+@pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])
+def test_census_with_a_non_finite_tolerance_exits_2(tmp_path, capsys, command, sigma):
+    # the boundary tolerance (or g itself) overflows: such a census would
+    # report every word as boundary-uncertain and certify nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run([command, "--sigma", sigma, "--N", "12", "--drift", "const:0.5"], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert caught == []
+    assert "non-finite boundary tolerance" in capsys.readouterr().err
+
+
 def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypatch):
     from fracbin import cli
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ def _doubling_level(j, g, o, tol, alive):
 _WEIGHTS = st.one_of(st.floats(1e-3, 10.0), st.floats(5e-324, 1e-300), st.floats(1e300, 1e308))
 
 
+@given(j=st.lists(_WEIGHTS, max_size=9).map(np.array), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_node_sum_equals_index_doubling(j, data):
+    word = data.draw(st.integers(0, 2 ** len(j) - 1))
+    signs = [1 if (word >> i) & 1 else -1 for i in range(len(j))]
+    with np.errstate(over="ignore"):
+        got = market._node_sum(signs, j)
+        want = level_sign_values(j)[word]
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
 @st.composite
 def _levels(draw):
     """(j, g, o, tol, alive) with, most of the time, one word exactly on an edge."""
@@ -374,6 +386,33 @@ def test_monotone_reach_consistency(p075):
     assert not is_arbitrage(spec_prev, node_prev, coefficient_table(p075, level - 1))
 
 
+def test_monotone_reach_agrees_with_is_arbitrage_on_a_rounding_tie(p075, monkeypatch):
+    # one weight of 1 then weights of 1e-16: the left-to-right sum stays at
+    # exactly -1, while numpy's pairwise sum of 8 or more of them drops below
+    # -1 - 2 ulp; with g = 1 + 2 ulp and o = 0 the two sums fall on opposite
+    # sides of -o - g, and reach must see the node that is_arbitrage sees
+    import dataclasses
+
+    weights = np.array([1.0] + [1e-16] * 11)
+    g = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+    real = coefficient_table(p075, 3)
+
+    def crafted(params, n, cfg=None):
+        return dataclasses.replace(real, n=n, j=weights[:n - 1].copy(),
+                                   j_err=np.zeros(n - 1), g=g)
+
+    monkeypatch.setattr(market, "coefficient_table", crafted)
+    left_to_right = 0.0
+    for w in weights[:8]:
+        left_to_right -= w
+    assert -float(np.sum(weights[:8])) + g < 0.0 <= left_to_right + g
+    n_max = len(weights) - 1
+    want = next((m for m in range(1, n_max + 1)
+                 if is_arbitrage(MarketSpec(N=1 + m, params=p075), NodeId.from_signs((-1,) * m),
+                                 crafted(p075, 1 + m))), None)
+    assert monotone_reach(p075, (), -1, n_max) == want
+
+
 def test_monotone_reach_down_symmetry(p075):
     prefix = (1, -1, 1)
     flipped = tuple(-s for s in prefix)
@@ -439,6 +478,17 @@ def test_stock_path_flags_positivity():
     sp = stock_path(spec, [-1, -1])
     assert sp.violations != ()
     assert np.any(sp.prices < 0)
+
+
+def test_stock_path_rejects_an_overflowing_price_or_drift(p075):
+    # a(t) = 1e308 (1 + t): the price overflows at step 2, the drift itself at t = 1
+    spec = MarketSpec(N=4, params=p075, drift=DriftSpec.parse("poly:1e308,1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="S_2 is not finite"):
+            stock_path(spec, [1, 1, 1, 1])
+        with pytest.raises(ValueError, match="non-finite offset"):
+            spec.drift.step_drift(4, 4)
 
 
 def test_stock_path_validation(p075):
