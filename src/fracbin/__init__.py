@@ -14,6 +14,7 @@ from .coefficients import (
     QuadratureConfig,
     clear_table_cache,
     coefficient_table,
+    coefficient_tables,
     g_coeff,
     g_unscaled,
     j_coeff,
@@ -62,7 +63,7 @@ __all__ = [
     "McEstimate", "MarketSpec", "NodeId", "QuadratureConfig", "QuadratureError",
     "RhoTailSum", "StockPath", "TruncationError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
-    "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
+    "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
     "g_coeff", "g_unscaled", "is_arbitrage", "j_coeff", "kernel",
     "limit_proportion", "monotone_reach", "node_values",
     "normalizing_constant", "rho", "rho_sq_sum", "rho_sq_total",

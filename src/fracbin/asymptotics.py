@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
 from .errors import TruncationError
 from .hurst import HurstParams, rho, rho_pow_tail, rho_sq_sum, rho_sq_total
-from .market import arbitrage_event, level_sign_values
+from .market import _finite_tolerance, arbitrage_event, level_sign_values
 
 __all__ = [
     "DEFAULT_TRUNCATION_K",
@@ -284,8 +284,10 @@ def _level_estimate(table: CoefficientTable, offset: float,
 
     Both are the census's arbitrage_event, counted on the same words: every
     sign word when the word length n-1 is at most _EXACT_LEVEL_MAX, else
-    cfg's sample stream.
+    cfg's sample stream.  A level whose sums can overflow raises ValueError,
+    as in the census.
     """
+    _finite_tolerance(table, offset)
     K = table.n - 1
 
     def counts(y: np.ndarray) -> tuple[int, int]:

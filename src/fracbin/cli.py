@@ -26,6 +26,7 @@ from .coefficients import (
     DEFAULT_QUAD,
     QuadratureConfig,
     coefficient_table,
+    coefficient_tables,
     table_fingerprint,
     write_tables_csv,
 )
@@ -240,7 +241,7 @@ def _cmd_coeffs(rc: RunConfig) -> int:
         raise ValueError(f"n must be >= 1, got {rc.n}")
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
-    tables = [coefficient_table(params, n, quad) for n in range(1, rc.n + 1)]
+    tables = coefficient_tables(params, range(1, rc.n + 1), quad)
     if rc.output_format == "csv":
         base = rc.output_path if rc.output_path != "-" else "coeffs"
         write_tables_csv(tables, f"{base}_j.csv", f"{base}_g.csv")
@@ -259,7 +260,7 @@ def _census_common(rc: RunConfig):
     quad = _quad(rc)
     spec = MarketSpec(N=rc.N, params=params, drift=DriftSpec.parse(rc.drift), s0=rc.s0)
     result = census(spec, quad, cap=rc.cap)
-    tables = [coefficient_table(params, n, quad) for n in range(1, rc.N + 1)]
+    tables = coefficient_tables(params, range(1, rc.N + 1), quad)
     return spec, result, table_fingerprint(tables)
 
 
@@ -379,8 +380,7 @@ def _cmd_convergence(rc: RunConfig) -> int:
     cfg = _mc_config(rc)
     levels = [int(x) for x in rc.n_list.split(",") if x]
     rows = []
-    for n in levels:
-        table = coefficient_table(params, n, quad)
+    for n, table in zip(levels, coefficient_tables(params, levels, quad)):
         est, strict = asym._level_estimate(table, 0.0, cfg)
         var_bar, var_hat = asym.split_variances(params, n, table)
         rows.append((n, est.p_hat, est.stderr, est.ci_low, est.ci_high,

@@ -27,14 +27,21 @@ Special cases:
   * n = 1: g_1 reduces exactly to sigma*C_H*B(1-a,a)/(1+a).
 
 Tables are cached per (params, n, config); construction is idempotent.
-The interior powers (v + (n-1) - x)^{a-1} at the outer nodes x = m + xi
-are most of the cost of a table built from nothing.  When m-1 and m lie in
-one binade, fl(m + xi) = fl(m-1 + xi) + 1 exactly, so row m of level n has
-the same bits as row m-1 of level n-1.  One memo entry per ladder rung keeps
-the last level's (a, n, d, powers); the next level copies them and
-recomputes row 0 and every row whose d differs by exact comparison (only
-rows m = 2^k can), so every table is byte-identical to one built from
-scratch.  clear_table_cache() empties the memo as well.
+coefficient_tables builds a run of levels together: per ladder rung,
+j_n(1), j_n(n-1) and g_n are evaluated for every pending level at once as
+(levels, q, q) arrays, and each level freezes at the first rung where its own
+two rules agree, so it gets the value and error a ladder of its own gives.
+The interior powers (v + (n-1) - x)^{a-1} at the outer nodes x = m + xi are
+most of the cost of a table built from nothing.  When m-1 and m lie in one
+binade, fl(m + xi) = fl(m-1 + xi) + 1 exactly, so row m of level n has the
+same bits as row m-1 of level n-1.  One memo entry per ladder rung keeps a
+power buffer whose rows are stored from the last column back, so the rows
+two levels share sit at the same index and the buffer grows at its tail; a
+level writes its new tail rows and the rows whose d differs by exact
+comparison (from level n-1, only rows m = 2^k), in place.  The entry also
+keeps x**-a, which depends on the row alone.  Every table is byte-identical
+to one built from scratch, level by level.  clear_table_cache() empties the
+memo as well.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "turning_point",
     "I_integrals",
     "coefficient_table",
+    "coefficient_tables",
     "clear_table_cache",
     "table_fingerprint",
     "write_tables_csv",
@@ -120,8 +128,16 @@ def _gj01(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w * 2.0 ** (-alpha - beta - 1.0)
 
 
-# Per ladder rung (qo, qi): (a, n, d, b) of the last interior stage built,
-# so the next level can copy the powers it shares with this one.
+# Levels built together by coefficient_tables; bounds the batched stages'
+# (levels, q, q) temporaries.
+_BATCH_LEVELS = 64
+
+# Per ladder rung (qo, qi): (a, n, x, x_pow, d, b) of the last interior stage
+# built at level n.  Rows of x and x_pow run over the columns (row r holds
+# x = (r+1) + xi and x**-a); rows of d and b run the other way, row k holding
+# d = (n-1) - x and the powers of column i = n-2-k, so that the rows a level
+# shares with any other sit at the same index.  Each array has room for
+# between n-3 and 2(n-3) rows.
 _POWER_MEMO: dict[tuple[int, int], tuple] = {}
 
 
@@ -131,61 +147,100 @@ def _power_rows(out: np.ndarray, d: np.ndarray, v: np.ndarray, a: float) -> None
     np.power(out, a - 1.0, out=out)
 
 
-def _interior_powers(a: float, n: int, d: np.ndarray, qo: int, qi: int) -> np.ndarray:
-    """b[r, p, q] = (v_q + d[r, p])**(a-1) for the interior rows of level n.
+def _interior_rows(entry, a: float, n: int, qo: int, qi: int) -> tuple:
+    """The memo entry of rung (qo, qi) updated from any earlier one to level n.
 
-    Row r of level n equals row r-1 of level n-1 wherever their d agree bit
-    for bit, so with level n-1 in the memo only row 0 and the rows whose d
-    changed are computed; the rest are one slice copy.
+    Row k of d is (k+2) - xi up to the rounding of fl(m + xi), m = n-3-k, and
+    fl(m + xi) - m depends only on the binade of m, so a row keeps its bits
+    between any two levels whose m share a binade (from level n-1 to n, all
+    rows but m = 2^j).  Only the new tail rows and the rows whose d changed,
+    by exact comparison, are computed; the rest are reused in place.
     """
+    xi, _ = _gl01(qo)
     v, _ = _gl01(qi)
-    b = np.empty(d.shape + (qi,))
-    a_prev, n_prev, d_prev, b_prev = _POWER_MEMO.get((qo, qi), (None,) * 4)
-    if a_prev == a and n_prev == n - 1:
-        b[1:] = b_prev
-        stale = np.flatnonzero(np.any(d[1:] != d_prev, axis=1)) + 1
-        for r in (0, *stale):
-            _power_rows(b[r], d[r], v, a)
-    else:
-        _power_rows(b, d, v, a)
-    b.setflags(write=False)
-    _POWER_MEMO[(qo, qi)] = (a, n, d, b)
-    return b
+    rows = n - 3
+    if entry is None or entry[0] != a:
+        entry = (a, 0, np.empty((0, qo)), np.empty((0, qo)), np.empty((0, qo)),
+                 np.empty((0, qo, qi)))
+    _, n_prev, x, x_pow, d, b = entry
+    kept = min(max(n_prev - 3, 0), rows)
+    if not rows <= len(b) <= 2 * rows:
+        # room to grow into when rows are reused, none for a level built afresh
+        cap = 2 * rows if kept else rows
+        x, x_pow, d, b = (np.concatenate([arr[:kept], np.empty((cap - kept,) + arr.shape[1:])])
+                          for arr in (x, x_pow, d, b))
+    if kept < rows:
+        np.add(np.arange(kept + 1.0, rows + 1.0)[:, None], xi, out=x[kept:rows])
+        np.power(x[kept:rows], -a, out=x_pow[kept:rows])
+    d_new = (n - 1.0) - x[rows - 1::-1]
+    stale = (d_new[:kept] != d[:kept]).any(axis=1).nonzero()[0]
+    d[:rows] = d_new
+    if stale.size:
+        fresh = np.empty((stale.size, qo, qi))
+        _power_rows(fresh, d[stale], v, a)
+        b[stale] = fresh
+    if kept < rows:
+        _power_rows(b[kept:rows], d[kept:rows], v, a)
+    return a, n, x, x_pow, d, b
 
 
 def _j_middle_stage(a: float, n: int, i_arr: np.ndarray, qo: int, qi: int) -> np.ndarray:
     """One quadrature stage of j-values for interior columns 2 <= i <= n-2."""
-    xi, wx = _gl01(qo)
+    _, wx = _gl01(qo)
     v, wv = _gl01(qi)
-    x = (i_arr - 1.0)[:, None] + xi[None, :]
     smooth = (v + (n - 1.0)) ** a * wv
-    b = _interior_powers(a, n, (n - 1.0) - x, qo, qi)
-    return (x ** (-a) * (b @ smooth)) @ wx
+    rows = len(i_arr)
+    # popped while in use, so a concurrent sweep never writes rows this one reads
+    entry = _interior_rows(_POWER_MEMO.pop((qo, qi), None), a, n, qo, qi)
+    _, _, _, x_pow, _, b = entry
+    out = (x_pow[:rows] * (b[rows - 1::-1] @ smooth)) @ wx
+    _POWER_MEMO[(qo, qi)] = entry
+    return out
 
 
-def _j_first_stage(a: float, n: int, qo: int, qi: int) -> float:
-    """One stage of j_n(1) for n >= 3: Gauss-Jacobi absorbs x^{-a} at 0."""
+def _row_dots(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """np.dot(y[r], w) for every row r, with the same bits.
+
+    y @ w would be one gemv, whose sums are ordered unlike ddot's; a stack of
+    (1, q) @ (q,) products makes numpy call ddot once per row.
+    """
+    return (y[:, None, :] @ w)[:, 0]
+
+
+def _j_first_rows(a: float, levels: np.ndarray, qo: int, qi: int) -> np.ndarray:
+    """One stage of j_n(1) for levels n >= 3: Gauss-Jacobi absorbs x^{-a} at 0."""
     x, wx = _gj01(qo, 0.0, -a)
     v, wv = _gl01(qi)
-    smooth = (v + (n - 1.0)) ** a * wv
-    b = (v + (n - 1.0 - x)[:, None]) ** (a - 1.0)
-    return float(np.dot(b @ smooth, wx))
+    m = (levels - 1.0)[:, None]
+    smooth = (v + m) ** a * wv
+    b = (v + (m - x)[:, :, None]) ** (a - 1.0)
+    return _row_dots((b @ smooth[:, :, None])[:, :, 0], wx)
 
 
-def _j_last_stage(a: float, n: int, qs: int, qt: int) -> float:
-    """One stage of j_n(n-1) for n >= 3 in rotated (s, t) coordinates."""
+def _j_last_rows(a: float, levels: np.ndarray, qs: int, qt: int) -> np.ndarray:
+    """One stage of j_n(n-1) for levels n >= 3 in rotated (s, t) coordinates."""
     tau, wt = _gl11(qt)
+    m = (levels - 1.0)[:, None, None]
 
     def psi(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return ((n - 1.0) - (s - t) / 2.0) ** (-a) * ((n - 1.0) + (s + t) / 2.0) ** a
+        return (m - (s - t) / 2.0) ** (-a) * (m + (s + t) / 2.0) ** a
 
     s1, ws1 = _gj01(qs, 0.0, a)  # weight s^a on (0,1)
-    p1 = 0.5 * float(np.dot(psi(s1[:, None], s1[:, None] * tau[None, :]) @ wt, ws1))
+    p1 = 0.5 * _row_dots(psi(s1[:, None], s1[:, None] * tau[None, :]) @ wt, ws1)
     s2, ws2 = _gl01(qs)
     s2 = 1.0 + s2  # map to (1, 2)
     f2 = s2 ** (a - 1.0) * (2.0 - s2) * (psi(s2[:, None], (2.0 - s2)[:, None] * tau[None, :]) @ wt)
-    p2 = 0.5 * float(np.dot(f2, ws2))
+    p2 = 0.5 * _row_dots(f2, ws2)
     return p1 + p2
+
+
+def _g_rows(a: float, levels: np.ndarray, qo: int, qi: int) -> np.ndarray:
+    """One stage of g_n/(sigma*C_H) for levels n >= 2."""
+    y, wy = _gj01(qi, 0.0, a - 1.0)
+    u, wu = _gj01(qo, a, 0.0)  # absorbs (1-u)^a = (n-x)^a
+    x = (levels - 1.0)[:, None] + u
+    inner = ((y * (levels[:, None] - x)[:, :, None] + x[:, :, None]) ** a) @ wy
+    return _row_dots(x ** (-a) * inner, wu)
 
 
 def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
@@ -221,23 +276,37 @@ def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
     return bfull * val, bfull * err
 
 
-def _escalate(stage_fn, cfg: QuadratureConfig, what: str):
-    """Run stage_fn up the order ladder until two consecutive stages agree.
+def _escalate(stage_fn, cfg: QuadratureConfig, names: list[str]):
+    """Run stage_fn up the order ladder until, row by row, two stages agree.
 
-    Stages return a float or an array (all entries must agree); the result is
-    (last stage, |difference|) of the same kind.
+    stage_fn(qo, qi, live) evaluates the rows listed in live (ascending indices
+    into names) and returns one value, or one array of values, per live row.
+    A row freezes at the first rung where all its values agree with the last
+    rung's, so it gets what a ladder of its own would give.  The result is
+    (values, |differences|) with one row per name; a row still open after the
+    last rung raises QuadratureError naming the first such row, with its worst
+    entry as best and err.
     """
-    prev = None
+    live = np.arange(len(names))
+    prev = vals = errs = None
     for qo, qi in _ORDER_LADDER:
-        cur = stage_fn(qo, qi)
+        cur = np.asarray(stage_fn(qo, qi, live))
         if prev is not None:
             err = abs(cur - prev)
-            if np.all(err <= np.maximum(cfg.abs_tol, cfg.rel_tol * abs(cur))):
-                return cur, err
+            ok = (err <= np.maximum(cfg.abs_tol, cfg.rel_tol * abs(cur)))
+            ok = ok.reshape(len(live), -1).all(axis=1)
+            if vals is None:
+                if ok.all():
+                    return cur, err
+                vals, errs = np.empty_like(cur), np.empty_like(err)
+            vals[live[ok]], errs[live[ok]] = cur[ok], err[ok]
+            live, cur, err = live[~ok], cur[~ok], err[~ok]
+            if not live.size:
+                return vals, errs
         prev = cur
-    worst = np.argmax(err)
-    raise QuadratureError(f"{what}: order ladder exhausted",
-                          best=float(np.ravel(cur)[worst]), err=float(np.ravel(err)[worst]))
+    worst = np.argmax(err[0])
+    raise QuadratureError(f"{names[live[0]]}: order ladder exhausted",
+                          best=float(np.ravel(cur[0])[worst]), err=float(np.ravel(err[0])[worst]))
 
 
 @lru_cache(maxsize=256)
@@ -287,36 +356,9 @@ def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -
         raise ValueError(f"kernel requires 0 < s < t, got t={t}, s={s}")
     a = H - 0.5
     c_big = normalizing_constant(H) * a
-    val, _ = _escalate(lambda qo, qi: _inner_t(a, s / (t - s), qi), cfg,
-                       f"kernel(H={H},t={t},s={s})")
-    return _kernel_value(a, c_big, t, s, val)
-
-
-def _j_values(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All of j_n(1..n-1) with per-entry error estimates."""
-    a = params.alpha
-    scale = params.sigma * params.C_H
-    if n < 1:
-        raise ValueError("level n must be >= 1")
-    if n == 1:
-        return np.empty(0), np.empty(0)
-    if n == 2:
-        val, err = _j2_value(a, cfg)
-        return np.array([scale * val]), np.array([scale * err])
-
-    vals = np.empty(n - 1)
-    errs = np.empty(n - 1)
-
-    # interior columns, vectorised across i with a shared order ladder
-    if n >= 4:
-        i_arr = np.arange(2, n - 1, dtype=np.float64)
-        vals[1 : n - 2], errs[1 : n - 2] = _escalate(
-            lambda qo, qi: _j_middle_stage(a, n, i_arr, qo, qi), cfg,
-            f"j_{n}(2..{n - 2})")
-    vals[0], errs[0] = _escalate(lambda qo, qi: _j_first_stage(a, n, qo, qi), cfg, f"j_{n}(1)")
-    vals[n - 2], errs[n - 2] = _escalate(lambda qo, qi: _j_last_stage(a, n, qo, qi), cfg,
-                                         f"j_{n}({n-1})")
-    return scale * vals, scale * errs
+    vals, _ = _escalate(lambda qo, qi, _: [_inner_t(a, s / (t - s), qi)], cfg,
+                        [f"kernel(H={H},t={t},s={s})"])
+    return _kernel_value(a, c_big, t, s, float(vals[0]))
 
 
 def j_coeff(params: HurstParams, n: int, i: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -324,26 +366,6 @@ def j_coeff(params: HurstParams, n: int, i: int, cfg: QuadratureConfig = DEFAULT
     if not (n >= 2 and 1 <= i <= n - 1):
         raise ValueError(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
     return float(coefficient_table(params, n, cfg).j[i - 1])
-
-
-def _g_value(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple[float, float]:
-    a = params.alpha
-    scale = params.sigma * params.C_H
-    if n < 1:
-        raise ValueError("level n must be >= 1")
-    if n == 1:
-        val = scale * math.pi / math.sin(math.pi * a) / (1.0 + a)
-        return val, 4.0 * np.finfo(float).eps * val
-
-    def stage(qo: int, qi: int) -> float:
-        y, wy = _gj01(qi, 0.0, a - 1.0)
-        u, wu = _gj01(qo, a, 0.0)  # absorbs (1-u)^a = (n-x)^a
-        x = (n - 1.0) + u
-        inner = ((y[None, :] * (n - x)[:, None] + x[:, None]) ** a) @ wy
-        return float(np.dot(x ** (-a) * inner, wu))
-
-    val, err = _escalate(stage, cfg, f"g_{n}")
-    return scale * val, scale * err
 
 
 def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -470,7 +492,7 @@ def I_integrals(H: float, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.nd
             out[n - 2] = part1 - part2
         return out
 
-    return _escalate(stage, cfg, f"I_{n}")[0]
+    return _escalate(lambda qo, qi, _: [stage(qo, qi)], cfg, [f"I_{n}"])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,24 +525,95 @@ class CoefficientTable:
 _TABLE_CACHE: dict[tuple, CoefficientTable] = {}
 
 
+def _table_key(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple:
+    return (params.H, params.sigma, n, cfg.key())
+
+
+def _build_tables(params: HurstParams, levels: list[int],
+                  cfg: QuadratureConfig) -> dict[int, CoefficientTable]:
+    """Build and cache the tables of levels (ascending, distinct, n >= 1).
+
+    The interior columns go level by level, each reusing the last level's
+    powers; j_n(1), j_n(n-1) and g_n are batched over the levels.  With one
+    level the stages run in the order interior, j_n(1), j_n(n-1), g_n, so the
+    first one to exhaust the ladder is the one reported.
+    """
+    a = params.alpha
+    scale = params.sigma * params.C_H
+    j = {n: np.empty(n - 1) for n in levels}
+    j_err = {n: np.empty(n - 1) for n in levels}
+    for n in levels:
+        if n >= 4:
+            i_arr = np.arange(2, n - 1, dtype=np.float64)
+            vals, errs = _escalate(lambda qo, qi, _: [_j_middle_stage(a, n, i_arr, qo, qi)], cfg,
+                                   [f"j_{n}(2..{n - 2})"])
+            j[n][1:n - 2], j_err[n][1:n - 2] = vals[0], errs[0]
+    if 2 in j:
+        j[2][0], j_err[2][0] = _j2_value(a, cfg)
+    deep = [n for n in levels if n >= 3]
+    if deep:
+        nl = np.array(deep, dtype=np.float64)
+        first = _escalate(lambda qo, qi, live: _j_first_rows(a, nl[live], qo, qi), cfg,
+                          [f"j_{n}(1)" for n in deep])
+        last = _escalate(lambda qo, qi, live: _j_last_rows(a, nl[live], qo, qi), cfg,
+                         [f"j_{n}({n - 1})" for n in deep])
+        for n, v1, e1, v2, e2 in zip(deep, *first, *last):
+            j[n][0], j_err[n][0], j[n][-1], j_err[n][-1] = v1, e1, v2, e2
+    # g_n and its error are Python floats (scaled as such, so nothing warns)
+    g = {}
+    if 1 in j:
+        val = scale * math.pi / math.sin(math.pi * a) / (1.0 + a)
+        g[1] = (val, float(4.0 * np.finfo(float).eps * val))
+    wide = [n for n in levels if n >= 2]
+    if wide:
+        nl = np.array(wide, dtype=np.float64)
+        vals, errs = _escalate(lambda qo, qi, live: _g_rows(a, nl[live], qo, qi), cfg,
+                               [f"g_{n}" for n in wide])
+        for n, val, err in zip(wide, vals.tolist(), errs.tolist()):
+            g[n] = (scale * val, scale * err)
+    built = {}
+    for n in levels:
+        x_n, i_n = turning_point(params.H, n) if n >= 2 else (float("nan"), 1)
+        jv, je = scale * j[n], scale * j_err[n]
+        jv.setflags(write=False)
+        je.setflags(write=False)
+        table = CoefficientTable(params=params, n=n, j=jv, g=g[n][0], j_err=je, g_err=g[n][1],
+                                 split_index=i_n, turning_point=x_n)
+        built[n] = _TABLE_CACHE.setdefault(_table_key(params, n, cfg), table)
+    return built
+
+
+def coefficient_tables(params: HurstParams, levels,
+                       cfg: QuadratureConfig = DEFAULT_QUAD) -> list[CoefficientTable]:
+    """The tables of levels, in their order, building the missing ones together.
+
+    Missing levels are built in ascending blocks of _BATCH_LEVELS.  If a block
+    exhausts the ladder somewhere, its levels are built again one at a time, so
+    the error is the one a level-by-level sweep meets first (the lowest failing
+    level) and the levels below it are cached.
+    """
+    levels = list(levels)
+    if any(n < 1 for n in levels):
+        raise ValueError("level n must be >= 1")
+    tables = {n: _TABLE_CACHE.get(_table_key(params, n, cfg)) for n in levels}
+    todo = sorted(n for n, t in tables.items() if t is None)
+    for start in range(0, len(todo), _BATCH_LEVELS):
+        block = todo[start:start + _BATCH_LEVELS]
+        try:
+            tables.update(_build_tables(params, block, cfg))
+        except QuadratureError:
+            if len(block) == 1:
+                raise
+            for n in block:
+                _build_tables(params, [n], cfg)
+            raise
+    return [tables[n] for n in levels]
+
+
 def coefficient_table(params: HurstParams, n: int,
                       cfg: QuadratureConfig = DEFAULT_QUAD) -> CoefficientTable:
     """Build (or fetch from the cache) the full level-n table."""
-    key = (params.H, params.sigma, n, cfg.key())
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    j, j_err = _j_values(params, n, cfg)
-    g, g_err = _g_value(params, n, cfg)
-    if n >= 2:
-        x_n, i_n = turning_point(params.H, n)
-    else:
-        x_n, i_n = float("nan"), 1
-    j.setflags(write=False)
-    j_err.setflags(write=False)
-    table = CoefficientTable(params=params, n=n, j=j, g=g, j_err=j_err,
-                             g_err=g_err, split_index=i_n, turning_point=x_n)
-    return _TABLE_CACHE.setdefault(key, table)
+    return coefficient_tables(params, [n], cfg)[0]
 
 
 def clear_table_cache() -> None:

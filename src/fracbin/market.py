@@ -39,8 +39,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig, coefficient_table
-from .errors import CapExceededError
+from .coefficients import (
+    _BATCH_LEVELS,
+    DEFAULT_QUAD,
+    CoefficientTable,
+    QuadratureConfig,
+    coefficient_table,
+    coefficient_tables,
+)
+from .errors import CapExceededError, QuadratureError
 from .hurst import HurstParams
 
 __all__ = [
@@ -264,6 +271,21 @@ def _level_tolerance(table: CoefficientTable, offset: float) -> float:
     return quad + slop
 
 
+def _finite_tolerance(table: CoefficientTable, offset: float, what: str = "level") -> float:
+    """_level_tolerance, or ValueError when it is not finite.
+
+    A finite tolerance bounds g_n and every sum |y| + g_n + |o| of the level,
+    so no node value or test on it can overflow; an infinite one certifies
+    nothing.
+    """
+    with np.errstate(over="ignore"):
+        tol = _level_tolerance(table, offset)
+    if not math.isfinite(tol):
+        raise ValueError(f"{what} {table.n} has a non-finite boundary tolerance "
+                         f"(sigma={table.params.sigma!r} is too large)")
+    return tol
+
+
 # the ordered lattice of doubles: _key gives a double's rank among all
 # doubles (-0.0 and 0.0 share rank 0) and _value maps a rank back
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
@@ -447,16 +469,13 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
         raise CapExceededError(f"census N={spec.N} needs a {leaves}-byte path mask, "
                                f"above the {_MASK_BUDGET_BYTES}-byte budget")
     offsets = [spec.drift.offset_scaled(n, spec.N, spec.params.H) for n in range(1, spec.N + 1)]
+    tables = coefficient_tables(spec.params, range(1, spec.N + 1), cfg)
     counts, props, uncertain = [], [], []
     alive = np.ones(leaves, dtype=bool)
-    for n, o in enumerate(offsets, 1):
-        table = coefficient_table(spec.params, n, cfg)
+    for n, (o, table) in enumerate(zip(offsets, tables), 1):
+        tol = _finite_tolerance(table, o, "census level")
         # a sum that overflows is +-inf, which the cuts order like any double
         with np.errstate(over="ignore"):
-            tol = _level_tolerance(table, o)
-            if not math.isfinite(tol):  # so is g_n, and sum |j| + g_n + |o| does not overflow
-                raise ValueError(f"census level {n} has a non-finite boundary tolerance "
-                                 f"(sigma={spec.params.sigma!r} is too large)")
             cnt, unc = _census_level(table.j, table.g, o, tol, alive)
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
@@ -481,7 +500,10 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
     within n_max is returned as None.  Existence is a theorem, but near
     H = 1/2 the gap closes very slowly (at H = 0.51, prefix +-+-+-+-, up,
     y - g_L only moves from -0.943 at L = 100 to -0.880 at L = 3e4), so None
-    is a genuine result even for large n_max.
+    is a genuine result even for large n_max.  Tables are built in doubling
+    blocks (m = 1, 2..3, 4..7, ...) of at most _BATCH_LEVELS levels, so a hit
+    at m builds fewer than min(2m, m + _BATCH_LEVELS) levels; a level whose
+    sums can overflow raises ValueError.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -492,11 +514,19 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
         raise ValueError("prefix entries must be +-1")
     k = len(prefix) + 1
     signs = np.array(prefix + (direction,) * n_max, dtype=float)
+    built = 0
     for m in range(1, n_max + 1):
         level = k + m
+        if m > built:  # levels k+m..k+2m-1, no more than one batch of them
+            built = min(2 * m - 1, m + _BATCH_LEVELS - 1, n_max)
+            try:
+                coefficient_tables(params, range(level, k + built + 1), cfg)
+            except QuadratureError:
+                pass  # the levels below the failing one are cached; the walk raises there
         table = coefficient_table(params, level, cfg)
-        y = _node_sum(signs[:level - 1], table.j)
-        if arbitrage_event(y, table.g, drift.offset_scaled(level, level, params.H)):
+        o = drift.offset_scaled(level, level, params.H)
+        _finite_tolerance(table, o)
+        if arbitrage_event(_node_sum(signs[:level - 1], table.j), table.g, o):
             return m
     return None
 

@@ -338,6 +338,7 @@ def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
             raise AssertionError("census built a table before checking its offsets")
 
         monkeypatch.setattr(market, "coefficient_table", no_tables)
+        monkeypatch.setattr(market, "coefficient_tables", no_tables)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out = run(argv, tmp_path)
@@ -355,6 +356,22 @@ def test_census_with_a_non_finite_tolerance_exits_2(tmp_path, capsys, command, s
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out = run([command, "--sigma", sigma, "--N", "12", "--drift", "const:0.5"], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert caught == []
+    assert "non-finite boundary tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "--sigma", "1e308", "--prefix=+-", "--n-max", "20"],
+    ["mc-level", "--sigma", "1.7e308", "--n", "12", "--samples", "100"],
+    ["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"],
+], ids=["reach", "mc-level-exact", "mc-level-sampled"])
+def test_overflowing_sigma_exits_2(tmp_path, capsys, argv):
+    # the census's finiteness check, met before any sum of the level is formed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
     assert not out.exists()
     assert caught == []

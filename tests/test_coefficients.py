@@ -1,5 +1,6 @@
 """Kernel and level-table quadrature against extended-precision oracles."""
 
+import math
 import sys
 import threading
 
@@ -25,7 +26,10 @@ from fracbin import (
 from fracbin.coefficients import (
     _ORDER_LADDER,
     DEFAULT_QUAD,
+    _gj01,
     _gl01,
+    _gl11,
+    coefficient_tables,
     table_fingerprint,
     write_tables_csv,
 )
@@ -287,6 +291,86 @@ def _fresh_middle_stage(a, n, i_arr, qo, qi):
     return (x ** (-a) * (b @ smooth)) @ wx
 
 
+def _fresh_j_first_stage(a, n, qo, qi):
+    """One stage of j_n(1) for one level n >= 3, as before batching."""
+    x, wx = _gj01(qo, 0.0, -a)
+    v, wv = _gl01(qi)
+    smooth = (v + (n - 1.0)) ** a * wv
+    b = (v + (n - 1.0 - x)[:, None]) ** (a - 1.0)
+    return float(np.dot(b @ smooth, wx))
+
+
+def _fresh_j_last_stage(a, n, qs, qt):
+    """One stage of j_n(n-1) for one level n >= 3, as before batching."""
+    tau, wt = _gl11(qt)
+
+    def psi(s, t):
+        return ((n - 1.0) - (s - t) / 2.0) ** (-a) * ((n - 1.0) + (s + t) / 2.0) ** a
+
+    s1, ws1 = _gj01(qs, 0.0, a)
+    p1 = 0.5 * float(np.dot(psi(s1[:, None], s1[:, None] * tau[None, :]) @ wt, ws1))
+    s2, ws2 = _gl01(qs)
+    s2 = 1.0 + s2
+    f2 = s2 ** (a - 1.0) * (2.0 - s2) * (psi(s2[:, None], (2.0 - s2)[:, None] * tau[None, :]) @ wt)
+    p2 = 0.5 * float(np.dot(f2, ws2))
+    return p1 + p2
+
+
+def _fresh_g_stage(a, n, qo, qi):
+    """One stage of g_n/(sigma*C_H) for one level n >= 2, as before batching."""
+    y, wy = _gj01(qi, 0.0, a - 1.0)
+    u, wu = _gj01(qo, a, 0.0)
+    x = (n - 1.0) + u
+    inner = ((y[None, :] * (n - x)[:, None] + x[:, None]) ** a) @ wy
+    return float(np.dot(x ** (-a) * inner, wu))
+
+
+def _fresh_ladder(stage, cfg, what):
+    """One level's own order ladder, raising as the package does."""
+    prev = None
+    for qo, qi in _ORDER_LADDER:
+        cur = stage(qo, qi)
+        if prev is not None:
+            err = abs(cur - prev)
+            if np.all(err <= np.maximum(cfg.abs_tol, cfg.rel_tol * abs(cur))):
+                return cur, err
+        prev = cur
+    worst = np.argmax(err)
+    raise QuadratureError(f"{what}: order ladder exhausted",
+                          best=float(np.ravel(cur)[worst]), err=float(np.ravel(err)[worst]))
+
+
+def _fresh_table_bytes(H, sigma, n, cfg=DEFAULT_QUAD):
+    """(j, j_err, g, g_err) of level n built alone, stage by stage, powers afresh.
+
+    The stages run in the order interior, j_n(1), j_n(n-1), g_n, so the first
+    one to exhaust the ladder raises.
+    """
+    p = HurstParams(H, sigma)
+    a, scale = p.alpha, p.sigma * p.C_H
+    j, j_err = np.empty(n - 1), np.empty(n - 1)
+    if n >= 4:
+        i_arr = np.arange(2, n - 1, dtype=np.float64)
+        j[1:n - 2], j_err[1:n - 2] = _fresh_ladder(
+            lambda qo, qi: _fresh_middle_stage(a, n, i_arr, qo, qi), cfg, f"j_{n}(2..{n - 2})")
+    if n == 2:
+        j[0], j_err[0] = coefficients._j2_value(a, cfg)
+    if n >= 3:
+        j[0], j_err[0] = _fresh_ladder(lambda qo, qi: _fresh_j_first_stage(a, n, qo, qi), cfg,
+                                       f"j_{n}(1)")
+        j[n - 2], j_err[n - 2] = _fresh_ladder(lambda qo, qi: _fresh_j_last_stage(a, n, qo, qi),
+                                               cfg, f"j_{n}({n - 1})")
+    if n == 1:
+        g = scale * math.pi / math.sin(math.pi * a) / (1.0 + a)
+        g_err = float(4.0 * np.finfo(float).eps * g)
+    else:
+        g, g_err = _fresh_ladder(lambda qo, qi: _fresh_g_stage(a, n, qo, qi), cfg, f"g_{n}")
+        g, g_err = scale * g, scale * g_err
+    if n >= 2:
+        j, j_err = scale * j, scale * j_err
+    return j.tobytes(), j_err.tobytes(), repr(g), repr(g_err)
+
+
 _CLEAR = "clear"  # clear_table_cache(): tables and power memo
 _REBUILD = "rebuild"  # drop only the tables, so a repeated level is built again
 
@@ -376,18 +460,40 @@ def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
     assert got == want
 
 
-def test_power_memo_is_bounded_and_cleared():
+def test_power_memo_is_bounded_and_cleared(monkeypatch):
     clear_table_cache()
-    # at H = 0.99 a 1e-16 tolerance sends the interior up every rung
+    # at H = 0.99 a 1e-16 tolerance sends the interior up more rungs (all of
+    # them at some levels) and exhausts the ladder; a default build at H = 0.8
+    # stops at the first two.  After the climb, levels jump up, fall back and
+    # switch H.
     tight = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16)
-    for n in range(4, 40):
-        coefficient_table(HurstParams(0.8), n)
-        with pytest.raises(QuadratureError):
-            coefficient_table(HurstParams(0.99), n, tight)
+    builds = [*((H, n, cfg) for n in range(4, 40) for H, cfg in ((0.8, DEFAULT_QUAD), (0.99, tight))),
+              *((0.99, n, tight) for n in (20, 90, 12, 5)), (0.8, 45, DEFAULT_QUAD), (0.99, 31, tight)]
     memo = coefficients._POWER_MEMO
+    last = {}  # rung -> (a, n) of the last build that reached it
+    real = coefficients._j_middle_stage
+
+    def recording(a, n, i_arr, qo, qi):
+        last[(qo, qi)] = (a, n)
+        return real(a, n, i_arr, qo, qi)
+
+    monkeypatch.setattr(coefficients, "_j_middle_stage", recording)
+    for H, n, cfg in builds:
+        if cfg is tight:
+            with pytest.raises(QuadratureError):
+                coefficient_table(HurstParams(H), n, cfg)
+        else:
+            coefficient_table(HurstParams(H), n, cfg)
+        assert last[_ORDER_LADDER[0]] == (HurstParams(H).alpha, n)
+        assert set(memo) == set(last)
+        for (qo, qi), (a, m, x, x_pow, d, b) in memo.items():
+            # one buffer per rung, holding the rows of its last level m and
+            # room for at most as many more
+            rows = len(b)
+            assert (a, m) == last[(qo, qi)]
+            assert m - 3 <= rows <= 2 * (m - 3)
+            assert x.shape == x_pow.shape == d.shape == (rows, qo) and b.shape == (rows, qo, qi)
     assert set(memo) == set(_ORDER_LADDER)
-    for (qo, qi), (a, n, d, b) in memo.items():
-        assert d.shape == (n - 3, qo) and b.shape == (n - 3, qo, qi)
     clear_table_cache()
     assert not memo
 
@@ -409,3 +515,55 @@ def test_ascending_sweep_recomputes_few_rows(monkeypatch):
     clear_table_cache()
     assert rungs >= 2
     assert sum(rows) <= rungs * (1 + 6)  # row 0 and m = 2, 4, ..., 64 of 97 rows
+
+
+_SWEEPS = [range(1, 71), range(9, 46), [5, 9, 10, 11, 30, 64, 65, 66, 130], range(40, 0, -3),
+           [7, 7, 3, 7, 12, 3, 12], [1], [2], [3], [4], [77]]
+# at H = 0.75, g_13..g_17 and g_19 need rung (32, 48) here, their neighbours
+# only (24, 32); g_2..g_12 exhaust the ladder
+_TIGHT = QuadratureConfig(abs_tol=1.5e-15, rel_tol=1.5e-15)
+
+
+@pytest.mark.parametrize("H, sigma, cfg, sweeps", [
+    *((H, sigma, DEFAULT_QUAD, _SWEEPS)
+      for H in (0.5005, 0.75, 0.97, 0.999) for sigma in (1.0, 2.5)),
+    (0.75, 1.0, _TIGHT, [range(13, 61), [40, 19, 18, 17, 13], [18], [17]]),
+])
+def test_batched_tables_match_level_by_level_oracles(H, sigma, cfg, sweeps):
+    # each sweep starts from an empty cache and memo; 1..70 spans two blocks
+    want = {}
+    for levels in sweeps:
+        clear_table_cache()
+        got = coefficient_tables(HurstParams(H, sigma), levels, cfg)
+        assert [t.n for t in got] == list(levels)
+        for t in got:
+            assert type(t.g) is float and type(t.g_err) is float
+            ref = want.setdefault(t.n, _fresh_table_bytes(H, sigma, t.n, cfg))
+            assert (t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)) == ref, t.n
+    clear_table_cache()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("cfg, levels", [
+    (_UNREACHABLE, range(1, 30)),  # j_2(1), adaptive
+    (_UNREACHABLE, range(3, 30)),  # j_3(1): level 3 has no interior
+    (_UNREACHABLE, range(4, 30)),  # the interior of level 4 comes first
+    (_UNREACHABLE, [40, 9, 6]),  # the lowest level, not the first requested
+    (QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15), range(17, 90)),  # only g_18 exhausts
+], ids=["j2", "j_first", "interior", "lowest", "g"])
+def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(cfg, levels):
+    want = None
+    for n in sorted(set(levels)):
+        try:
+            _fresh_table_bytes(0.75, 1.0, n, cfg)
+        except QuadratureError as exc:
+            want, failing = exc, n
+            break
+    clear_table_cache()
+    with pytest.raises(QuadratureError) as exc:
+        coefficient_tables(HurstParams(0.75), levels, cfg)
+    assert (str(exc.value), exc.value.best, exc.value.err) == (str(want), want.best, want.err)
+    # as after a level-by-level sweep, the levels below the failing one are cached
+    cached = {key[2] for key in coefficients._TABLE_CACHE}
+    clear_table_cache()
+    assert {n for n in levels if n < failing} <= cached

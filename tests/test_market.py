@@ -192,6 +192,7 @@ def test_census_budget_fails_before_allocating(p075, tmp_path, monkeypatch):
         raise AssertionError("census built a table before its budget check")
 
     monkeypatch.setattr(market, "coefficient_table", no_tables)
+    monkeypatch.setattr(market, "coefficient_tables", no_tables)
     with pytest.raises(CapExceededError, match="budget"):
         census(MarketSpec(N=40, params=p075), cap=40)
     for command in ("census", "paths"):
@@ -417,6 +418,23 @@ def test_monotone_reach_down_symmetry(p075):
     prefix = (1, -1, 1)
     flipped = tuple(-s for s in prefix)
     assert monotone_reach(p075, prefix, -1, 10**3) == monotone_reach(p075, flipped, 1, 10**3)
+
+
+@pytest.mark.parametrize("H, prefix, steps", [
+    (0.75, "---++-+-", 8), (0.75, "+", 3), (0.9, "+-+", 1), (0.9, "", 1), (0.61, "+", 175)])
+def test_monotone_reach_builds_at_most_twice_the_levels_it_uses(H, prefix, steps):
+    # tables are built in doubling blocks from level len(prefix) + 2 on, none
+    # longer than one batch: the late hit's block is m = 128..191, not 128..255
+    from fracbin.coefficients import _BATCH_LEVELS, _TABLE_CACHE, clear_table_cache
+
+    clear_table_cache()
+    signs = tuple(1 if c == "+" else -1 for c in prefix)
+    assert monotone_reach(HurstParams(H), signs, 1, 300) == steps
+    built = {key[2] for key in _TABLE_CACHE}
+    clear_table_cache()
+    k = len(prefix) + 1
+    assert set(range(k + 1, k + steps + 1)) <= built
+    assert len(built) < min(2 * steps, steps + _BATCH_LEVELS) and min(built) == k + 1
 
 
 def test_monotone_reach_validation(p075):
