@@ -20,6 +20,7 @@ the sampler reversed weights; no separate variable is kept.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -345,34 +346,51 @@ def characteristic_function(params: HurstParams, v: float, tol: float = 1e-8) ->
     S_p the exact rho-power tails, and the first neglected term
     (17/2520) u^8 S8 must be <= tol (else TruncationError).
     """
+    return _cf_evaluator(params, tol)(v)
+
+
+def _cf_evaluator(params: HurstParams, tol: float) -> Callable[[float], float]:
+    """v -> characteristic_function(params, v, tol), bit for bit.
+
+    rho(h, K), rho(h, 1..K) and the rho-power tails at K are computed once
+    per truncation index K for all the v one evaluator is given, instead of
+    once per v; the memo lives as long as the evaluator.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not math.isfinite(v):
-        raise ValueError(f"v must be finite, got {v}")
-    if v == 0.0:
-        return 1.0
-    u = 2.0 * params.g_H * abs(v)
     h = params.h
-    K = 64
-    while True:
-        if u * rho(h, K) <= 0.3 and (17.0 / 2520.0) * u**8 * rho_pow_tail(h, K, 8) <= tol:
-            break
-        if K >= (1 << 22):
-            raise TruncationError(f"characteristic_function: tol {tol:g} infeasible at v={v:g}")
-        K *= 2
-    x = u * rho(h, np.arange(1, K + 1))
-    c = np.cos(x)
-    sign = -1.0 if int(np.count_nonzero(c < 0.0)) % 2 else 1.0
-    mag = np.abs(c)
-    if np.any(mag == 0.0):
-        return 0.0
-    log_head = float(np.sum(np.log(mag)))
-    log_tail = -(
-        u**2 / 2.0 * rho_pow_tail(h, K, 2)
-        + u**4 / 12.0 * rho_pow_tail(h, K, 4)
-        + u**6 / 45.0 * rho_pow_tail(h, K, 6)
-    )
-    return sign * math.exp(log_head + log_tail)
+    rho_at = functools.cache(lambda K: rho(h, K))
+    head = functools.cache(lambda K: rho(h, np.arange(1, K + 1)))
+    tail = functools.cache(lambda K, power: rho_pow_tail(h, K, power))
+
+    def evaluate(v: float) -> float:
+        if not math.isfinite(v):
+            raise ValueError(f"v must be finite, got {v}")
+        if v == 0.0:
+            return 1.0
+        u = 2.0 * params.g_H * abs(v)
+        K = 64
+        while True:
+            if u * rho_at(K) <= 0.3 and (17.0 / 2520.0) * u**8 * tail(K, 8) <= tol:
+                break
+            if K >= (1 << 22):
+                raise TruncationError(f"characteristic_function: tol {tol:g} infeasible at v={v:g}")
+            K *= 2
+        x = u * head(K)
+        c = np.cos(x)
+        sign = -1.0 if int(np.count_nonzero(c < 0.0)) % 2 else 1.0
+        mag = np.abs(c)
+        if np.any(mag == 0.0):
+            return 0.0
+        log_head = float(np.sum(np.log(mag)))
+        log_tail = -(
+            u**2 / 2.0 * tail(K, 2)
+            + u**4 / 12.0 * tail(K, 4)
+            + u**6 / 45.0 * tail(K, 6)
+        )
+        return sign * math.exp(log_head + log_tail)
+
+    return evaluate
 
 
 def empirical_cf(samples: np.ndarray, v_values: np.ndarray) -> np.ndarray:
@@ -398,6 +416,7 @@ def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
     if not (0 < v_lo < v_hi):
         raise ValueError("need 0 < v_lo < v_hi")
     vs = np.geomspace(v_lo, v_hi, points)
+    cf = _cf_evaluator(params, 1e-8)
     k_head = np.arange(1, 513)
     rho_head = rho(params.h, k_head)
     us, lls = [], []
@@ -405,7 +424,7 @@ def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
         u = 2.0 * params.g_H * v
         if float(np.min(np.abs(np.cos(u * rho_head)))) < 1e-6:
             continue
-        f = characteristic_function(params, float(v))
+        f = cf(float(v))
         if not 1e-250 < abs(f) < 0.9:
             continue
         us.append(math.log(u))

@@ -334,7 +334,8 @@ def _cmd_charfn(rc: RunConfig) -> int:
         raise ValueError(f"v-min {rc.v_min} exceeds v-max {rc.v_max}")
     params = HurstParams(rc.H, rc.sigma)
     vs = np.linspace(rc.v_min, rc.v_max, rc.points)
-    values = [asym.characteristic_function(params, float(v), rc.tol) for v in vs]
+    cf = asym._cf_evaluator(params, rc.tol)
+    values = [cf(float(v)) for v in vs]
     payload: dict = {"points": [[float(v), f] for v, f in zip(vs, values)]}
     if rc.fit:
         theta, expo, used = asym.fit_cf_decay(params)

@@ -56,6 +56,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import QuadratureError
 from .hurst import HurstParams, normalizing_constant
+from .reports import float_reprs
 
 __all__ = [
     "QuadratureConfig",
@@ -636,13 +637,12 @@ def table_fingerprint(tables) -> str:
 def write_tables_csv(tables, j_path, g_path) -> None:
     """Dump tables as CSV: (n,i,j_value,err) and (n,g_value,err), sorted."""
     tables = sorted(tables, key=lambda t: t.n)
-    # float() first: numpy >= 2 scalars repr as np.float64(...)
     with open(j_path, "w", newline="") as fh:
         fh.write("n,i,j_value,err\n")
         for t in tables:
-            for idx in range(t.n - 1):
-                fh.write(f"{t.n},{idx + 1},{float(t.j[idx])!r},{float(t.j_err[idx])!r}\n")
+            rows = zip(float_reprs(t.j), float_reprs(t.j_err))
+            fh.writelines(f"{t.n},{i},{j},{err}\n" for i, (j, err) in enumerate(rows, 1))
     with open(g_path, "w", newline="") as fh:
         fh.write("n,g_value,err\n")
-        for t in tables:
-            fh.write(f"{t.n},{float(t.g)!r},{float(t.g_err)!r}\n")
+        rows = zip(float_reprs([t.g for t in tables]), float_reprs([t.g_err for t in tables]))
+        fh.writelines(f"{t.n},{g},{err}\n" for t, (g, err) in zip(tables, rows))

@@ -20,6 +20,7 @@ from fracbin import (
     split_variances,
 )
 from fracbin import asymptotics as asym
+from fracbin import hurst
 from fracbin.market import census, MarketSpec
 
 # frozen reference trace: H=0.7, sigma=1, seed=42, K=4096 (see sampler layout
@@ -294,6 +295,43 @@ def test_characteristic_function_tolerance_consistency(p08):
 def test_characteristic_function_validation(p08):
     with pytest.raises(ValueError):
         characteristic_function(p08, 1.0, tol=0.0)
+
+
+def _fresh_cf(params, v, tol):
+    """characteristic_function with rho and its tails computed afresh for
+    every v and every step of the K search, as before the per-K memo."""
+    if v == 0.0:
+        return 1.0
+    u = 2.0 * params.g_H * abs(v)
+    h = params.h
+    K = 64
+    while not (u * hurst.rho(h, K) <= 0.3
+               and (17.0 / 2520.0) * u**8 * hurst.rho_pow_tail(h, K, 8) <= tol):
+        K *= 2
+    c = np.cos(u * hurst.rho(h, np.arange(1, K + 1)))
+    sign = -1.0 if int(np.count_nonzero(c < 0.0)) % 2 else 1.0
+    mag = np.abs(c)
+    if np.any(mag == 0.0):
+        return 0.0
+    log_tail = -(u**2 / 2.0 * hurst.rho_pow_tail(h, K, 2)
+                 + u**4 / 12.0 * hurst.rho_pow_tail(h, K, 4)
+                 + u**6 / 45.0 * hurst.rho_pow_tail(h, K, 6))
+    return sign * math.exp(float(np.sum(np.log(mag))) + log_tail)
+
+
+@pytest.mark.parametrize("H", [0.6, 0.75, 0.85])
+def test_memoised_cf_matches_fresh_calls(H):
+    # one evaluator over a charfn grid and a decay-fit window, visited out of
+    # order so later v reuse search steps and heads of earlier ones
+    p = HurstParams(H)
+    vs = np.concatenate([np.linspace(-4.0, 4.0, 9), np.geomspace(40.0, 400.0, 6) / p.g_H])
+    vs = vs[np.random.default_rng(3).permutation(len(vs))].tolist()
+    for tol in (1e-8, 1e-11):
+        cf = asym._cf_evaluator(p, tol)
+        got = np.array([cf(v) for v in vs])
+        want = np.array([_fresh_cf(p, v, tol) for v in vs])
+        assert got.tobytes() == want.tobytes()
+        assert [characteristic_function(p, v, tol) for v in vs] == got.tolist()
 
 
 def test_empirical_cf_matches_analytic(p075):

@@ -13,6 +13,7 @@ import fracbin
 from fracbin import HurstParams, coefficient_table, solve_critical_hurst
 from fracbin.cli import EXIT_CAP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from fracbin.coefficients import _TABLE_CACHE
+from fracbin.reports import render_json
 from fracbin import verify as verify_mod
 
 
@@ -473,3 +474,32 @@ def test_convergence_without_levels_reports_the_mc_limit(tmp_path):
     assert {"rho_sq_sum", "floor"} <= set(doc["regime"])
     for key in ("p_hat", "ci", "tail_sd"):
         assert doc["limit"][key] == ref[key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--H", "0.7", "--n", "40"],
+    ["census", "--H", "0.75", "--N", "12", "--drift", "const:0.1"],
+    ["paths", "--H", "0.9", "--N", "10"],
+    ["mc-limit", "--H", "0.8", "--samples", "3000"],
+    ["mc-level", "--H", "0.8", "--n", "12"],
+    ["mc-level", "--H", "0.8", "--n", "40", "--samples", "3000"],
+    ["hc"],
+    ["charfn", "--H", "0.77", "--v-min", "-3"],
+    ["charfn", "--H", "0.77", "--fit"],
+    ["reach", "--H", "0.7", "--prefix=+-"],
+    ["reach", "--H", "0.505", "--n-max", "25"],
+    ["convergence", "--H", "0.8", "--samples", "3000"],
+    ["verify"],
+], ids="-".join)
+def test_report_bytes_equal_json_dumps(argv, tmp_path, monkeypatch):
+    # every command's document, as handed to the renderer
+    docs = []
+
+    def capture(doc):
+        docs.append(doc)
+        return render_json(doc)
+
+    monkeypatch.setattr(fracbin.cli, "render_json", capture)
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_OK and len(docs) == 1
+    assert out.read_text() == json.dumps(docs[0], indent=2, allow_nan=True) + "\n"
