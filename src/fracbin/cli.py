@@ -236,9 +236,20 @@ def _weights_hash(params: HurstParams, K: int) -> str:
     return hashlib.sha256(asym.limit_weights(params, K).tobytes()).hexdigest()
 
 
+def _check_level(n: int) -> None:
+    """Every command's cap on a level n: its n - 1 weights fit the sampler's K cap.
+
+    Checked before any table is built; a sweep to level n costs time and
+    memory that grow as n^2.
+    """
+    if n - 1 > asym._SAMPLER_K_CAP:
+        raise ValueError(f"n must be at most {asym._SAMPLER_K_CAP + 1}, got {n}")
+
+
 def _cmd_coeffs(rc: RunConfig) -> int:
     if rc.n < 1:
         raise ValueError(f"n must be >= 1, got {rc.n}")
+    _check_level(rc.n)
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
     tables = coefficient_tables(params, range(1, rc.n + 1), quad)
@@ -304,9 +315,7 @@ def _cmd_mc_limit(rc: RunConfig) -> int:
 
 def _cmd_mc_level(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
-    # validated before the table build, whose cost grows as n^2
-    if rc.n - 1 > asym._SAMPLER_K_CAP:
-        raise ValueError(f"n must be at most {asym._SAMPLER_K_CAP + 1}, got {rc.n}")
+    _check_level(rc.n)
     cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, confidence=rc.confidence)
     table = coefficient_table(params, rc.n, _quad(rc))
     est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg)
@@ -380,6 +389,8 @@ def _cmd_convergence(rc: RunConfig) -> int:
     quad = _quad(rc)
     cfg = _mc_config(rc)
     levels = [int(x) for x in rc.n_list.split(",") if x]
+    for n in levels:
+        _check_level(n)
     rows = []
     for n, table in zip(levels, coefficient_tables(params, levels, quad)):
         est, strict = asym._level_estimate(table, 0.0, cfg)

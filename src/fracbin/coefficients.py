@@ -27,21 +27,23 @@ Special cases:
   * n = 1: g_1 reduces exactly to sigma*C_H*B(1-a,a)/(1+a).
 
 Tables are cached per (params, n, config); construction is idempotent.
-coefficient_tables builds a run of levels together: per ladder rung,
-j_n(1), j_n(n-1) and g_n are evaluated for every pending level at once as
-(levels, q, q) arrays, and each level freezes at the first rung where its own
-two rules agree, so it gets the value and error a ladder of its own gives.
-The interior powers (v + (n-1) - x)^{a-1} at the outer nodes x = m + xi are
-most of the cost of a table built from nothing.  When m-1 and m lie in one
-binade, fl(m + xi) = fl(m-1 + xi) + 1 exactly, so row m of level n has the
-same bits as row m-1 of level n-1.  One memo entry per ladder rung keeps a
-power buffer whose rows are stored from the last column back, so the rows
-two levels share sit at the same index and the buffer grows at its tail; a
-level writes its new tail rows and the rows whose d differs by exact
-comparison (from level n-1, only rows m = 2^k), in place.  The entry also
-keeps x**-a, which depends on the row alone.  Every table is byte-identical
-to one built from scratch, level by level.  clear_table_cache() empties the
-memo as well.
+coefficient_tables builds a run of levels together: per ladder rung, the
+interior columns, j_n(1), j_n(n-1) and g_n are evaluated for every pending
+level at once, and each level freezes at the first rung where its own two
+rules agree, so it gets the value and error a ladder of its own gives.
+The interior powers (v + d)^{a-1}, d = (n-1) - fl(m + xi) at the outer nodes
+of column i = m+1, are most of the cost of a table built from nothing.  With
+k = n-3-m, d = fl((k+2) - delta) where delta = fl(m + xi) - m depends only
+on the binade of m, so row k keeps its bits from one level to another unless
+m crosses a power of two.  One memo entry per ladder rung keeps a power
+buffer whose rows are stored from the last column back, so the rows two
+levels share sit at the same index and the buffer grows at its tail.  Per
+rung, a block writes its new tail rows in place, lists the rows whose m
+crosses a power of two in closed form, gives the ones whose d differs by
+exact comparison their powers in one call, then walks its levels in
+ascending order: a scatter and two gemvs each.  The entry also keeps x**-a,
+which depends on the row alone.  Every table is byte-identical to one built
+from scratch, level by level.  clear_table_cache() empties the memo as well.
 """
 
 from __future__ import annotations
@@ -148,54 +150,85 @@ def _power_rows(out: np.ndarray, d: np.ndarray, v: np.ndarray, a: float) -> None
     np.power(out, a - 1.0, out=out)
 
 
-def _interior_rows(entry, a: float, n: int, qo: int, qi: int) -> tuple:
-    """The memo entry of rung (qo, qi) updated from any earlier one to level n.
+def _crossing_rows(prev: np.ndarray, levels: np.ndarray,
+                   kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, k): the rows k < kept[t] whose m = n-3-k changes binade from prev[t] to levels[t].
 
-    Row k of d is (k+2) - xi up to the rounding of fl(m + xi), m = n-3-k, and
-    fl(m + xi) - m depends only on the binade of m, so a row keeps its bits
-    between any two levels whose m share a binade (from level n-1 to n, all
-    rows but m = 2^j).  Only the new tail rows and the rows whose d changed,
-    by exact comparison, are computed; the rest are reused in place.
+    Row k of d is fl((k+2) - delta), where delta = fl(m + xi) - m depends only
+    on the binade of m, so only these rows can differ between the two levels.
+    Row k crosses the power P when lo-3-k < P <= hi-3-k, lo and hi the lower
+    and higher level: the run k in [lo-2-P, hi-2-P).  Each run stops where the
+    one for P/2 starts, so no row is listed twice; t ascends.
     """
-    xi, _ = _gl01(qo)
-    v, _ = _gl01(qi)
-    rows = n - 3
+    lo, hi = np.minimum(prev, levels), np.maximum(prev, levels)
+    powers = 1 << np.arange(int(hi.max()).bit_length())
+    start = np.maximum(lo[:, None] - 2 - powers, 0)
+    stop = np.minimum(hi[:, None] - 2 - powers, kept[:, None])
+    stop[:, 1:] = np.minimum(stop[:, 1:], start[:, :-1])
+    count = np.maximum(stop - start, 0)
+    runs = count.ravel()
+    k = np.repeat(start.ravel() - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+    return np.repeat(np.arange(len(levels)), count.sum(axis=1)), k
+
+
+def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int) -> np.ndarray:
+    """One stage of j_n(2..n-2) for ascending levels n >= 4, rows zero-padded to width.
+
+    The rung's memo entry is carried through the levels in order.  Rows that
+    no earlier level holds are written once, in place, with the d and powers
+    of the first level that needs them.  Of the other rows, only those from
+    _crossing_rows whose d differs by exact comparison get new powers, in one
+    call; each level scatters its own, then runs its two gemvs (one GEMM over
+    the levels would order the sums differently).
+    """
+    xi, wx = _gl01(qo)
+    v, wv = _gl01(qi)
+    rows = levels - 3
+    top = int(rows[-1])
+    # popped while in use, so a concurrent sweep never writes rows this one reads
+    entry = _POWER_MEMO.pop((qo, qi), None)
     if entry is None or entry[0] != a:
         entry = (a, 0, np.empty((0, qo)), np.empty((0, qo)), np.empty((0, qo)),
                  np.empty((0, qo, qi)))
     _, n_prev, x, x_pow, d, b = entry
-    kept = min(max(n_prev - 3, 0), rows)
-    if not rows <= len(b) <= 2 * rows:
-        # room to grow into when rows are reused, none for a level built afresh
-        cap = 2 * rows if kept else rows
-        x, x_pow, d, b = (np.concatenate([arr[:kept], np.empty((cap - kept,) + arr.shape[1:])])
+    prev = np.concatenate(([n_prev], levels[:-1]))
+    kept = np.minimum(np.maximum(prev - 3, 0), rows)
+    have = min(max(n_prev - 3, 0), top)
+    if not top <= len(b) <= 2 * top:
+        # room to grow into when rows are reused (up to the next power of two,
+        # so a sweep copies its rows about log2(n) times), none for a level
+        # built afresh
+        cap = 1 << (top - 1).bit_length() if have else top
+        x, x_pow, d, b = (np.concatenate([arr[:have], np.empty((cap - have,) + arr.shape[1:])])
                           for arr in (x, x_pow, d, b))
-    if kept < rows:
-        np.add(np.arange(kept + 1.0, rows + 1.0)[:, None], xi, out=x[kept:rows])
-        np.power(x[kept:rows], -a, out=x_pow[kept:rows])
-    d_new = (n - 1.0) - x[rows - 1::-1]
-    stale = (d_new[:kept] != d[:kept]).any(axis=1).nonzero()[0]
-    d[:rows] = d_new
-    if stale.size:
-        fresh = np.empty((stale.size, qo, qi))
-        _power_rows(fresh, d[stale], v, a)
-        b[stale] = fresh
-    if kept < rows:
-        _power_rows(b[kept:rows], d[kept:rows], v, a)
-    return a, n, x, x_pow, d, b
-
-
-def _j_middle_stage(a: float, n: int, i_arr: np.ndarray, qo: int, qi: int) -> np.ndarray:
-    """One quadrature stage of j-values for interior columns 2 <= i <= n-2."""
-    _, wx = _gl01(qo)
-    v, wv = _gl01(qi)
-    smooth = (v + (n - 1.0)) ** a * wv
-    rows = len(i_arr)
-    # popped while in use, so a concurrent sweep never writes rows this one reads
-    entry = _interior_rows(_POWER_MEMO.pop((qo, qi), None), a, n, qo, qi)
-    _, _, _, x_pow, _, b = entry
-    out = (x_pow[:rows] * (b[rows - 1::-1] @ smooth)) @ wx
-    _POWER_MEMO[(qo, qi)] = entry
+    if have < top:
+        np.add(np.arange(have + 1.0, top + 1.0)[:, None], xi, out=x[have:top])
+        np.power(x[have:top], -a, out=x_pow[have:top])
+    shared = int(kept[0])
+    if shared < top:
+        tail = np.arange(shared, top)
+        owner = levels[np.searchsorted(rows, tail, side="right")]
+        np.subtract((owner - 1.0)[:, None], x[owner - 4 - tail], out=d[shared:top])
+        _power_rows(b[shared:top], d[shared:top], v, a)
+    t, k = _crossing_rows(prev, levels, kept)
+    n_t, p_t = levels[t], prev[t]
+    d_new = (n_t - 1.0)[:, None] - ((n_t - 3 - k)[:, None] + xi)
+    stale = (d_new != (p_t - 1.0)[:, None] - ((p_t - 3 - k)[:, None] + xi)).any(axis=1)
+    t, k, d_new = t[stale], k[stale], d_new[stale]
+    fresh = np.empty((len(k), qo, qi))
+    _power_rows(fresh, d_new, v, a)
+    bounds = np.searchsorted(t, np.arange(len(levels) + 1)).tolist()
+    smooth = (v + (levels - 1.0)[:, None]) ** a * wv
+    out = np.zeros((len(levels), width))
+    for pos, (lo, hi, r) in enumerate(zip(bounds, bounds[1:], rows.tolist())):
+        if lo < hi:
+            b[k[lo:hi]] = fresh[lo:hi]
+        inner = (b[:r].reshape(r * qo, qi) @ smooth[pos]).reshape(r, qo)
+        out[pos, :r] = (x_pow[:r] * inner[::-1]) @ wx
+    n = int(levels[-1])
+    # a row keeps its d from its last change to the last level
+    d[k] = (n - 1.0) - ((n - 3 - k)[:, None] + xi)
+    _POWER_MEMO[(qo, qi)] = (a, n, x, x_pow, d, b)
     return out
 
 
@@ -534,8 +567,8 @@ def _build_tables(params: HurstParams, levels: list[int],
                   cfg: QuadratureConfig) -> dict[int, CoefficientTable]:
     """Build and cache the tables of levels (ascending, distinct, n >= 1).
 
-    The interior columns go level by level, each reusing the last level's
-    powers; j_n(1), j_n(n-1) and g_n are batched over the levels.  With one
+    Every stage runs once per rung over the block: the interior columns (rows
+    zero-padded to the widest level's), j_n(1), j_n(n-1) and g_n.  With one
     level the stages run in the order interior, j_n(1), j_n(n-1), g_n, so the
     first one to exhaust the ladder is the one reported.
     """
@@ -543,12 +576,14 @@ def _build_tables(params: HurstParams, levels: list[int],
     scale = params.sigma * params.C_H
     j = {n: np.empty(n - 1) for n in levels}
     j_err = {n: np.empty(n - 1) for n in levels}
-    for n in levels:
-        if n >= 4:
-            i_arr = np.arange(2, n - 1, dtype=np.float64)
-            vals, errs = _escalate(lambda qo, qi, _: [_j_middle_stage(a, n, i_arr, qo, qi)], cfg,
-                                   [f"j_{n}(2..{n - 2})"])
-            j[n][1:n - 2], j_err[n][1:n - 2] = vals[0], errs[0]
+    mid = [n for n in levels if n >= 4]
+    if mid:
+        nl = np.array(mid)
+        vals, errs = _escalate(
+            lambda qo, qi, live: _j_interior_rows(a, nl[live], mid[-1] - 3, qo, qi), cfg,
+            [f"j_{n}(2..{n - 2})" for n in mid])
+        for n, val, err in zip(mid, vals, errs):
+            j[n][1:n - 2], j_err[n][1:n - 2] = val[:n - 3], err[:n - 3]
     if 2 in j:
         j[2][0], j_err[2][0] = _j2_value(a, cfg)
     deep = [n for n in levels if n >= 3]

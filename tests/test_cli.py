@@ -449,6 +449,30 @@ def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch, cap
     assert "n must be at most 65537, got 70000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, level", [
+    (["coeffs", "--n", "65538"], 65538),
+    (["coeffs", "--n", "1000000"], 1000000),
+    (["convergence", "--n-list", "10,1000000,20"], 1000000),
+    (["convergence", "--n-list", "65538"], 65538),
+], ids=["coeffs-edge", "coeffs-large", "convergence-gapped", "convergence-edge"])
+def test_level_cap_is_checked_before_building_any_table(tmp_path, monkeypatch, capsys, argv, level):
+    # the cap of mc-level holds for every command that takes a level; without
+    # it coeffs --n 1000000 starts a build whose first buffer is about 3 GB
+    from fracbin import cli
+
+    builds = []
+
+    def no_build(*args, **kwargs):
+        builds.append(args)
+        raise AssertionError("coefficient_tables built before validation")
+
+    monkeypatch.setattr(cli, "coefficient_tables", no_build)
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists() and builds == []
+    assert f"n must be at most 65537, got {level}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "-3"],
     ["coeffs", "--n", "0"],

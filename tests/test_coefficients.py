@@ -26,6 +26,7 @@ from fracbin import (
 from fracbin.coefficients import (
     _ORDER_LADDER,
     DEFAULT_QUAD,
+    _crossing_rows,
     _gj01,
     _gl01,
     _gl11,
@@ -291,6 +292,14 @@ def _fresh_middle_stage(a, n, i_arr, qo, qi):
     return (x ** (-a) * (b @ smooth)) @ wx
 
 
+def _fresh_interior_rows(a, levels, width, qo, qi):
+    """The batched interior stage, one level at a time through _fresh_middle_stage."""
+    out = np.zeros((len(levels), width))
+    for row, n in zip(out, levels.tolist()):
+        row[:n - 3] = _fresh_middle_stage(a, n, np.arange(2, n - 1, dtype=np.float64), qo, qi)
+    return out
+
+
 def _fresh_j_first_stage(a, n, qo, qi):
     """One stage of j_n(1) for one level n >= 3, as before batching."""
     x, wx = _gj01(qo, 0.0, -a)
@@ -399,7 +408,7 @@ def _table_bytes(req):
 def _assert_matches_fresh_powers(monkeypatch, requests):
     got = _sweep_bytes(requests)
     with monkeypatch.context() as m:
-        m.setattr(coefficients, "_j_middle_stage", _fresh_middle_stage)
+        m.setattr(coefficients, "_j_interior_rows", _fresh_interior_rows)
         want = _sweep_bytes(requests)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -438,7 +447,7 @@ def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
     sweeps = [[(H, sigma, n) for n in range(1, 61)]
               for H, sigma in ((0.6, 1.0), (0.6, 2.0), (0.8, 1.0), (0.95, 1.0))]
     with monkeypatch.context() as m:
-        m.setattr(coefficients, "_j_middle_stage", _fresh_middle_stage)
+        m.setattr(coefficients, "_j_interior_rows", _fresh_interior_rows)
         want = [_sweep_bytes(sweep) for sweep in sweeps]
     got = [None] * len(sweeps)
 
@@ -471,13 +480,13 @@ def test_power_memo_is_bounded_and_cleared(monkeypatch):
               *((0.99, n, tight) for n in (20, 90, 12, 5)), (0.8, 45, DEFAULT_QUAD), (0.99, 31, tight)]
     memo = coefficients._POWER_MEMO
     last = {}  # rung -> (a, n) of the last build that reached it
-    real = coefficients._j_middle_stage
+    real = coefficients._j_interior_rows
 
-    def recording(a, n, i_arr, qo, qi):
-        last[(qo, qi)] = (a, n)
-        return real(a, n, i_arr, qo, qi)
+    def recording(a, levels, width, qo, qi):
+        last[(qo, qi)] = (a, int(levels[-1]))
+        return real(a, levels, width, qo, qi)
 
-    monkeypatch.setattr(coefficients, "_j_middle_stage", recording)
+    monkeypatch.setattr(coefficients, "_j_interior_rows", recording)
     for H, n, cfg in builds:
         if cfg is tight:
             with pytest.raises(QuadratureError):
@@ -518,29 +527,125 @@ def test_ascending_sweep_recomputes_few_rows(monkeypatch):
 
 
 _SWEEPS = [range(1, 71), range(9, 46), [5, 9, 10, 11, 30, 64, 65, 66, 130], range(40, 0, -3),
-           [7, 7, 3, 7, 12, 3, 12], [1], [2], [3], [4], [77]]
+           [7, 7, 3, 7, 12, 3, 12], [1], [2], [3], [4], [77],
+           # one call per entry, the cache and memo kept between them: the memo
+           # falls from level 90 to 8, then a gapped block climbs past it
+           ([90], [60], [30], [8], range(5, 70), [130])]
 # at H = 0.75, g_13..g_17 and g_19 need rung (32, 48) here, their neighbours
 # only (24, 32); g_2..g_12 exhaust the ladder
 _TIGHT = QuadratureConfig(abs_tol=1.5e-15, rel_tol=1.5e-15)
+# at H = 0.97 the interiors of levels 32, 39, 43, 45, 47, 53, 62-64, 68 and 69
+# of this sweep need rung (32, 48) here and 43, 47, 63, 68 and 69 rung (48, 64);
+# every other listed level stops at (24, 32), and most unlisted ones exhaust
+_TIGHTER = QuadratureConfig(abs_tol=1e-300, rel_tol=3e-16)
+_TIGHTER_SWEEP = [20, 27, 32, 36, 39, 41, 43, 45, 47, 53, 54, 55, 60, 62, 63, 64, 67, 68, 69, 70]
+
+
+def _memo_rows():
+    """(a, n, x**-a, d, b) of every memo entry, cut to the rows of its level n."""
+    return {rung: (a, n, x_pow[:n - 3].tobytes(), d[:n - 3].tobytes(), b[:n - 3].tobytes())
+            for rung, (a, n, x, x_pow, d, b) in coefficients._POWER_MEMO.items()}
+
+
+def _assert_memo_matches_level_by_level(params, calls, cfg):
+    """The memo after calls equals the one that building each level alone leaves.
+
+    The levels are built one coefficient_table call at a time, in the order
+    the calls build them (each call's missing levels ascending), and every
+    entry's rows must equal the powers of its level computed from nothing.
+    """
+    got = _memo_rows()
+    clear_table_cache()
+    for levels in calls:
+        for n in sorted(set(levels)):
+            coefficient_table(params, n, cfg)
+    assert _memo_rows() == got
+    for (qo, qi), (a, n, x_pow, d, b) in got.items():
+        xi, _ = _gl01(qo)
+        v, _ = _gl01(qi)
+        x = np.arange(1.0, n - 2.0)[:, None] + xi
+        d_ref = (n - 1.0) - x[::-1]
+        assert x_pow == (x ** -a).tobytes()
+        assert d == d_ref.tobytes()
+        assert b == ((v + d_ref[..., None]) ** (a - 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("H, sigma, cfg, sweeps", [
     *((H, sigma, DEFAULT_QUAD, _SWEEPS)
       for H in (0.5005, 0.75, 0.97, 0.999) for sigma in (1.0, 2.5)),
     (0.75, 1.0, _TIGHT, [range(13, 61), [40, 19, 18, 17, 13], [18], [17]]),
+    (0.97, 1.0, _TIGHTER, [_TIGHTER_SWEEP, (_TIGHTER_SWEEP[::-1], _TIGHTER_SWEEP)]),
 ])
 def test_batched_tables_match_level_by_level_oracles(H, sigma, cfg, sweeps):
     # each sweep starts from an empty cache and memo; 1..70 spans two blocks
     want = {}
-    for levels in sweeps:
+    params = HurstParams(H, sigma)
+    for sweep in sweeps:
+        calls = sweep if isinstance(sweep, tuple) else (sweep,)
         clear_table_cache()
-        got = coefficient_tables(HurstParams(H, sigma), levels, cfg)
-        assert [t.n for t in got] == list(levels)
-        for t in got:
-            assert type(t.g) is float and type(t.g_err) is float
-            ref = want.setdefault(t.n, _fresh_table_bytes(H, sigma, t.n, cfg))
-            assert (t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)) == ref, t.n
+        for levels in calls:
+            got = coefficient_tables(params, levels, cfg)
+            assert [t.n for t in got] == list(levels)
+            for t in got:
+                assert type(t.g) is float and type(t.g_err) is float
+                ref = want.setdefault(t.n, _fresh_table_bytes(H, sigma, t.n, cfg))
+                assert (t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)) == ref, t.n
+        _assert_memo_matches_level_by_level(params, calls, cfg)
     clear_table_cache()
+
+
+def test_tighter_sweep_sends_a_gapped_subset_up_the_ladder(monkeypatch):
+    # the _TIGHTER case above is only as strong as the rungs it reaches
+    reached = {}
+    real = coefficients._j_interior_rows
+
+    def recording(a, levels, width, qo, qi):
+        reached.setdefault((qo, qi), []).extend(levels.tolist())
+        return real(a, levels, width, qo, qi)
+
+    monkeypatch.setattr(coefficients, "_j_interior_rows", recording)
+    clear_table_cache()
+    coefficient_tables(HurstParams(0.97), _TIGHTER_SWEEP, _TIGHTER)
+    clear_table_cache()
+    assert reached[_ORDER_LADDER[1]] == _TIGHTER_SWEEP
+    assert reached[_ORDER_LADDER[2]] == [32, 39, 43, 45, 47, 53, 62, 63, 64, 68, 69]
+    assert reached[_ORDER_LADDER[3]] == [43, 47, 63, 68, 69]
+
+
+@pytest.mark.parametrize("qo", sorted({qo for qo, _ in _ORDER_LADDER}))
+def test_rows_outside_the_crossing_set_keep_their_d_bits(qo):
+    # from level n-1 to n, row k moves from m-1 = n-4-k to m: exhaustively over
+    # m <= 2^13, only the rows _crossing_rows lists may change d
+    xi, _ = _gl01(qo)
+    m = np.arange(2, 2**13 + 1)
+    delta = (m[:, None] + xi) - m[:, None]
+    for k in (0, 1, 2, 3, 6, 31, 32, 1000, 2**13):
+        n = m + k + 3
+        t, rows = _crossing_rows(n - 1, n, n - 4)
+        crossing = np.zeros(len(m), dtype=bool)
+        crossing[t[rows == k]] = True
+        assert m[crossing].tolist() == [1 << e for e in range(1, 14)]
+        d_n = (n - 1.0)[:, None] - (m[:, None] + xi)
+        d_prev = (n - 2.0)[:, None] - ((m - 1)[:, None] + xi)
+        assert np.array_equal(d_n[~crossing].view(np.int64), d_prev[~crossing].view(np.int64))
+    # fl(m + xi) - m, and so d, depends on the binade of m alone
+    same = (delta[1:] == delta[:-1]).all(axis=1)
+    assert same[(m[1:] & (m[1:] - 1)) != 0].all()
+
+
+def test_crossing_rows_are_the_binade_changes():
+    # gapped, descending and repeated steps: the runs list each row whose m
+    # changes binade exactly once, and no other, below kept
+    rng = np.random.default_rng(5)
+    prev = np.concatenate([rng.integers(0, 3000, 200), [4, 9, 130, 2**12 + 3, 77]])
+    levels = np.concatenate([rng.integers(4, 3000, 200), [4, 130, 9, 2**12 + 4, 77]])
+    kept = np.minimum(np.maximum(prev - 3, 0), levels - 3)
+    t, k = _crossing_rows(prev, levels, kept)
+    assert np.all(np.diff(t) >= 0)
+    for s, (p, n, top) in enumerate(zip(prev.tolist(), levels.tolist(), kept.tolist())):
+        rows = np.arange(top)
+        want = rows[np.frexp(n - 3.0 - rows)[1] != np.frexp(p - 3.0 - rows)[1]]
+        assert sorted(k[t == s].tolist()) == want.tolist(), (p, n)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
