@@ -16,13 +16,21 @@ byte's sum accumulated left-to-right from 0.0 (realised with 256-entry
 lookup tables; padding weights are zero).  Equality in law of the
 reversed-coefficient walk with the split tail walk is realised by feeding
 the sampler reversed weights; no separate variable is kept.
+
+Both proportions are probabilities of one law, the Rademacher sum
+Y = sum_k w_k xi_k of a SignSum: the level-n share of arbitrage points
+counts arbitrage_event on the level weights j_n, the limit counts
+|Y^(K)| > g_H on the K-truncated limit weights.  SignSum.estimates counts
+every event on the same words, all 2^m of them for a finite law of at most
+_EXACT_LEVEL_MAX weights and cfg's sample stream otherwise; a truncated
+limit law is always sampled.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +45,7 @@ __all__ = [
     "DEFAULT_TRUNCATION_K",
     "McConfig",
     "McEstimate",
+    "SignSum",
     "resolve_truncation",
     "limit_weights",
     "sample_limit_variable",
@@ -145,8 +154,6 @@ def limit_weights(params: HurstParams, K: int) -> np.ndarray:
 
 def _block_tables(w: np.ndarray) -> np.ndarray:
     """Per-byte lookup tables T[b, idx] = sum_j (+-w_{8b+j}) over idx bits."""
-    if len(w) > (1 << 20):
-        raise TruncationError(f"sampling with K={len(w)} weights exceeds the 2^20 sampler cap")
     nblocks = (len(w) + 7) // 8
     padded = np.zeros(8 * nblocks)
     padded[: len(w)] = w
@@ -218,8 +225,7 @@ def _sample_with_weights(w: np.ndarray, cfg: McConfig) -> np.ndarray:
 
 def sample_limit_variable(params: HurstParams, cfg: McConfig) -> np.ndarray:
     """i.i.d. samples of the truncated limit variable Y^(K)."""
-    K, _ = resolve_truncation(params, cfg)
-    return _sample_with_weights(limit_weights(params, K), cfg)
+    return _sample_with_weights(SignSum.limit(params, cfg).head, cfg)
 
 
 def _z_value(confidence: float) -> float:
@@ -241,70 +247,92 @@ def _interval(count: int, n: int, confidence: float) -> tuple[float, float, floa
     return stderr, max(lo, 0.0), min(hi, 1.0)
 
 
-def _estimate(hits: int, cfg: McConfig, K: int, tail_sd: float = 0.0,
-              bias_window: Optional[tuple[float, float]] = None) -> McEstimate:
-    """The sampled estimate hits / cfg.samples; bias_window defaults to the point."""
-    p = hits / cfg.samples
-    stderr, lo, hi = _interval(hits, cfg.samples, cfg.confidence)
-    return McEstimate(
-        p_hat=p, stderr=stderr, ci_low=lo, ci_high=hi, samples=cfg.samples, K=K,
-        seed=cfg.seed, generator=_GENERATOR_ID, confidence=cfg.confidence,
-        tail_sd=tail_sd, bias_window=(p, p) if bias_window is None else bias_window,
-    )
+@dataclass(frozen=True, eq=False)
+class SignSum:
+    """The law of the Rademacher sum Y = sum_k head[k-1] xi_k.
+
+    tail_sd is None for a finite level's law; for the K-truncated limit law
+    it is the standard deviation of the discarded tail sum_{k>K} w_k xi_k.
+    """
+
+    head: np.ndarray
+    tail_sd: Optional[float] = None
+
+    @classmethod
+    def limit(cls, params: HurstParams, cfg: McConfig) -> "SignSum":
+        """The limit law truncated at cfg's K, with its exact tail sd."""
+        K, tail_sd = resolve_truncation(params, cfg)
+        return cls(limit_weights(params, K), tail_sd)
+
+    def estimates(self, events: Sequence[Callable[[np.ndarray], np.ndarray]],
+                  cfg: McConfig) -> list[McEstimate]:
+        """P(event(Y)) for each event, which maps values of Y to a boolean mask.
+
+        All events are counted on the same words: every one of the 2^K sign
+        words for a finite law of K <= _EXACT_LEVEL_MAX weights, else cfg's
+        sample stream, which refuses more than _SAMPLER_K_CAP weights.
+        """
+        K = len(self.head)
+
+        def counts(y: np.ndarray) -> list[int]:
+            return [int(np.count_nonzero(event(y))) for event in events]
+
+        exact = self.tail_sd is None and K <= _EXACT_LEVEL_MAX
+        if exact:
+            total, hits = 1 << K, counts(level_sign_values(self.head))
+        elif K > _SAMPLER_K_CAP:
+            raise TruncationError(f"sampling {K} weights exceeds the sampler cap {_SAMPLER_K_CAP}")
+        else:
+            total = cfg.samples
+            hits = map(sum, zip(*_map_chunks(_block_tables(self.head), cfg, counts)))
+        out = []
+        for hit in hits:
+            p = hit / total
+            stderr, lo, hi = (0.0, p, p) if exact else _interval(hit, total, cfg.confidence)
+            out.append(McEstimate(
+                p_hat=p, stderr=stderr, ci_low=lo, ci_high=hi, samples=total, K=K,
+                seed=cfg.seed, generator="exact-enumeration" if exact else _GENERATOR_ID,
+                confidence=cfg.confidence, tail_sd=self.tail_sd or 0.0, bias_window=(p, p),
+                exact=exact,
+            ))
+        return out
 
 
 def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> McEstimate:
-    """Estimate of P(|Y| > g_H) from the truncated sampler.
+    """Estimate of P(|Y^(K)| > g_H) from the truncated sampler.
 
-    The limit event is strict (the limit law is atomless); the reported bias
-    window brackets the untruncated probability as
-    [P(|Y^(K)| > g_H + d), P(|Y^(K)| > g_H - d)] with d = 6 * tail_sd.
-    threads is accepted for compatibility and ignored: sampling always runs
-    on the calling thread.
+    The limit event is strict (the limit law is atomless).  The reported
+    bias window is [P(|Y^(K)| > g_H + d), P(|Y^(K)| > g_H - d)] with
+    d = 6 * tail_sd: the truncated law's proportion with its threshold moved
+    by six discarded-tail standard deviations.  It is a sensitivity of the
+    truncated answer, not a bracket of the untruncated P(|Y| > g_H)
+    (ROADMAP item 1).  threads is accepted for compatibility and ignored:
+    sampling always runs on the calling thread.
     """
-    K, tail_sd = resolve_truncation(params, cfg)
-    tables = _block_tables(limit_weights(params, K))
-    g = params.g_H
-    delta = 6.0 * tail_sd
-
-    def counts(y: np.ndarray) -> tuple[int, int, int]:
-        y = np.abs(y)
-        return (
-            int(np.count_nonzero(y > g)),
-            int(np.count_nonzero(y > g + delta)),
-            int(np.count_nonzero(y > g - delta)),
-        )
-
-    hit, hit_lo, hit_hi = map(sum, zip(*_map_chunks(tables, cfg, counts)))
-    return _estimate(hit, cfg, K, tail_sd, (hit_lo / cfg.samples, hit_hi / cfg.samples))
+    law = SignSum.limit(params, cfg)
+    g, d = params.g_H, 6.0 * law.tail_sd
+    est, lo, hi = law.estimates([lambda y: np.abs(y) > g, lambda y: np.abs(y) > g + d,
+                                 lambda y: np.abs(y) > g - d], cfg)
+    return replace(est, bias_window=(lo.p_hat, hi.p_hat))
 
 
 def _level_estimate(table: CoefficientTable, offset: float,
                     cfg: McConfig) -> tuple[McEstimate, McEstimate]:
     """(P(u <= -a or d >= -a), P(u < -a or d > -a)) at level n from one pass.
 
-    Both are the census's arbitrage_event, counted on the same words: every
-    sign word when the word length n-1 is at most _EXACT_LEVEL_MAX, else
-    cfg's sample stream.  A level whose sums can overflow raises ValueError,
-    as in the census.
+    Both are the census's arbitrage_event on the level law SignSum(table.j).
+    A level whose sums can overflow raises ValueError, as in the census.
     """
     _finite_tolerance(table, offset)
-    K = table.n - 1
+    return tuple(SignSum(table.j).estimates(
+        [functools.partial(arbitrage_event, g=table.g, o=offset, strict=strict)
+         for strict in (False, True)], cfg))
 
-    def counts(y: np.ndarray) -> tuple[int, int]:
-        return tuple(int(np.count_nonzero(arbitrage_event(y, table.g, offset, strict)))
-                     for strict in (False, True))
 
-    if K > _EXACT_LEVEL_MAX:
-        hits = map(sum, zip(*_map_chunks(_block_tables(table.j), cfg, counts)))
-        return tuple(_estimate(h, cfg, K) for h in hits)
-    total = 1 << K
-    probs = [h / total for h in counts(level_sign_values(table.j))]
-    return tuple(McEstimate(
-        p_hat=p, stderr=0.0, ci_low=p, ci_high=p, samples=total, K=K, seed=cfg.seed,
-        generator="exact-enumeration", confidence=cfg.confidence, tail_sd=0.0,
-        bias_window=(p, p), exact=True,
-    ) for p in probs)
+def _check_table(params: HurstParams, n: int, table: CoefficientTable) -> None:
+    if (table.n, table.params) != (n, params):
+        raise ValueError(f"table of level {table.n}, H={table.params.H}, sigma={table.params.sigma}"
+                         f" does not match n={n}, H={params.H}, sigma={params.sigma}")
 
 
 def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
@@ -314,8 +342,7 @@ def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
     The finite-level set uses the non-strict inequality (the arbitrage-set
     convention), unlike the strict limit event.  Deeper levels are sampled.
     """
-    if table.n != n:
-        raise ValueError(f"table level {table.n} does not match n={n}")
+    _check_table(params, n, table)
     if not math.isfinite(drift_offset):
         raise ValueError(f"drift_offset must be finite, got {drift_offset}")
     return _level_estimate(table, drift_offset, cfg)[0]
@@ -332,8 +359,7 @@ def exceedance_frequency(params: HurstParams, n_list: Sequence[int], cfg: McConf
 
 def split_variances(params: HurstParams, n: int, table: CoefficientTable) -> tuple[float, float]:
     """(var of the head walk i < i_n, var of the tail walk i >= i_n)."""
-    if table.n != n:
-        raise ValueError(f"table level {table.n} does not match n={n}")
+    _check_table(params, n, table)
     cut = table.split_index - 1
     return float(np.sum(table.j[:cut] ** 2)), float(np.sum(table.j[cut:] ** 2))
 

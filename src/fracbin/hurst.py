@@ -82,12 +82,9 @@ class HurstParams:
         object.__setattr__(self, "g_H", self.sigma * c / (self.H + 0.5))
 
 
-def _check_h(h: float, allow_boundary: bool) -> None:
-    lo_ok = h > 0.5 or (allow_boundary and h == 0.5)
-    if not (lo_ok and h < 0.75):
-        raise ValueError(
-            f"h must lie in (1/2, 3/4) (boundary 1/2 requires allow_boundary), got {h}"
-        )
+def _check_h(h: float) -> None:
+    if not 0.5 < h < 0.75:
+        raise ValueError(f"h must lie in (1/2, 3/4), got {h}")
 
 
 @lru_cache(maxsize=256)
@@ -107,14 +104,14 @@ def _series_coeffs(h: float, terms: int = _RHO_SERIES_TERMS) -> tuple[float, ...
     return tuple(out)
 
 
-def rho(h: float, k, *, allow_boundary: bool = False):
+def rho(h: float, k):
     """Autocovariance rho_h(k) for integer lags k >= 1 (scalar or array).
 
     Direct second difference for small k; for k >= 64 the binomial series
     around k^{2h} is used to avoid catastrophic cancellation.  Nonnegative
-    for all valid (h, k); identically 0 at the test boundary h = 1/2.
+    for all valid (h, k).
     """
-    _check_h(h, allow_boundary)
+    _check_h(h)
     k_in = np.asarray(k, dtype=np.float64)
     k_arr = np.atleast_1d(k_in)
     if np.any(k_arr < 1):
@@ -136,19 +133,6 @@ def rho(h: float, k, *, allow_boundary: bool = False):
     return out.reshape(k_in.shape)
 
 
-def rho_partial_sum(h: float, K: int) -> float:
-    """Partial sum of rho_h(k) itself (not squared), k = 1..K.
-
-    Grows like K^{2h-1}; the full series diverges.
-    """
-    _check_h(h, allow_boundary=True)
-    total = 0.0
-    for lo in range(1, K + 1, _DIRECT_SUM_MAX):
-        hi = min(K, lo + _DIRECT_SUM_MAX - 1)
-        total += float(np.sum(rho(h, np.arange(lo, hi + 1), allow_boundary=True)))
-    return total
-
-
 def rho_pow_tail(h: float, K: int, power: int = 2) -> float:
     """Exact-value tail sum_{k>K} rho_h(k)^power for even power in {2,4,6,8}.
 
@@ -157,7 +141,7 @@ def rho_pow_tail(h: float, K: int, power: int = 2) -> float:
     valid; the neglected series remainder is ~K^{-2*terms} relative, i.e.
     far below double precision here.
     """
-    _check_h(h, allow_boundary=False)
+    _check_h(h)
     if power not in (2, 4, 6, 8):
         raise ValueError("power must be one of 2, 4, 6, 8")
     if K < _RHO_SERIES_MIN_K:
@@ -174,9 +158,7 @@ def rho_pow_tail(h: float, K: int, power: int = 2) -> float:
 
 def rho_sq_partial(h: float, K: int) -> float:
     """Partial sum of rho_h(k)^2 for k = 1..K (direct for moderate K)."""
-    _check_h(h, allow_boundary=True)
-    if h == 0.5:
-        return 0.0
+    _check_h(h)
     if K <= _DIRECT_SUM_MAX:
         k = np.arange(1, K + 1)
         return float(np.sum(rho(h, k) ** 2))
@@ -186,48 +168,22 @@ def rho_sq_partial(h: float, K: int) -> float:
 @lru_cache(maxsize=256)
 def rho_sq_total(h: float) -> float:
     """Full series sum_{k>=1} rho_h(k)^2 (direct head + zeta tail)."""
-    _check_h(h, allow_boundary=False)
+    _check_h(h)
     head = rho_sq_partial(h, 1000)
     return head + rho_pow_tail(h, 1000, 2)
-
-
-@lru_cache(maxsize=64)
-def envelope_constant(h: float) -> float:
-    """Envelope b_h with rho_h(k) <= b_h * k^{-beta}, beta = 2-2h.
-
-    Taken as the supremum of rho_h(k) k^beta over k <= 1e4 and verified
-    against the next 1e4 lags (the ratio is decreasing towards h(2h-1)).
-    """
-    _check_h(h, allow_boundary=False)
-    beta = 2.0 - 2.0 * h
-    k1 = np.arange(1, 10**4 + 1)
-    b = float(np.max(rho(h, k1) * k1**beta))
-    k2 = np.arange(10**4 + 1, 2 * 10**4 + 1)
-    if float(np.max(rho(h, k2) * k2**beta)) > b:
-        raise AssertionError("envelope constant not attained on the head range")
-    return b
-
-
-def envelope_tail_bound(h: float, K: int) -> float:
-    """Integral-comparison tail bound b_h^2 * K^{1-2beta} / (2beta - 1)."""
-    beta = 2.0 - 2.0 * h
-    b = envelope_constant(h)
-    return b * b * K ** (1.0 - 2.0 * beta) / (2.0 * beta - 1.0)
 
 
 @dataclass(frozen=True)
 class RhoTailSum:
     """A truncation point K with the partial sum of rho^2 and a certified tail.
 
-    tail_bound is the series/zeta tail value (exact up to fp); the looser
-    envelope bound is retained for cross-checks.
+    tail_bound is the series/zeta tail value (exact up to fp).
     """
 
     h: float
     K: int
     partial_sum_sq: float
     tail_bound: float
-    envelope_bound: float
 
 
 def rho_sq_sum(h: float, target_tail: float, k_cap: int = _DEFAULT_K_CAP) -> RhoTailSum:
@@ -237,7 +193,7 @@ def rho_sq_sum(h: float, target_tail: float, k_cap: int = _DEFAULT_K_CAP) -> Rho
     only decays like K^{1-2beta}, so ambitious targets are genuinely
     unreachable for h near 3/4.
     """
-    _check_h(h, allow_boundary=False)
+    _check_h(h)
     if not target_tail > 0:
         raise ValueError("target_tail must be positive")
     if rho_pow_tail(h, k_cap, 2) > target_tail:
@@ -258,14 +214,8 @@ def rho_sq_sum(h: float, target_tail: float, k_cap: int = _DEFAULT_K_CAP) -> Rho
             else:
                 hi = mid
         K = hi
-    tail = rho_pow_tail(h, K, 2)
-    return RhoTailSum(
-        h=h,
-        K=K,
-        partial_sum_sq=rho_sq_partial(h, K),
-        tail_bound=tail,
-        envelope_bound=envelope_tail_bound(h, K),
-    )
+    return RhoTailSum(h=h, K=K, partial_sum_sq=rho_sq_partial(h, K),
+                      tail_bound=rho_pow_tail(h, K, 2))
 
 
 def solve_critical_hurst(tol: float = 1e-8) -> tuple[float, float]:

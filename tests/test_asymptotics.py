@@ -259,6 +259,74 @@ def test_level_proportions_converge_to_limit(p08, monkeypatch):
     assert gaps[-1] < gaps[0]
 
 
+def test_level_functions_refuse_a_table_of_other_params(p09):
+    # a table built for other (H, sigma) must not answer for these params
+    t = coefficient_table(p09, 12)
+    cfg = McConfig(samples=10, truncation_k=11)
+    for other in (HurstParams(0.6), HurstParams(0.9, sigma=2.0)):
+        with pytest.raises(ValueError, match="does not match"):
+            finite_level_proportion(other, 12, 0.0, t, cfg)
+        with pytest.raises(ValueError, match="does not match"):
+            split_variances(other, 12, t)
+    assert finite_level_proportion(p09, 12, 0.0, t, cfg).exact
+
+
+def _abs_above(g):
+    return lambda y: np.abs(y) > g
+
+
+def test_sign_sum_route_rule(p08):
+    # a finite law is enumerated up to _EXACT_LEVEL_MAX weights; a truncated
+    # limit law is sampled whatever its K
+    cfg = McConfig(samples=2000, seed=4, truncation_k=20)
+    event = [_abs_above(p08.g_H)]
+    (at_max,) = asym.SignSum(asym.limit_weights(p08, 20)).estimates(event, cfg)
+    assert at_max.exact and at_max.generator == "exact-enumeration"
+    assert at_max.samples == 2**20 and at_max.stderr == 0.0
+    (past_max,) = asym.SignSum(asym.limit_weights(p08, 21)).estimates(event, cfg)
+    assert not past_max.exact and past_max.generator != "exact-enumeration"
+    assert past_max.samples == 2000 and past_max.tail_sd == 0.0
+    law = asym.SignSum.limit(p08, cfg)
+    assert len(law.head) == 20 and law.tail_sd > 0.0
+    (limit,) = law.estimates(event, cfg)
+    assert not limit.exact and limit.samples == 2000 and limit.tail_sd == law.tail_sd
+
+
+def test_sign_sum_sampled_ci_contains_enumerated_level(p08, monkeypatch):
+    t = coefficient_table(p08, 15)
+    event = [lambda y: np.abs(y) >= t.g]
+    (exact,) = asym.SignSum(t.j).estimates(event, McConfig(samples=10))
+    monkeypatch.setattr(asym, "_EXACT_LEVEL_MAX", 13)
+    (sampled,) = asym.SignSum(t.j).estimates(event, McConfig(samples=20_000, seed=8))
+    assert exact.exact and not sampled.exact
+    assert sampled.ci_low <= exact.p_hat <= sampled.ci_high
+
+
+@pytest.mark.parametrize("K", [12, 40])
+def test_sign_sum_events_share_words(p08, K):
+    # counting events together gives each the estimate it gets alone
+    law = asym.SignSum(asym.limit_weights(p08, K))
+    cfg = McConfig(samples=9000, seed=6)
+    events = [_abs_above(0.5 * p08.g_H), _abs_above(p08.g_H), lambda y: y > 0.0]
+    together = law.estimates(events, cfg)
+    alone = [law.estimates([e], cfg)[0] for e in events]
+    assert [repr(e) for e in together] == [repr(e) for e in alone]
+    assert len({e.p_hat for e in together}) == 3
+
+
+def test_sign_sum_sampler_cap(monkeypatch):
+    def refuse(w):
+        raise AssertionError("a lookup table was built")
+
+    cfg = McConfig(samples=8, seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(asym, "_block_tables", refuse)
+        with pytest.raises(TruncationError, match="sampler cap"):
+            asym.SignSum(np.ones(asym._SAMPLER_K_CAP + 1), 0.0).estimates([_abs_above(1.0)], cfg)
+    (est,) = asym.SignSum(np.ones(asym._SAMPLER_K_CAP), 0.0).estimates([_abs_above(1.0)], cfg)
+    assert est.samples == 8 and not est.exact
+
+
 def test_split_variances_additivity(p08):
     n = 400
     t = coefficient_table(p08, n)

@@ -16,13 +16,7 @@ from fracbin import (
     rho_sq_total,
     solve_critical_hurst,
 )
-from fracbin.hurst import (
-    envelope_constant,
-    envelope_tail_bound,
-    rho_partial_sum,
-    rho_pow_tail,
-    rho_sq_partial,
-)
+from fracbin.hurst import rho_pow_tail, rho_sq_partial
 
 # 50-digit gamma-oracle values
 C_H_GOLDEN = {0.6: 1.0760051841318071863, 0.75: 1.0696446350319903241, 0.9: 0.81122064814335251477}
@@ -89,7 +83,6 @@ def test_rho_lag_one_closed_form():
 
 
 def test_rho_boundary_mode():
-    assert rho(0.5, 7, allow_boundary=True) == 0.0
     with pytest.raises(ValueError):
         rho(0.5, 7)
     with pytest.raises(ValueError):
@@ -130,15 +123,6 @@ def test_rho_lower_bound():
         assert np.all(rho(h, ks) >= h * (2 * h - 1) / (2.0 * ks ** (2.0 - 2.0 * h)))
 
 
-def test_rho_partial_sum_diverges():
-    # partial sums grow like K^{2h-1}: unbounded in K
-    h = 0.7
-    s2 = rho_partial_sum(h, 10**2)
-    s4 = rho_partial_sum(h, 10**4)
-    assert s4 > 5.0 * s2
-    assert s4 / s2 == pytest.approx(100.0 ** (2 * h - 1), rel=0.25)
-
-
 def test_rho_sq_total_golden():
     for h, want in RHO_SQ_TOTAL_GOLDEN.items():
         assert rho_sq_total(h) == pytest.approx(want, rel=1e-11)
@@ -167,7 +151,6 @@ def test_rho_sq_sum_golden():
     assert ts.K == 2892547
     assert ts.partial_sum_sq == pytest.approx(0.4443149204059508, rel=1e-10)
     assert ts.tail_bound <= 2e-2
-    assert ts.tail_bound <= ts.envelope_bound
 
 
 def test_rho_sq_sum_monotone_in_target():
@@ -194,14 +177,6 @@ def test_rho_sq_zeta_lower_bound():
 def test_rho_sq_sum_infeasible_target():
     with pytest.raises(TruncationError):
         rho_sq_sum(0.7, 1e-10)
-
-
-def test_envelope_dominates():
-    for h in (0.6, 0.7):
-        b = envelope_constant(h)
-        ks = np.arange(1, 20_001)
-        assert np.all(rho(h, ks) <= b * ks ** -(2.0 - 2.0 * h) + 1e-15)
-        assert envelope_tail_bound(h, 1000) >= rho_pow_tail(h, 1000, 2)
 
 
 def test_solve_critical_hurst_golden():
