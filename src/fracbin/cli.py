@@ -13,6 +13,8 @@ Exit codes: 0 success; 1 verify-check failure; 2 invalid configuration;
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -32,7 +34,14 @@ from .coefficients import (
 )
 from .errors import CapExceededError, QuadratureError, TruncationError
 from .hurst import HurstParams, rho_sq_total, solve_critical_hurst
-from .market import DEFAULT_ENUM_CAP, DriftSpec, MarketSpec, census, monotone_reach
+from .market import (
+    DEFAULT_ENUM_CAP,
+    DriftSpec,
+    MarketSpec,
+    _finite_tolerance,
+    census,
+    monotone_reach,
+)
 from .reports import render_csv, render_json, write_text
 
 EXIT_OK = 0
@@ -40,6 +49,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_CAP = 4
+
+# coeffs holds the j and j_err of levels 1..n, 8 n(n-1) bytes, and its JSON
+# report several times that; n = 4096 is the largest that fits
+_COEFFS_BUDGET_BYTES = 1 << 27
 
 _ENV_PREFIX = "FRACBIN_"
 
@@ -250,6 +263,9 @@ def _cmd_coeffs(rc: RunConfig) -> int:
     if rc.n < 1:
         raise ValueError(f"n must be >= 1, got {rc.n}")
     _check_level(rc.n)
+    if 8 * rc.n * (rc.n - 1) > _COEFFS_BUDGET_BYTES:
+        raise CapExceededError(f"coeffs n={rc.n} needs {8 * rc.n * (rc.n - 1)} bytes of tables, "
+                               f"above the {_COEFFS_BUDGET_BYTES}-byte budget")
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
     tables = coefficient_tables(params, range(1, rc.n + 1), quad)
@@ -391,10 +407,22 @@ def _cmd_convergence(rc: RunConfig) -> int:
     levels = [int(x) for x in rc.n_list.split(",") if x]
     for n in levels:
         _check_level(n)
+    tables = coefficient_tables(params, levels, quad)
+    # every number that a large sigma can overflow is checked before anything is sampled
+    with np.errstate(over="ignore"):
+        variances = []
+        for n, table in zip(levels, tables):
+            _finite_tolerance(table, 0.0)
+            variances.append(asym.split_variances(params, n, table))
+    try:
+        var_hat_limit = 4.0 * params.g_H**2 * rho_sq_total(params.h)
+    except OverflowError:
+        var_hat_limit = math.inf
+    if not all(map(math.isfinite, [var_hat_limit, *itertools.chain(*variances)])):
+        raise ValueError(f"sigma={rc.sigma!r} gives a non-finite variance (too large)")
     rows = []
-    for n, table in zip(levels, coefficient_tables(params, levels, quad)):
+    for n, table, (var_bar, var_hat) in zip(levels, tables, variances):
         est, strict = asym._level_estimate(table, 0.0, cfg)
-        var_bar, var_hat = asym.split_variances(params, n, table)
         rows.append((n, est.p_hat, est.stderr, est.ci_low, est.ci_high,
                      strict.p_hat, var_bar, var_hat))
     lim = asym.limit_proportion(params, cfg)
@@ -405,7 +433,7 @@ def _cmd_convergence(rc: RunConfig) -> int:
             for r in rows
         ],
         "limit": lim.to_dict(),
-        "var_hat_limit": 4.0 * params.g_H**2 * rho_sq_total(params.h),
+        "var_hat_limit": var_hat_limit,
         "regime": asym.regime_constants(params),
     }
     rows_csv = rows + [("limit", lim.p_hat, lim.stderr, lim.ci_low, lim.ci_high,

@@ -19,6 +19,8 @@ is still the same left-to-right sum.  One float rule classifies every node:
 arbitrage_event(y, g_n, o), fl(y + g) <= -o or fl(y - g) >= -o, on the
 canonical sum y (_node_sum for one word); is_arbitrage, monotone_reach and
 the finite-level estimates apply it, and the census's cuts mirror it.
+monotone_reach first screens its levels with closed-form weight brackets
+(_reach_screen) and applies the rule only where they cannot tell.
 
 Classification is by sorted blocks.  Round-to-nearest fl(x + c) is monotone
 in x, so the low sums, sorted once per level, stay sorted through the walk,
@@ -40,14 +42,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import (
-    _BATCH_LEVELS,
     DEFAULT_QUAD,
     CoefficientTable,
     QuadratureConfig,
     coefficient_table,
     coefficient_tables,
+    weight_brackets,
 )
-from .errors import CapExceededError, QuadratureError
+from .errors import CapExceededError
 from .hurst import HurstParams
 
 __all__ = [
@@ -490,6 +492,55 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     )
 
 
+# levels the reach screen brackets in its first block; each later block
+# doubles, up to _SCREEN_ENTRIES levels x (prefix columns + 1)
+_SCREEN_FIRST = 8
+_SCREEN_ENTRIES = 1 << 16
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _reach_screen(params: HurstParams, prefix: np.ndarray, direction: int, levels: np.ndarray,
+                  drift: DriftSpec, cfg: QuadratureConfig) -> np.ndarray:
+    """Per level of a monotone walk: 1 where its node surely is an arbitrage point, 0 where it
+    surely is not, -1 where only its table can tell.
+
+    The walk's node sum is y_L = sum_{i<=p} (s_i - d) j_L(i) + d sum_i j_L(i),
+    p = len(prefix), d = direction, so weight_brackets' brackets of the p
+    prefix columns, the full sum and g_L bracket y_L and g_L in real
+    arithmetic.  "Surely" means for every table the quadrature ladder may
+    accept and for the rounding of arbitrage_event on its canonical sum: both
+    inequalities are cleared by a slack of
+      * the table's quadrature error: each of its L-1 entries and g_L within
+        max(abs_tol, rel_tol |entry|) of its value, at most
+        L abs_tol + rel_tol/(1-rel_tol) (sum_hi + g_hi) in all;
+      * 8 gamma_{L+1} (sum_hi + g_hi + |o| + that error), gamma_n =
+        n u/(1 - n u): the left-to-right sum, y +- g and this screen's own
+        sums.
+    The brackets' evaluation error is already in their bounds.  The offset o
+    is offset_scaled's, bit for bit.  A level where 4 (sum_hi + g_hi + |o| +
+    error) is not finite (a sigma near overflow, a drift that overflows) is
+    left undecided, so its table route raises as it would without the screen.
+    """
+    br = weight_brackets(params, levels, len(prefix))
+    c = prefix - direction  # 0 or +-2 per prefix column
+    a1 = drift.value(1.0)  # the horizon is the level, so t = L/L = 1
+    o = np.array([(a1 / n) * n**params.H for n in levels.tolist()])
+    with np.errstate(all="ignore"):
+        y_lo = (np.minimum(c * br.j_lo, c * br.j_hi).sum(axis=1)
+                + np.minimum(direction * br.sum_lo, direction * br.sum_hi))
+        y_hi = (np.maximum(c * br.j_lo, c * br.j_hi).sum(axis=1)
+                + np.maximum(direction * br.sum_lo, direction * br.sum_hi))
+        rel = cfg.rel_tol / (1.0 - cfg.rel_tol) if cfg.rel_tol < 1.0 else math.inf
+        quad = levels * cfg.abs_tol + rel * (br.sum_hi + br.g_hi)
+        size = br.sum_hi + br.g_hi + np.abs(o) + quad
+        n_u = (levels + 1.0) * _UNIT_ROUNDOFF
+        slack = quad + 8.0 * n_u / (1.0 - n_u) * size
+        sure = (y_hi + br.g_hi + slack < -o) | (y_lo - br.g_hi - slack > -o)
+        never = (y_lo + br.g_lo - slack > -o) & (y_hi - br.g_lo + slack < -o)
+        finite = np.isfinite(4.0 * size)
+    return np.where(finite & sure, 1, np.where(finite & never, 0, -1))
+
+
 def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
                    n_max: int, drift: DriftSpec = ZERO_DRIFT,
                    cfg: QuadratureConfig = DEFAULT_QUAD) -> Optional[int]:
@@ -500,10 +551,16 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
     within n_max is returned as None.  Existence is a theorem, but near
     H = 1/2 the gap closes very slowly (at H = 0.51, prefix +-+-+-+-, up,
     y - g_L only moves from -0.943 at L = 100 to -0.880 at L = 3e4), so None
-    is a genuine result even for large n_max.  Tables are built in doubling
-    blocks (m = 1, 2..3, 4..7, ...) of at most _BATCH_LEVELS levels, so a hit
-    at m builds fewer than min(2m, m + _BATCH_LEVELS) levels; a level whose
-    sums can overflow raises ValueError.
+    is a genuine result even for large n_max.
+
+    Levels are screened in doubling blocks by _reach_screen, from closed-form
+    weight brackets.  Only a level the screen leaves undecided builds its
+    table and runs the test every classifier runs (arbitrage_event on the
+    canonical sum), so the answer is the one a table at every level gives,
+    and near H = 1/2 a walk to n_max = 1e4 builds no table at all.  A level
+    the screen decides runs no quadrature, so a tolerance the ladder cannot
+    meet fails only at an undecided level.  A level whose sums can overflow
+    raises ValueError.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -514,20 +571,21 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
         raise ValueError("prefix entries must be +-1")
     k = len(prefix) + 1
     signs = np.array(prefix + (direction,) * n_max, dtype=float)
-    built = 0
-    for m in range(1, n_max + 1):
-        level = k + m
-        if m > built:  # levels k+m..k+2m-1, no more than one batch of them
-            built = min(2 * m - 1, m + _BATCH_LEVELS - 1, n_max)
-            try:
-                coefficient_tables(params, range(level, k + built + 1), cfg)
-            except QuadratureError:
-                pass  # the levels below the failing one are cached; the walk raises there
-        table = coefficient_table(params, level, cfg)
-        o = drift.offset_scaled(level, level, params.H)
-        _finite_tolerance(table, o)
-        if arbitrage_event(_node_sum(signs[:level - 1], table.j), table.g, o):
-            return m
+    m, block = 1, _SCREEN_FIRST
+    while m <= n_max:
+        levels = np.arange(k + m, k + min(m + block, n_max + 1))
+        decided = _reach_screen(params, signs[:k - 1], direction, levels, drift, cfg)
+        for t in np.flatnonzero(decided).tolist():
+            level = k + m + t
+            if decided[t] < 0:
+                table = coefficient_table(params, level, cfg)
+                o = drift.offset_scaled(level, level, params.H)
+                _finite_tolerance(table, o)
+                if not arbitrage_event(_node_sum(signs[:level - 1], table.j), table.g, o):
+                    continue
+            return m + t
+        m += len(levels)
+        block = min(2 * block, max(1, _SCREEN_ENTRIES // k))
     return None
 
 

@@ -20,6 +20,7 @@ from .coefficients import (
     g_unscaled,
     j_coeff,
     turning_point,
+    weight_brackets,
 )
 from .hurst import HurstParams, rho_sq_total, solve_critical_hurst
 from .market import DriftSpec, MarketSpec, census, level_sign_values, monotone_reach
@@ -116,6 +117,22 @@ def check_brackets(n_max: int = 40) -> dict:
             if not (g_lo - t.g_err - 1e-12 <= t.g <= g_hi + t.g_err + 1e-12):
                 violations += 1
     return _check("coefficient_brackets", violations == 0, violations, 0)
+
+
+def check_weight_brackets(levels: tuple = (2, 3, 17, 200)) -> dict:
+    """Each column, the full sum and g_n of a table within weight_brackets' bounds (reach's screen)."""
+    violations = 0
+    for H in H_GRID:
+        p = HurstParams(H)
+        for n in levels:
+            t = coefficient_table(p, n)
+            b = weight_brackets(p, [n], n - 1)
+            total, total_err = float(np.sum(t.j)), float(np.sum(t.j_err))
+            violations += int(np.count_nonzero((t.j < b.j_lo[0] - t.j_err)
+                                               | (t.j > b.j_hi[0] + t.j_err)))
+            violations += not b.sum_lo[0] - total_err <= total <= b.sum_hi[0] + total_err
+            violations += not b.g_lo[0] - t.g_err <= t.g <= b.g_hi[0] + t.g_err
+    return _check("weight_brackets", violations == 0, violations, 0)
 
 
 def check_turning_point() -> dict:
@@ -256,6 +273,7 @@ _FAST_CHECKS = (
     check_goldens,
     check_scaling_law,
     check_brackets,
+    check_weight_brackets,
     check_turning_point,
     check_census_agreement,
     check_reach,
@@ -270,6 +288,7 @@ _FAST_CHECKS = (
 _FULL_SIZES = {
     "scaling_law": dict(tuples=30, n_cap=128),
     "brackets": dict(n_max=200),
+    "weight_brackets": dict(levels=(2, 3, 17, 200, 1000, 2000)),
     "variance_limit": dict(n=10**4, rel_tol=0.02),
     "limit_bounds": dict(samples=10**6),
     "cf": dict(samples=10**6),

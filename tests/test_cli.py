@@ -316,7 +316,9 @@ def test_threads_option_is_ignored(tmp_path, monkeypatch, argv):
     ["census", "--H", "0.9", "--N", "12", "--s0", "inf"],
     ["mc-level", "--n", "30", "--samples", "100", "--offset", "nan"],
     ["charfn", "--v-max", "nan"],
-], ids=["drift-nan", "poly-inf", "sigma-inf", "s0-inf", "offset-nan", "v-max-nan"])
+    ["convergence", "--n-list", "30", "--sigma", "1e300"],
+], ids=["drift-nan", "poly-inf", "sigma-inf", "s0-inf", "offset-nan", "v-max-nan",
+        "convergence-sigma"])
 def test_non_finite_options_exit_2(tmp_path, capsys, argv):
     rc, out = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
@@ -471,6 +473,72 @@ def test_level_cap_is_checked_before_building_any_table(tmp_path, monkeypatch, c
     assert rc == EXIT_VALIDATION
     assert not out.exists() and builds == []
     assert f"n must be at most 65537, got {level}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["1e154", "1e300", "1.7e308"])
+def test_convergence_with_an_overflowing_variance_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, sigma):
+    # g_H**2 or a level's sum of squares overflows while the level sums stay
+    # finite; nothing is sampled, and no numpy warning leaks
+    from fracbin import asymptotics
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the variances were checked")
+
+    monkeypatch.setattr(asymptotics.SignSum, "estimates", no_sampling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(["convergence", "--n-list", "30,10", "--sigma", sigma], tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert caught == []
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma, prefix, direction", [
+    ("1.7e308", "", "up"), ("1.7e308", "+-", "down"), ("1e308", "----", "up"),
+    ("1e308", "+-+-+-+-", "down"),
+])
+def test_reach_near_overflow_sigma_exits_2(tmp_path, capsys, sigma, prefix, direction):
+    # the bracket screen leaves a level whose sums can overflow to its table,
+    # whose non-finite tolerance stops the walk, at the default n_max too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(["reach", "--sigma", sigma, f"--prefix={prefix}", "--direction", direction],
+                      tmp_path)
+    assert rc == EXIT_VALIDATION
+    assert not out.exists()
+    assert caught == []
+    assert "non-finite boundary tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, budget, built", [
+    (4097, None, False), (65537, None, False), (4096, None, True), (201, 8 * 200 * 199, False),
+    (200, 8 * 200 * 199, True),
+], ids=["above", "level-cap", "edge", "patched-above", "patched-edge"])
+def test_coeffs_byte_budget(tmp_path, capsys, monkeypatch, n, budget, built):
+    # levels 1..n hold 8 n(n-1) bytes of j and j_err; past the budget coeffs
+    # exits 4 before any table is built
+    from fracbin import cli
+
+    if budget is not None:
+        monkeypatch.setattr(cli, "_COEFFS_BUDGET_BYTES", budget)
+    else:
+        assert 8 * 4096 * 4095 <= cli._COEFFS_BUDGET_BYTES < 8 * 4097 * 4096
+    builds = []
+    real = cli.coefficient_tables
+
+    def recording(params, levels, cfg):
+        builds.append(list(levels))
+        return real(params, levels, cfg) if budget is not None else []
+
+    monkeypatch.setattr(cli, "coefficient_tables", recording)
+    rc, out = run(["coeffs", "--n", str(n)], tmp_path)
+    if built:
+        assert rc == EXIT_OK and builds == [list(range(1, n + 1))]
+    else:
+        assert rc == EXIT_CAP and builds == [] and not out.exists()
+        assert f"coeffs n={n} needs {8 * n * (n - 1)} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -672,3 +673,49 @@ def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(cfg, levels):
     cached = {key[2] for key in coefficients._TABLE_CACHE}
     clear_table_cache()
     assert {n for n in levels if n < failing} <= cached
+
+
+@pytest.mark.parametrize("H", [0.501, 0.51, 0.6, 0.75, 0.9, 0.99])
+def test_weight_brackets_contain_every_weight(H):
+    # every column, the full sum and g_n, each within its quadrature error
+    p = HurstParams(H)
+    for t in coefficient_tables(p, list(range(2, 401)) + [1000, 2000]):
+        b = coefficients.weight_brackets(p, [t.n], t.n - 1)
+        assert np.all(b.j_lo[0] - t.j_err <= t.j) and np.all(t.j <= b.j_hi[0] + t.j_err), t.n
+        total, err = float(np.sum(t.j)), float(np.sum(t.j_err))
+        assert b.sum_lo[0] - err <= total <= b.sum_hi[0] + err, t.n
+        assert b.g_lo[0] - t.g_err <= t.g <= b.g_hi[0] + t.g_err, t.n
+    clear_table_cache()
+
+
+@pytest.mark.parametrize("H", [0.501, 0.6, 0.75, 0.99])
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+def test_weight_brackets_sum_is_the_closed_form_of_sum_I(H, n):
+    # sum_i I_n(i) = B(1-a,1+a) (1 - n I_{1/n}(1+a,1-a)), the factor both sum
+    # bounds share: s (n-1)^a and s n^a times it
+    p = HurstParams(H)
+    b = coefficients.weight_brackets(p, [n, n + 1], 1)
+    s = p.sigma * p.c_H
+    total = float(np.sum(I_integrals(H, n)))
+    assert b.sum_lo[0] / (s * (n - 1.0) ** p.alpha) == pytest.approx(total, rel=1e-9, abs=1e-10)
+    assert b.sum_hi[0] / (s * float(n) ** p.alpha) == pytest.approx(total, rel=1e-9, abs=1e-10)
+
+
+def test_weight_brackets_widths_shrink_like_one_over_n():
+    # what lets reach decide deep levels: the full sum's bracket is about a/n
+    # wide, relative, and a prefix column's about (1-a)/(n-i) + a/n
+    p = HurstParams(0.51)
+    levels = np.array([100, 1000, 10**4])
+    b = coefficients.weight_brackets(p, levels, 8)
+    assert np.all((b.sum_hi - b.sum_lo) / b.sum_lo <= 1.01 * p.alpha / (levels - 1.0) + 1e-12)
+    assert np.all(b.j_hi / b.j_lo - 1.0 <= 1.2 / (levels[:, None] - 9.0))
+    assert np.all((b.g_hi - b.g_lo) / b.g_lo <= 2.01 * p.alpha / (levels - 1.0))
+
+
+def test_weight_brackets_never_warn_near_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = coefficients.weight_brackets(HurstParams(0.75, 1.7e308), [2, 50], 1)
+    assert not np.all(np.isfinite(4.0 * (b.sum_hi + b.g_hi)))
+    with pytest.raises(ValueError):
+        coefficients.weight_brackets(HurstParams(0.75), [5, 3], 3)

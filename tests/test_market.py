@@ -1,5 +1,6 @@
 """Tree nodes, arbitrage classification, exact censuses, reach, stock paths."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -24,7 +25,8 @@ from fracbin import (
 )
 from fracbin import market
 from fracbin.cli import EXIT_CAP, main
-from fracbin.market import ZERO_DRIFT, level_sign_values
+from fracbin.coefficients import DEFAULT_QUAD, WeightBrackets, coefficient_tables
+from fracbin.market import ZERO_DRIFT, arbitrage_event, level_sign_values
 from fracbin.verify import gray_level_counts, naive_level_values
 
 # exact zero-drift census at H = 0.75, sigma = 1, N = 20 (frozen after the
@@ -403,6 +405,7 @@ def test_monotone_reach_agrees_with_is_arbitrage_on_a_rounding_tie(p075, monkeyp
                                    j_err=np.zeros(n - 1), g=g)
 
     monkeypatch.setattr(market, "coefficient_table", crafted)
+    monkeypatch.setattr(market, "weight_brackets", _undecided_brackets)
     left_to_right = 0.0
     for w in weights[:8]:
         left_to_right -= w
@@ -423,9 +426,9 @@ def test_monotone_reach_down_symmetry(p075):
 @pytest.mark.parametrize("H, prefix, steps", [
     (0.75, "---++-+-", 8), (0.75, "+", 3), (0.9, "+-+", 1), (0.9, "", 1), (0.61, "+", 175)])
 def test_monotone_reach_builds_at_most_twice_the_levels_it_uses(H, prefix, steps):
-    # tables are built in doubling blocks from level len(prefix) + 2 on, none
-    # longer than one batch: the late hit's block is m = 128..191, not 128..255
-    from fracbin.coefficients import _BATCH_LEVELS, _TABLE_CACHE, clear_table_cache
+    # a table is built for exactly the levels up to the hit that the bracket
+    # screen leaves undecided
+    from fracbin.coefficients import _TABLE_CACHE, clear_table_cache
 
     clear_table_cache()
     signs = tuple(1 if c == "+" else -1 for c in prefix)
@@ -433,8 +436,71 @@ def test_monotone_reach_builds_at_most_twice_the_levels_it_uses(H, prefix, steps
     built = {key[2] for key in _TABLE_CACHE}
     clear_table_cache()
     k = len(prefix) + 1
-    assert set(range(k + 1, k + steps + 1)) <= built
-    assert len(built) < min(2 * steps, steps + _BATCH_LEVELS) and min(built) == k + 1
+    levels = np.arange(k + 1, k + steps + 1)
+    decided = market._reach_screen(HurstParams(H), np.array(signs, dtype=float), 1, levels,
+                                   ZERO_DRIFT, DEFAULT_QUAD)
+    assert built == set(levels[decided < 0].tolist())
+
+
+def _undecided_brackets(params, levels, columns=0):
+    """weight_brackets with NaN bounds: the reach screen decides no level."""
+    rows = np.full((len(levels), columns), np.nan)
+    return WeightBrackets(rows, rows, *[np.full(len(levels), np.nan)] * 4)
+
+
+_WALKS = [(tuple(1 if c == "+" else -1 for c in word), direction)
+          for length in range(9) for word in map("".join, itertools.product("+-", repeat=length))
+          for direction in (1, -1)]
+
+
+def _table_route_reach(params, drifts, n_max):
+    """monotone_reach with a table at every level, for all of _WALKS at once.
+
+    Each walk's canonical sum at level L is the left-to-right
+    np.add.accumulate of its signs times j_L, as in _node_sum.
+    """
+    plen = np.array([len(word) for word, _ in _WALKS])
+    width = n_max + max(plen)
+    signs = np.array([word + (d,) * (width - len(word)) for word, d in _WALKS], dtype=float)
+    first = {drift: np.zeros(len(_WALKS), dtype=int) for drift in drifts}
+    for table in coefficient_tables(params, range(2, width + 2)):
+        level = table.n
+        y = np.add.accumulate(signs[:, :level - 1] * table.j, axis=1)[:, -1]
+        m = level - 1 - plen
+        for drift, found in first.items():
+            o = drift.offset_scaled(level, level, params.H)
+            hit = arbitrage_event(y, table.g, o) & (m >= 1) & (m <= n_max) & (found == 0)
+            found[hit] = m[hit]
+    return {drift: [int(m) or None for m in found] for drift, found in first.items()}
+
+
+@pytest.mark.parametrize("H", [0.51, 0.6, 0.75, 0.9])
+def test_screened_reach_equals_the_table_route(H):
+    # every prefix of up to 8 signs, both directions, three drifts; at
+    # H = 0.51 no walk hits, at H = 0.6 the constant drift keeps half of them
+    # from hitting, so both None and hits near the boundary are covered
+    p = HurstParams(H)
+    drifts = (ZERO_DRIFT, DriftSpec("constant", (0.5,)), DriftSpec("polynomial", (0.3, -2.0, 1.0)))
+    want = _table_route_reach(p, drifts, 400)
+    for drift in drifts:
+        got = [monotone_reach(p, word, d, 400, drift) for word, d in _WALKS]
+        assert got == want[drift], (H, drift)
+    # the reference is monotone_reach's own table route, on the walks of up to 2 signs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market, "weight_brackets", _undecided_brackets)
+        for drift in drifts:
+            forced = [monotone_reach(p, word, d, 400, drift) for word, d in _WALKS[:14]]
+            assert forced == want[drift][:14], (H, drift)
+
+
+def test_reach_to_ten_thousand_levels_builds_no_table(monkeypatch):
+    # the CLI default n_max; a table per level would be 10^4 tables (about
+    # 35 s and 0.8 GB)
+    def no_table(*args, **kwargs):
+        raise AssertionError("reach built a coefficient table")
+
+    monkeypatch.setattr(market, "coefficient_table", no_table)
+    assert monotone_reach(HurstParams(0.51), (1, -1) * 4, 1, 10**4) is None
 
 
 def test_monotone_reach_validation(p075):
