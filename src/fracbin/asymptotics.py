@@ -13,9 +13,11 @@ Generator.bytes.  Each sample consumes ceil(K/8) bytes, bit j of byte b
 (little-endian) being the sign of weight 8b+j+1.  The canonical float value
 of a sample is the sum of its per-byte partial sums in byte order, each
 byte's sum accumulated left-to-right from 0.0 (realised with 256-entry
-lookup tables; padding weights are zero).  Equality in law of the
-reversed-coefficient walk with the split tail walk is realised by feeding
-the sampler reversed weights; no separate variable is kept.
+lookup tables, built by in-place doubling; padding weights are zero).  A
+sampling run builds its word buffer and per-block byte views once and every
+chunk gathers through them.  Equality in law of the reversed-coefficient
+walk with the split tail walk is realised by feeding the sampler reversed
+weights; no separate variable is kept.
 
 Both proportions are probabilities of one law, the Rademacher sum
 Y = sum_k w_k xi_k of a SignSum: the level-n share of arbitrage points
@@ -39,7 +41,7 @@ from scipy.special import ndtri
 from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
 from .errors import TruncationError
 from .hurst import HurstParams, rho, rho_pow_tail, rho_sq_sum, rho_sq_total
-from .market import _finite_tolerance, arbitrage_event, level_sign_values
+from .market import _finite_tolerance, _sign_sums, arbitrage_event, level_sign_values
 
 __all__ = [
     "DEFAULT_TRUNCATION_K",
@@ -157,26 +159,37 @@ def _block_tables(w: np.ndarray) -> np.ndarray:
     nblocks = (len(w) + 7) // 8
     padded = np.zeros(8 * nblocks)
     padded[: len(w)] = w
-    t = np.zeros((nblocks, 1))
-    for j in range(8):
-        col = padded[j::8][:, None]
-        t = np.concatenate([t - col, t + col], axis=1)
-    return t
+    return _sign_sums(padded.reshape(nblocks, 8))
 
 
-def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int) -> np.ndarray:
+def _chunk_views(tables: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """(words, blocks) for chunks of up to n samples.
+
+    words is a (ceil(nblocks/8), n) buffer of little-endian words, one row
+    per 8 blocks; blocks[b] is (tables[b], byte b % 8 of word row b // 8).
+    """
+    nblocks = tables.shape[0]
+    words = np.empty(((nblocks + 7) // 8, n), dtype="<u8")
+    wbytes = words.view(np.uint8)
+    return words, [(tables[b], wbytes[b // 8, b % 8::8]) for b in range(nblocks)]
+
+
+def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
+                  views: Optional[tuple[np.ndarray, list]] = None) -> np.ndarray:
     """Values of one chunk: n samples, each eating nblocks bytes of Philox.
 
     The stream is Philox's 64-bit outputs read little-endian, the same bytes
     Generator.bytes emits, and it is prefix-stable: the first n*nblocks bytes
     do not depend on how many are drawn, so a sample's value does not depend
     on n.  Rows are zero-padded to whole words (pad bytes are never read) and
-    the (n, words) matrix is transposed in column blocks, so block b is byte
-    b % 8 of the contiguous word row b // 8.  Per-block partial sums are
-    added in byte order.
+    the (n, words) matrix is transposed in column blocks into the word buffer
+    of views, _chunk_views(tables, n') for some n' >= n; a sampling run builds
+    it once and passes it to every chunk, a short chunk using the prefix of
+    each byte column.  Per-block partial sums are added in byte order.
     """
     nblocks = tables.shape[0]
-    nwords = (nblocks + 7) // 8
+    words, blocks = _chunk_views(tables, n) if views is None else views
+    nwords = words.shape[0]
     key = np.array([seed, chunk_index], dtype=np.uint64)
     stream = np.random.Philox(key=key).random_raw((n * nblocks + 7) // 8)
     stream = stream.astype("<u8", copy=False)
@@ -187,19 +200,20 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int) -> np
         rows.view(np.uint8)[:, :nblocks] = stream.view(np.uint8)[: n * nblocks].reshape(n, nblocks)
     del stream
     # a 256-sample block of rows stays in cache while it is written out as columns
-    words = np.empty((nwords, n), dtype="<u8")
     for s in range(0, n, 256):
-        words[:, s:s + 256] = rows[s:s + 256].T
+        words[:, s:min(s + 256, n)] = rows[s:s + 256].T
     del rows
-    wbytes = words.view(np.uint8)
+    if n < words.shape[1]:
+        blocks = [(table, col[:n]) for table, col in blocks]
     part = np.empty(n)
     y = np.empty(n)
     # "wrap" lets take write into out; it never wraps, since uint8 indices lie
     # in [0, 255] and every table row holds 256 entries
-    np.take(tables[0], wbytes[0, 0::8], out=y, mode="wrap")
-    for b in range(1, nblocks):
-        np.take(tables[b], wbytes[b // 8, b % 8::8], out=part, mode="wrap")
-        y += part
+    table, col = blocks[0]
+    table.take(col, out=y, mode="wrap")
+    for table, col in blocks[1:]:
+        table.take(col, out=part, mode="wrap")
+        np.add(y, part, out=y)
     return y
 
 
@@ -209,13 +223,15 @@ def _map_chunks(tables: np.ndarray, cfg: McConfig,
 
     Chunk c holds samples c*_CHUNK onwards; the last chunk draws only its
     kept prefix, which the prefix-stable stream makes equal to the head of a
-    full chunk, so a sample's value never depends on cfg.samples.
+    full chunk, so a sample's value never depends on cfg.samples.  The word
+    buffer and block views are built once and shared by every chunk.
     """
     nchunks = (cfg.samples + _CHUNK - 1) // _CHUNK
+    views = _chunk_views(tables, min(_CHUNK, cfg.samples))
     out = []
     for c in range(nchunks):
         n = min(_CHUNK, cfg.samples - c * _CHUNK)
-        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, n)))
+        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, n, views)))
     return out
 
 

@@ -269,6 +269,10 @@ def _cmd_coeffs(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
     tables = coefficient_tables(params, range(1, rc.n + 1), quad)
+    # an overflowed entry would be written as Infinity or NaN, which strict JSON rejects
+    entries = [a for t in tables for a in (t.j, t.j_err, (t.g, t.g_err))]
+    if entries and not np.isfinite(np.concatenate(entries)).all():
+        raise ValueError(f"sigma={rc.sigma!r} gives a non-finite table value (too large)")
     if rc.output_format == "csv":
         base = rc.output_path if rc.output_path != "-" else "coeffs"
         write_tables_csv(tables, f"{base}_j.csv", f"{base}_g.csv")

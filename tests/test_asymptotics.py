@@ -123,6 +123,40 @@ def test_short_chunk_values_match_column_reference(p08, K, n):
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
+def _concatenated_block_tables(w):
+    # reference route: the tables grown one bit at a time by concatenation
+    nblocks = (len(w) + 7) // 8
+    padded = np.zeros(8 * nblocks)
+    padded[: len(w)] = w
+    t = np.zeros((nblocks, 1))
+    for j in range(8):
+        col = padded[j::8][:, None]
+        t = np.concatenate([t - col, t + col], axis=1)
+    return t
+
+
+@pytest.mark.parametrize("K", [1, 7, 8, 9, 20, 1999, 8192])
+def test_block_tables_equal_the_concatenation_route(p08, K):
+    w = asym.limit_weights(p08, K)
+    got, want = asym._block_tables(w), _concatenated_block_tables(w)
+    assert got.shape == want.shape == ((K + 7) // 8, 256) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("K", [20, 1999, 8192])
+def test_shared_views_serve_every_chunk_of_a_run(p08, K):
+    # one run's word buffer and block views, reused by three full chunks and
+    # a short tail whose width is not a multiple of the 256-sample transpose
+    # block; each chunk's values stay its own after later chunks reuse the buffer
+    tables = asym._block_tables(asym.limit_weights(p08, K))
+    views = asym._chunk_views(tables, 700)
+    sizes = [700, 700, 700, 301]
+    got = [asym._chunk_values(tables, 31, c, n, views) for c, n in enumerate(sizes)]
+    for c, (n, y) in enumerate(zip(sizes, got)):
+        expect = _column_chunk_values(tables, 31, c, n)
+        np.testing.assert_array_equal(y.view(np.uint64), expect.view(np.uint64))
+
+
 @pytest.mark.parametrize("K", [20, 1999, 8192])
 def test_partial_last_chunk_is_a_prefix_of_whole_chunks(p08, K):
     # the last chunk draws only its kept samples; they must equal the head

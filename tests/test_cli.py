@@ -365,20 +365,26 @@ def test_census_with_a_non_finite_tolerance_exits_2(tmp_path, capsys, command, s
     assert "non-finite boundary tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["reach", "--sigma", "1e308", "--prefix=+-", "--n-max", "20"],
-    ["mc-level", "--sigma", "1.7e308", "--n", "12", "--samples", "100"],
-    ["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"],
-], ids=["reach", "mc-level-exact", "mc-level-sampled"])
-def test_overflowing_sigma_exits_2(tmp_path, capsys, argv):
-    # the census's finiteness check, met before any sum of the level is formed
+_TOLERANCE = "non-finite boundary tolerance"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["reach", "--sigma", "1e308", "--prefix=+-", "--n-max", "20"], _TOLERANCE),
+    (["mc-level", "--sigma", "1.7e308", "--n", "12", "--samples", "100"], _TOLERANCE),
+    (["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"], _TOLERANCE),
+    (["coeffs", "--n", "3", "--sigma", "1.7e308"], "non-finite table value"),
+    (["coeffs", "--n", "3", "--sigma", "1.7e308", "--format", "csv"], "non-finite table value"),
+], ids=["reach", "mc-level-exact", "mc-level-sampled", "coeffs-json", "coeffs-csv"])
+def test_overflowing_sigma_exits_2(tmp_path, capsys, argv, message):
+    # the census's finiteness check, met before any sum of the level is
+    # formed; coeffs checks its tables (g_1 overflows) before writing a file
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out = run(argv, tmp_path)
+        rc, _ = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
     assert caught == []
-    assert "non-finite boundary tolerance" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypatch):

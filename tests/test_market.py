@@ -262,6 +262,28 @@ def _doubling_level(j, g, o, tol, alive):
     return int(np.count_nonzero(arb)), int(np.count_nonzero(margin <= tol)), new
 
 
+def _concatenated_sign_values(j):
+    # reference route: a fresh array per weight, V -> [V - j_m, V + j_m]
+    v = np.zeros(1)
+    for w in j:
+        v = np.concatenate([v - w, v + w])
+    return v
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308], ids=["unit", "huge"])
+@pytest.mark.parametrize("m", range(21))
+def test_sign_values_equal_the_concatenation_route(m, scale):
+    # in-place doubling does the concatenation's float operations in its
+    # order, bit for bit; near 1e308 sums overflow to +-inf and inf - inf
+    # gives NaN, whose bits must agree too
+    j = scale * np.random.default_rng(m).uniform(0.9, 1.7, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = level_sign_values(j), _concatenated_sign_values(j)
+        if scale > 1 and m >= 2:
+            assert not np.isfinite(want).all()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # weights from subnormal to huge: sums may overflow to +-inf
 _WEIGHTS = st.one_of(st.floats(1e-3, 10.0), st.floats(5e-324, 1e-300), st.floats(1e300, 1e308))
 

@@ -36,3 +36,17 @@ def test_sampler_spans_nest_under_traced_loops(tmp_path):
                      for s in spans if s[tracer.NAME] == "asymptotics._chunk_values"}
     assert chunk_parents == {"asymptotics.limit_proportion", "asymptotics._level_estimate"}
     assert tracer.layer_metrics(spans)["asymptotics.sampler.useful_ratio"] == 1.0
+
+
+def test_one_chunk_span_per_chunk_of_a_run(tmp_path):
+    # 5000 samples at the default K = 8192: a full chunk and a short one, each
+    # one span, whose bytes add up to every sample's 1024 bytes
+    tracer = _tracer_module()
+    with tracer.Tracer() as t:
+        t.op = 0
+        assert fracbin.cli.main(["mc-limit", "--samples", "5000",
+                                 "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    chunks = [s[tracer.COUNTS] for s in t.spans if s[tracer.NAME] == "asymptotics._chunk_values"]
+    assert [c["samples"] for c in chunks] == [4096, 904]
+    assert sum(c["bytes"] for c in chunks) == 5000 * 1024
+    assert tracer.layer_metrics(t.spans)["asymptotics._chunk_values.bytes"] == 5000 * 1024
