@@ -1,6 +1,8 @@
 """Command-line front end: deterministic reports for every operation.
 
-Every output embeds the fully resolved configuration (defaults and seed
+One table, _COMMANDS, lists each command's help text, options and handler;
+the parser, the dispatch and every report's config block are read from it.
+A report embeds its command's fully resolved options (defaults and seed
 included) plus a content hash of the coefficient tables the run consumed,
 so artifacts are reproducible byte for byte.  Any long option can take its
 default from the environment as FRACBIN_<NAME> (dashes as underscores),
@@ -17,7 +19,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -70,7 +72,11 @@ def _env_default(name: str, fallback, cast):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; embedded verbatim in every report."""
+    """Everything a run depends on, and the one home of every default.
+
+    A report embeds command, output_format and the fields of its command's
+    options.
+    """
 
     command: str
     H: float = 0.75
@@ -84,10 +90,11 @@ class RunConfig:
     quad_abs_tol: float = DEFAULT_QUAD.abs_tol
     quad_rel_tol: float = DEFAULT_QUAD.rel_tol
     tail_sd_tol: Optional[float] = None
-    trunc_k: Optional[int] = asym.DEFAULT_TRUNCATION_K
+    # left unset so --tail-sd-tol can choose K; _resolved fills in the default
+    trunc_k: Optional[int] = None
     confidence: float = asym.McConfig.confidence
     tol: float = 1e-8
-    n_list: str = ""
+    n_list: str = "10,14,18"
     offset: float = 0.0
     prefix: str = ""
     direction: str = "up"
@@ -102,52 +109,38 @@ class RunConfig:
     output_path: str = "-"
 
 
-# argparse fallbacks that differ from the RunConfig field default
-_CLI_FALLBACKS = {
-    "n-list": "10,14,18",  # RunConfig's "" is what the other commands' reports embed
-    "trunc-k": None,  # left unset so --tail-sd-tol can choose K; _resolved fills it in
-    "threads": 1,  # accepted and ignored; not a RunConfig field
+# every option a command can list; its default is the RunConfig field of the
+# same name (threads is no field: it is accepted and never read)
+_OPTIONS = {
+    "H": dict(type=float, help="memory exponent in (1/2,1)"),
+    "sigma": dict(type=float, help="volatility > 0"),
+    "N": dict(type=int, help="number of periods"),
+    "n": dict(type=int, help="tree level"),
+    "drift": dict(type=str, help="zero | const:c | poly:c0,c1,..."),
+    "s0": dict(type=float, help="initial price"),
+    "seed": dict(type=int, help="64-bit RNG seed"),
+    "samples": dict(type=int, help="MC sample count"),
+    "quad-abs-tol": dict(type=float),
+    "quad-rel-tol": dict(type=float),
+    "tail-sd-tol": dict(type=float,
+                        help="target sd of the discarded series tail (may be infeasible; see docs)"),
+    "trunc-k": dict(type=int, help="explicit series truncation index "
+                                   f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
+    "confidence": dict(type=float),
+    "tol": dict(type=float),
+    "threads": dict(type=int, help="ignored; sampling always runs on one thread"),
+    "n-list": dict(type=str),
+    "offset": dict(type=float, help="scaled drift offset added to the level sum"),
+    "prefix": dict(type=str, help="sign word like '+-+' or '' for the root"),
+    "direction": dict(type=str, choices=("up", "down")),
+    "n-max": dict(type=int),
+    "v-min": dict(type=float),
+    "v-max": dict(type=float),
+    "points": dict(type=int),
+    "cap": dict(type=int, help="enumeration cap on N"),
+    "fit": dict(action="store_true", help="also fit the decay exponent"),
+    "full": dict(action="store_true", help="acceptance-grade sizes"),
 }
-
-
-def _fallback(name: str):
-    if name in _CLI_FALLBACKS:
-        return _CLI_FALLBACKS[name]
-    return RunConfig.__dataclass_fields__[name.replace("-", "_")].default
-
-
-def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
-    opt = {
-        "H": dict(type=float, help="memory exponent in (1/2,1)"),
-        "sigma": dict(type=float, help="volatility > 0"),
-        "N": dict(type=int, help="number of periods"),
-        "n": dict(type=int, help="tree level"),
-        "drift": dict(type=str, help="zero | const:c | poly:c0,c1,..."),
-        "s0": dict(type=float, help="initial price"),
-        "seed": dict(type=int, help="64-bit RNG seed"),
-        "samples": dict(type=int, help="MC sample count"),
-        "quad-abs-tol": dict(type=float),
-        "quad-rel-tol": dict(type=float),
-        "tail-sd-tol": dict(type=float,
-                            help="target sd of the discarded series tail (may be infeasible; see docs)"),
-        "trunc-k": dict(type=int, help="explicit series truncation index "
-                                       f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
-        "confidence": dict(type=float),
-        "tol": dict(type=float),
-        "threads": dict(type=int, help="ignored; sampling always runs on one thread"),
-        "n-list": dict(type=str),
-        "offset": dict(type=float, help="scaled drift offset added to the level sum"),
-        "prefix": dict(type=str, help="sign word like '+-+' or '' for the root"),
-        "direction": dict(type=str, choices=("up", "down")),
-        "n-max": dict(type=int),
-        "v-min": dict(type=float),
-        "v-max": dict(type=float),
-        "points": dict(type=int),
-        "cap": dict(type=int, help="enumeration cap on N"),
-    }
-    for name in names:
-        kw = opt[name]
-        sp.add_argument("--" + name, default=_env_default(name, _fallback(name), kw["type"]), **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,58 +151,26 @@ def build_parser() -> argparse.ArgumentParser:
                "4 cap exceeded. Defaults can be pinned via FRACBIN_<OPTION> env vars.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("coeffs", help="dump level tables (j and g) as CSV/JSON")
-    _add_common(sp, "H", "sigma", "n", "quad-abs-tol", "quad-rel-tol")
-
-    sp = sub.add_parser("census", help="exact arbitrage census of an N-period market")
-    _add_common(sp, "H", "sigma", "N", "drift", "s0", "quad-abs-tol", "quad-rel-tol", "cap")
-
-    sp = sub.add_parser("paths", help="arbitrage-path view of the census")
-    _add_common(sp, "H", "sigma", "N", "drift", "s0", "quad-abs-tol", "quad-rel-tol", "cap")
-
-    sp = sub.add_parser("mc-limit", help="Monte Carlo estimate of the limiting proportion")
-    _add_common(sp, "H", "sigma", "samples", "seed", "trunc-k", "tail-sd-tol",
-                "confidence", "threads")
-
-    sp = sub.add_parser("mc-level", help="finite-level exceedance estimate (exact for small n)")
-    _add_common(sp, "H", "sigma", "n", "samples", "seed", "offset", "confidence",
-                "threads", "quad-abs-tol", "quad-rel-tol")
-
-    sp = sub.add_parser("hc", help="critical exponent where the squared series crosses 1/4")
-    _add_common(sp, "tol")
-
-    sp = sub.add_parser("charfn", help="characteristic function of the limit variable")
-    _add_common(sp, "H", "sigma", "v-min", "v-max", "points", "tol")
-    sp.add_argument("--fit", action="store_true", help="also fit the decay exponent")
-
-    sp = sub.add_parser("reach", help="steps of repeated moves until an arbitrage point")
-    _add_common(sp, "H", "sigma", "prefix", "direction", "n-max", "drift",
-                "quad-abs-tol", "quad-rel-tol")
-
-    sp = sub.add_parser("convergence", help="finite-level estimates against the limit")
-    _add_common(sp, "H", "sigma", "n-list", "samples", "seed", "trunc-k",
-                "tail-sd-tol", "confidence", "threads", "quad-abs-tol", "quad-rel-tol")
-
-    sp = sub.add_parser("verify", help="run the property battery")
-    sp.add_argument("--full", action="store_true", help="acceptance-grade sizes")
-
-    for name, p in sub.choices.items():
-        p.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                       default=_env_default("format", _fallback("output_format"), str))
-        p.add_argument("--out", dest="output_path",
-                       default=_env_default("out", _fallback("output_path"), str),
-                       help="output file or - for stdout")
+    for command, (help_text, options, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in options:
+            kw = _OPTIONS[name]
+            default = getattr(RunConfig, name.replace("-", "_"), None)
+            if "type" in kw:  # flags take no default from the environment
+                default = _env_default(name, default, kw["type"])
+            sp.add_argument("--" + name, default=default, **kw)
+        sp.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                        default=_env_default("format", RunConfig.output_format, str))
+        sp.add_argument("--out", dest="output_path",
+                        default=_env_default("out", RunConfig.output_path, str),
+                        help="output file or - for stdout")
     return parser
 
 
 def _resolved(args: argparse.Namespace) -> RunConfig:
-    fields = {k.replace("-", "_"): v for k, v in vars(args).items()}
-    known = {f for f in RunConfig.__dataclass_fields__}
-    cfg = {k: v for k, v in fields.items() if k in known}
-    rc = RunConfig(**cfg)
-    if rc.command in ("mc-limit", "convergence") and rc.trunc_k is None and rc.tail_sd_tol is None:
-        rc = RunConfig(**{**asdict(rc), "trunc_k": asym.DEFAULT_TRUNCATION_K})
+    rc = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__})
+    if rc.trunc_k is None and rc.tail_sd_tol is None:
+        rc = replace(rc, trunc_k=asym.DEFAULT_TRUNCATION_K)
     return rc
 
 
@@ -223,10 +184,10 @@ def _quad(rc: RunConfig) -> QuadratureConfig:
 
 
 def _emit(rc: RunConfig, payload: dict, csv_spec=None) -> None:
-    # the output path never influences the numbers, so it is left out of the
-    # embedded config and reports stay byte-identical across destinations
-    cfg_fields = {k: v for k, v in asdict(rc).items() if k != "output_path"}
-    doc = {"config": {k: v for k, v in sorted(cfg_fields.items())}}
+    # the config block holds the command's own options; the output path never
+    # influences the numbers, so reports stay byte-identical across destinations
+    keys = {"command", "output_format", *(o.replace("-", "_") for o in _COMMANDS[rc.command][1])}
+    doc = {"config": {k: v for k, v in sorted(asdict(rc).items()) if k in keys}}
     doc.update(payload)
     if rc.output_format == "csv" and csv_spec is not None:
         columns, rows = csv_spec
@@ -359,6 +320,8 @@ def _cmd_hc(rc: RunConfig) -> int:
 
 
 def _cmd_charfn(rc: RunConfig) -> int:
+    if rc.points < 1:
+        raise ValueError(f"points must be >= 1, got {rc.points}")
     if rc.v_min > rc.v_max:
         raise ValueError(f"v-min {rc.v_min} exceeds v-max {rc.v_max}")
     params = HurstParams(rc.H, rc.sigma)
@@ -389,6 +352,7 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
 def _cmd_reach(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     prefix = _parse_prefix(rc.prefix)
+    _check_level(len(prefix) + 1 + rc.n_max)
     direction = 1 if rc.direction == "up" else -1
     steps = monotone_reach(params, prefix, direction, rc.n_max,
                            drift=DriftSpec.parse(rc.drift), cfg=_quad(rc))
@@ -455,17 +419,30 @@ def _cmd_verify(rc: RunConfig) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
+_QUAD = ("quad-abs-tol", "quad-rel-tol")
+_MARKET = ("H", "sigma", "N", "drift", "s0", *_QUAD, "cap")
+
+# command -> (help text, option names, handler)
 _COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "census": _cmd_census,
-    "paths": _cmd_paths,
-    "mc-limit": _cmd_mc_limit,
-    "mc-level": _cmd_mc_level,
-    "hc": _cmd_hc,
-    "charfn": _cmd_charfn,
-    "reach": _cmd_reach,
-    "convergence": _cmd_convergence,
-    "verify": _cmd_verify,
+    "coeffs": ("dump level tables (j and g) as CSV/JSON",
+               ("H", "sigma", "n", *_QUAD), _cmd_coeffs),
+    "census": ("exact arbitrage census of an N-period market", _MARKET, _cmd_census),
+    "paths": ("arbitrage-path view of the census", _MARKET, _cmd_paths),
+    "mc-limit": ("Monte Carlo estimate of the limiting proportion",
+                 ("H", "sigma", "samples", "seed", "trunc-k", "tail-sd-tol", "confidence",
+                  "threads"), _cmd_mc_limit),
+    "mc-level": ("finite-level exceedance estimate (exact for small n)",
+                 ("H", "sigma", "n", "samples", "seed", "offset", "confidence", "threads",
+                  *_QUAD), _cmd_mc_level),
+    "hc": ("critical exponent where the squared series crosses 1/4", ("tol",), _cmd_hc),
+    "charfn": ("characteristic function of the limit variable",
+               ("H", "sigma", "v-min", "v-max", "points", "tol", "fit"), _cmd_charfn),
+    "reach": ("steps of repeated moves until an arbitrage point",
+              ("H", "sigma", "prefix", "direction", "n-max", "drift", *_QUAD), _cmd_reach),
+    "convergence": ("finite-level estimates against the limit",
+                    ("H", "sigma", "n-list", "samples", "seed", "trunc-k", "tail-sd-tol",
+                     "confidence", "threads", *_QUAD), _cmd_convergence),
+    "verify": ("run the property battery", ("full",), _cmd_verify),
 }
 
 
@@ -482,7 +459,7 @@ def main(argv=None) -> int:
         if _PARSER[0] != env:
             _PARSER = (env, build_parser())
         rc = _resolved(_PARSER[1].parse_args(argv))
-        return _COMMANDS[rc.command](rc)
+        return _COMMANDS[rc.command][2](rc)
     except (CapExceededError, TruncationError) as exc:
         print(f"fracbin: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

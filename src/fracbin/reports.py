@@ -1,4 +1,5 @@
-"""Deterministic report writers: JSON and CSV with a resolved-config header.
+"""Deterministic report writers: JSON and CSV, each headed by its command's
+resolved options.
 
 Formatting rules: shortest round-trip float representation, '.' decimal,
 LF line endings, fixed column order, config keys sorted.  Identical configs

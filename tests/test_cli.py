@@ -462,10 +462,14 @@ def test_mc_level_validates_before_building_the_table(tmp_path, monkeypatch, cap
     (["coeffs", "--n", "1000000"], 1000000),
     (["convergence", "--n-list", "10,1000000,20"], 1000000),
     (["convergence", "--n-list", "65538"], 65538),
-], ids=["coeffs-edge", "coeffs-large", "convergence-gapped", "convergence-edge"])
+    (["reach", "--n-max", "65537"], 65538),
+    (["reach", "--prefix=+-", "--n-max", "10000000"], 10000003),
+], ids=["coeffs-edge", "coeffs-large", "convergence-gapped", "convergence-edge", "reach-edge",
+        "reach-large"])
 def test_level_cap_is_checked_before_building_any_table(tmp_path, monkeypatch, capsys, argv, level):
     # the cap of mc-level holds for every command that takes a level; without
-    # it coeffs --n 1000000 starts a build whose first buffer is about 3 GB
+    # it coeffs --n 1000000 starts a build whose first buffer is about 3 GB,
+    # and reach's walk to a level screens and stores every level up to it
     from fracbin import cli
 
     builds = []
@@ -475,6 +479,7 @@ def test_level_cap_is_checked_before_building_any_table(tmp_path, monkeypatch, c
         raise AssertionError("coefficient_tables built before validation")
 
     monkeypatch.setattr(cli, "coefficient_tables", no_build)
+    monkeypatch.setattr(cli, "monotone_reach", no_build)
     rc, out = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
     assert not out.exists() and builds == []
@@ -552,7 +557,10 @@ def test_coeffs_byte_budget(tmp_path, capsys, monkeypatch, n, budget, built):
     ["coeffs", "--n", "0"],
     ["reach", "--n-max", "-5"],
     ["reach", "--n-max", "0"],
-], ids=["coeffs-negative", "coeffs-zero", "reach-negative", "reach-zero"])
+    ["charfn", "--points", "-1"],
+    ["charfn", "--points", "0"],
+], ids=["coeffs-negative", "coeffs-zero", "reach-negative", "reach-zero", "charfn-negative",
+        "charfn-zero"])
 def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
     rc, out = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
@@ -601,3 +609,57 @@ def test_report_bytes_equal_json_dumps(argv, tmp_path, monkeypatch):
     rc, out = run(argv, tmp_path)
     assert rc == EXIT_OK and len(docs) == 1
     assert out.read_text() == json.dumps(docs[0], indent=2, allow_nan=True) + "\n"
+
+
+_QUAD_KEYS = {"quad_abs_tol", "quad_rel_tol"}
+_MARKET_KEYS = {"H", "sigma", "N", "drift", "s0", "cap"} | _QUAD_KEYS
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["coeffs", "--n", "3"], {"H", "sigma", "n"} | _QUAD_KEYS),
+    (["census", "--N", "8"], _MARKET_KEYS),
+    (["paths", "--N", "8"], _MARKET_KEYS),
+    (["mc-limit", "--samples", "500", "--threads", "8"],
+     {"H", "sigma", "samples", "seed", "trunc_k", "tail_sd_tol", "confidence"}),
+    (["mc-level", "--n", "12", "--threads", "8"],
+     {"H", "sigma", "n", "samples", "seed", "offset", "confidence"} | _QUAD_KEYS),
+    (["hc"], {"tol"}),
+    (["charfn", "--points", "2"], {"H", "sigma", "v_min", "v_max", "points", "tol", "fit"}),
+    (["reach", "--prefix=+-"], {"H", "sigma", "prefix", "direction", "n_max", "drift"} | _QUAD_KEYS),
+    (["convergence", "--n-list", "10", "--samples", "500"],
+     {"H", "sigma", "n_list", "samples", "seed", "trunc_k", "tail_sd_tol", "confidence"}
+     | _QUAD_KEYS),
+    (["verify"], {"full"}),
+], ids=["coeffs", "census", "paths", "mc-limit", "mc-level", "hc", "charfn", "reach",
+        "convergence", "verify"])
+def test_config_block_holds_only_the_command_options(tmp_path, monkeypatch, argv, keys):
+    # a report embeds its command, its format and its own options, so an
+    # option of one command never changes another command's bytes
+    monkeypatch.setattr(verify_mod, "run_checks",
+                        lambda full: {"checks": [], "all_passed": True})
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert set(doc["config"]) == {"command", "output_format"} | keys
+    if argv[0] != "census":
+        return
+    rc, csv = run(argv, tmp_path, "census.csv", fmt="csv")
+    assert rc == EXIT_OK
+    header = [line for line in csv.read_text().splitlines() if line.startswith("# ")]
+    assert header == [
+        "# H=0.75", "# N=8", "# cap=26", f"# coeff_cache_hash={doc['coeff_cache_hash']}",
+        "# command=census", "# drift=zero", "# output_format=csv",
+        f"# path_count={doc['path_count']}", "# quad_abs_tol=1e-10", "# quad_rel_tol=1e-09",
+        "# s0=1.0", "# sigma=1.0", "# spec.H=0.75", "# spec.N=8", "# spec.drift=zero",
+        "# spec.s0=1.0", "# spec.sigma=1.0", f"# total={doc['total']}",
+    ]
+
+
+def test_every_option_and_field_has_a_user():
+    # no option or RunConfig default outlives the last command that reads it
+    from fracbin import cli
+
+    used = {name for _, options, _ in cli._COMMANDS.values() for name in options}
+    assert used == set(cli._OPTIONS)
+    embedded = {"command", "output_format"} | ({o.replace("-", "_") for o in used} - {"threads"})
+    assert set(cli.RunConfig.__dataclass_fields__) - {"output_path"} == embedded
