@@ -202,8 +202,10 @@ def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int)
         # so a sweep copies its rows about log2(n) times), none for a level
         # built afresh
         cap = 1 << (top - 1).bit_length() if have else top
-        x, x_pow, d, b = (np.concatenate([arr[:have], np.empty((cap - have,) + arr.shape[1:])])
-                          for arr in (x, x_pow, d, b))
+        grown = [np.empty((cap,) + arr.shape[1:]) for arr in (x, x_pow, d, b)]
+        for new, old in zip(grown, (x, x_pow, d, b)):
+            new[:have] = old[:have]
+        x, x_pow, d, b = grown
     if have < top:
         np.add(np.arange(have + 1.0, top + 1.0)[:, None], xi, out=x[have:top])
         np.power(x[have:top], -a, out=x_pow[have:top])

@@ -13,14 +13,19 @@ little-endian bit words, bit i-1 set <=> xi_i = +1, and the canonical float
 value of a word is the left-to-right sequential sum (((+-j_1) +- j_2) ...).
 Index doubling V -> [V - j_m, V + j_m] (level_sign_values, done in place by
 _sign_sums) reproduces those sums bit-for-bit.  The census never holds a
-whole level: it writes each word as high * 2^14 + low, doubles the low sums
-once, and walks the high signs depth first, adding one weight per depth into
-a reused block, so each entry is still the same left-to-right sum.  One float rule classifies every node:
-arbitrage_event(y, g_n, o), fl(y + g) <= -o or fl(y - g) >= -o, on the
-canonical sum y (_node_sum for one word); is_arbitrage, monotone_reach and
-the finite-level estimates apply it, and the census's cuts mirror it.
-monotone_reach first screens its levels with closed-form weight brackets
-(_reach_screen) and applies the rule only where they cannot tell.
+whole level, and it walks only half of one: the words with xi_1 = -1, whose
+sums start at fl(0 - j_1) = -j_1.  It writes each of them by its free signs
+xi_2.. as high * 2^14 + low, doubles the low sums once, and walks the high
+signs depth first, adding one weight per depth into a reused block, so each
+entry is still the same left-to-right sum.  Round to nearest is symmetric,
+so a word's complement has the negated sum at every prefix and is
+classified by the same sums at the negated offset.  One float rule
+classifies every node: arbitrage_event(y, g_n, o), fl(y + g) <= -o or
+fl(y - g) >= -o, on the canonical sum y (_node_sum for one word);
+is_arbitrage, monotone_reach and the finite-level estimates apply it, and
+the census's cuts mirror it.  monotone_reach first screens its levels with
+closed-form weight brackets (_reach_screen) and applies the rule only where
+they cannot tell.
 
 Classification is by sorted blocks.  Round-to-nearest fl(x + c) is monotone
 in x, so the low sums, sorted once per level, stay sorted through the walk,
@@ -70,7 +75,7 @@ DEFAULT_ENUM_CAP = 26
 # census levels are enumerated in blocks of 2^_BLOCK_BITS words (128 KiB of
 # float sums, small enough to stay in cache through a block's classification)
 _BLOCK_BITS = 14
-# the census path mask takes one byte per leaf; larger N fail fast
+# the census path masks take one byte per leaf in all; larger N fail fast
 _MASK_BUDGET_BYTES = 1 << 30
 
 
@@ -225,8 +230,8 @@ def is_arbitrage(spec: MarketSpec, node: NodeId, table: CoefficientTable) -> boo
     return bool(arbitrage_event(_node_sum(node.sign_tuple(), table.j), table.g, o))
 
 
-def _sign_sums(w: np.ndarray) -> np.ndarray:
-    """v[..., idx] = ((0 +- w[..., 0]) +- w[..., 1]) ..., bit i of idx the sign of w[..., i].
+def _sign_sums(w: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """v[..., idx] = ((start +- w[..., 0]) +- w[..., 1]) ..., bit i of idx the sign of w[..., i].
 
     One in-place doubling over the last axis of w: with the sums of the first
     i weights in v[..., :h], h = 2^i, weight i writes v[..., h:2h] =
@@ -236,7 +241,7 @@ def _sign_sums(w: np.ndarray) -> np.ndarray:
     # np.empty, not np.zeros: a calloc'd buffer is faulted in page by page
     # during the first strided doubling step, which measured slower
     v = np.empty(w.shape[:-1] + (1 << w.shape[-1],))
-    v[..., :1] = 0.0
+    v[..., :1] = start
     for i in range(w.shape[-1]):
         h, col = 1 << i, w[..., i:i + 1]
         np.add(v[..., :h], col, out=v[..., h:2 * h])
@@ -244,13 +249,15 @@ def _sign_sums(w: np.ndarray) -> np.ndarray:
     return v
 
 
-def level_sign_values(j: np.ndarray) -> np.ndarray:
+def level_sign_values(j: np.ndarray, start: float = 0.0) -> np.ndarray:
     """Scaled past sums of all 2^m words of the m weights j, doubling order.
 
     Index bit i-1 is xi_i; entry values equal the canonical sequential sums
-    bit-for-bit, at O(1) amortized work per word.
+    bit-for-bit, at O(1) amortized work per word.  A nonzero start seeds
+    every sum: level_sign_values(j[1:], -j[0]) is level_sign_values(j)[0::2],
+    the words with xi_1 = -1.
     """
-    return _sign_sums(np.asarray(j))
+    return _sign_sums(np.asarray(j), start)
 
 
 @dataclass(frozen=True)
@@ -385,15 +392,36 @@ def _child_cuts(w: float, g: float, o: float, tol: float) -> list[float]:
     ]
 
 
-def _census_level(j: np.ndarray, g: float, o: float, tol: float,
-                  alive: np.ndarray) -> tuple[int, int]:
-    """Classify every word of the level with weights j; update alive in place.
+def _mirror_cuts(cuts: list[float]) -> list[float]:
+    """The cuts of the child by weight -w at offset -o, given cuts = _child_cuts(w, g, o, tol).
+
+    Round to nearest is symmetric, fl(-x - c) = -fl(x + c), so the child by
+    -w of a parent sum s is an arbitrage point, or in the band, at -o exactly
+    when the child by w of -s is one at o: each of its ranges of s is the
+    mirror image of a range here.  A cut c's test holds at t >= c, so it
+    holds at t = -s exactly when s lies below the least double above -c; for
+    c = -inf that bound is NaN (every sum lies below it), for c = NaN it is
+    -inf.  The kept range [c0, c1) maps to [below(c1), below(c0)).  The two
+    band halves map to two ranges that together hold the band; they are not
+    its halves by the sign of z, which differ at z = 0, but the census only
+    adds up their lengths.
+    """
+    def below(c: float) -> float:  # -s >= c exactly when s < below(c)
+        return math.nan if c == -math.inf else -math.inf if c != c else math.nextafter(-c, math.inf)
+
+    k0, k1, h0, h1, l0, l1 = map(below, cuts)
+    return [k1, k0, h1, h0, l1, l0]
+
+
+def _census_level(j: np.ndarray, g: float, o: float, tol: float, alive: np.ndarray,
+                  start: float = 0.0, mirror: Optional[np.ndarray] = None) -> tuple[int, int]:
+    """Classify every word (start +- j_1) +- ... +- j_m; update alive in place.
 
     Returns (arbitrage points, boundary-uncertain words).  A word of m signs is
     high * 2^b + low with b = min(m - 1, _BLOCK_BITS): the low sums come from
-    level_sign_values(j[:b]) and are sorted once, and a depth-first walk over
-    the high signs j[b:m-1] adds one weight per depth into a reused 2^b
-    buffer, so every entry is the same left-to-right sum as index doubling.
+    level_sign_values(j[:b], start) and are sorted once, and a depth-first
+    walk over the high signs j[b:m-1] adds one weight per depth into a reused
+    2^b buffer, so every entry is the same left-to-right sum as index doubling.
     Round-to-nearest fl(x + c) is monotone in x, so each block of the walk
     stays sorted, and each child's classification is monotone in its parent
     sum s: arbitrage below one cut or from another on, and the two halves of
@@ -405,40 +433,54 @@ def _census_level(j: np.ndarray, g: float, o: float, tol: float,
     alive[:2^(m-1)]: the upper child's block (xi_m = +1) is written from it
     before the lower child's is updated in place.  alive stays in word
     order; a child keeps the words whose rank in the sorted block lies
-    between its two arbitrage cuts.  The root (m = 0) is its own only child,
-    y = fl(0 + 0).
+    between its two arbitrage cuts.  With m = 0 the one word is start, its
+    own only child, y = fl(start + 0).
+
+    mirror, when given, is a second mask over the same word indices that
+    holds each word's complement, all of whose sums are negated (round to
+    nearest is symmetric, so fl(-x - c) = -fl(x + c) and fl(-y +- g) =
+    -fl(y -+ g)).  The complement is an arbitrage point, or in the band, at
+    offset o exactly when the word is one at -o, so the leaf classifies it
+    by a second set of cuts for -o (_mirror_cuts), and both counts are
+    returned together.
     """
     m = len(j)
     b = min(max(m - 1, 0), _BLOCK_BITS)
-    low = level_sign_values(j[:b])
+    low = level_sign_values(j[:b], start)
     size = len(low)
     order = np.argsort(low)
     # unsigned and at least 2 * size wide, so rank - k wraps past any range length
     rank = np.empty(size, dtype=np.min_scalar_type(2 * size - 1))
     rank[order] = np.arange(size)
     weights = (-float(j[m - 1]), float(j[m - 1])) if m else (0.0,)
-    cuts = np.array([c for w in weights for c in _child_cuts(w, float(g), float(o), float(tol))])
+    masks = (alive,) if mirror is None else (alive, mirror)
+    cuts = [_child_cuts(w, float(g), float(o), float(tol)) for w in weights]
+    if mirror is not None:  # the child by weight w at -o mirrors the child by -w at o
+        cuts += [_mirror_cuts(c) for c in reversed(cuts)]
+    cuts = np.array(cuts).ravel()
     half = 1 << max(m - 1, 0)
     shifted, keep = np.empty(size, dtype=rank.dtype), np.empty(size, dtype=bool)
     count = uncertain = 0
 
-    def leaf(sums: np.ndarray, start: int) -> None:
+    def leaf(sums: np.ndarray, first: int) -> None:
         nonlocal count, uncertain
         pos = np.searchsorted(sums, cuts).tolist()
-        lower = alive[start:start + size]
-        for child in reversed(range(len(weights))):
-            k1, k2, hi1, hi2, lo1, lo2 = pos[6 * child:6 * child + 6]
-            count += size - max(k2 - k1, 0)
-            uncertain += max(hi2 - hi1, 0) + max(lo2 - lo1, 0)
-            out = alive[half + start:half + start + size] if child else lower
-            if k1 == 0 and k2 == size:
-                if child:
-                    out[:] = lower
-            elif k2 <= k1:
-                out[:] = False
-            else:
-                np.less(np.subtract(rank, k1, out=shifted), k2 - k1, out=keep)
-                np.logical_and(lower, keep, out=out)
+        for i, mask in enumerate(masks):
+            lower = mask[first:first + size]
+            for child in reversed(range(len(weights))):
+                at = 6 * (i * len(weights) + child)
+                k1, k2, hi1, hi2, lo1, lo2 = pos[at:at + 6]
+                count += size - max(k2 - k1, 0)
+                uncertain += max(hi2 - hi1, 0) + max(lo2 - lo1, 0)
+                out = mask[half + first:half + first + size] if child else lower
+                if k1 == 0 and k2 == size:
+                    if child:
+                        out[:] = lower
+                elif k2 <= k1:
+                    out[:] = False
+                else:
+                    np.less(np.subtract(rank, k1, out=shifted), k2 - k1, out=keep)
+                    np.logical_and(lower, keep, out=out)
 
     high = j[b:m - 1]
     stack = [low[order]] + [np.empty(size) for _ in high]
@@ -467,18 +509,24 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
            cap: int = DEFAULT_ENUM_CAP) -> ArbitrageCensus:
     """Exhaustive arbitrage census of all levels plus the path count.
 
-    Each level is enumerated in cache-sized blocks of 2^_BLOCK_BITS words by a
-    depth-first walk over its high signs (see _census_level); the sums are
-    bit-for-bit those of index doubling, so the counts equal a naive sweep.
-    A path is counted as soon as any of its prefixes is an arbitrage point:
-    one byte per leaf, alive[:2^(n-1)] marks the level-n nodes with no
-    arbitrage prefix and each level extends it in place.  Ties within the
-    combined quadrature + rounding tolerance are reported separately in
-    boundary_uncertain, never silently reclassified.  N above cap, or a path
-    mask above _MASK_BUDGET_BYTES, raises CapExceededError before anything is
-    computed; a drift offset that is not finite at some level raises
-    ValueError, also before any table or mask is built; so does, when it is
-    reached, a level whose tolerance is not finite, which certifies nothing.
+    Each level n >= 2 walks only its words with xi_1 = -1, seeded at -j_1, in
+    cache-sized blocks of 2^_BLOCK_BITS words by a depth-first walk over
+    their high signs (see _census_level); the sums are bit-for-bit those of
+    index doubling, so the counts equal a naive sweep.  Each walked word also
+    classifies its complement, at the negated offset.  The root is its own
+    complement and is classified once.  A path is counted as soon as any of
+    its prefixes is an arbitrage point: one byte per leaf in two half masks,
+    alive[:2^(n-2)] marking the walked level-n nodes with no arbitrage prefix
+    and mirror[:2^(n-2)] their complements, each level extending both in
+    place.  When every level's offset is zero a complement is an arbitrage
+    point exactly when its word is, so one mask is kept and the counts are
+    doubled.  Ties within the combined quadrature + rounding tolerance are
+    reported separately in boundary_uncertain, never silently reclassified.
+    N above cap, or path masks above _MASK_BUDGET_BYTES in all, raise
+    CapExceededError before anything is computed; a drift offset that is not
+    finite at some level raises ValueError, also before any table or mask is
+    built; so does, when it is reached, a level whose tolerance is not
+    finite, which certifies nothing.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
@@ -489,21 +537,35 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     offsets = [spec.drift.offset_scaled(n, spec.N, spec.params.H) for n in range(1, spec.N + 1)]
     tables = coefficient_tables(spec.params, range(1, spec.N + 1), cfg)
     counts, props, uncertain = [], [], []
-    alive = np.ones(leaves, dtype=bool)
+    # alive holds the walked words (xi_1 = -1), mirror their complements;
+    # with every offset zero a complement fares as its word, so alive counts twice
+    alive = np.ones(max(leaves // 2, 1), dtype=bool)
+    mirror = np.ones_like(alive) if any(offsets) else None
     for n, (o, table) in enumerate(zip(offsets, tables), 1):
         tol = _finite_tolerance(table, o, "census level")
         # a sum that overflows is +-inf, which the cuts order like any double
         with np.errstate(over="ignore"):
-            cnt, unc = _census_level(table.j, table.g, o, tol, alive)
+            if n == 1:  # the root is its own complement
+                cnt, unc = _census_level(table.j, table.g, o, tol, alive)
+                if mirror is not None:
+                    mirror[0] = alive[0]
+            else:
+                cnt, unc = _census_level(table.j[1:], table.g, o, tol, alive,
+                                         start=-table.j[0], mirror=mirror)
+                if mirror is None:
+                    cnt, unc = 2 * cnt, 2 * unc
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
         uncertain.append(unc)
+    survivors = int(np.count_nonzero(alive))
+    if spec.N > 1:
+        survivors += survivors if mirror is None else int(np.count_nonzero(mirror))
     return ArbitrageCensus(
         N=spec.N,
         per_level_counts=tuple(counts),
         per_level_proportions=tuple(props),
         total=sum(counts),
-        path_count=leaves - int(np.count_nonzero(alive)),
+        path_count=leaves - survivors,
         boundary_uncertain=tuple(uncertain),
     )
 

@@ -155,42 +155,33 @@ def check_turning_point() -> dict:
 
 def check_census_agreement() -> dict:
     p = HurstParams(0.75)
-    c = census(MarketSpec(N=14, params=p))
-    agree = True
-    flip_ok = True
-    for n in range(1, 15):
-        t = coefficient_table(p, n)
-        vals = level_sign_values(t.j)
-        naive = naive_level_values(t.j)
-        if not np.array_equal(vals, naive):
-            agree = False
-        arb = (naive + t.g <= 0.0) | (naive - t.g >= 0.0)
-        if int(np.count_nonzero(arb)) != c.per_level_counts[n - 1]:
-            agree = False
-        if gray_level_counts(t.j, t.g, 0.0) != c.per_level_counts[n - 1]:
-            agree = False
-        # zero drift: complementing a word (index mask-w) must preserve arbitrage
-        if not np.array_equal(arb, arb[::-1]):
-            flip_ok = False
-    even_ok = all(cnt % 2 == 0 for cnt in c.per_level_counts[1:])
-    root_ok = c.per_level_counts[0] == 0
-    # a drifted market past one 2^14-word block, so the census walks its high
-    # signs: per-level counts and the path count against a naive path mask
-    spec = MarketSpec(N=17, params=p, drift=DriftSpec("polynomial", (0.4, -1.5, 3.0)))
-    cd = census(spec)
-    alive = np.ones(1, dtype=bool)
-    for n in range(1, spec.N + 1):
-        t = coefficient_table(p, n)
-        o = spec.drift.offset_scaled(n, spec.N, p.H)
-        naive = naive_level_values(t.j)
-        arb = (naive + t.g <= -o) | (naive - t.g >= -o)
-        if int(np.count_nonzero(arb)) != cd.per_level_counts[n - 1]:
-            agree = False
-        alive = (np.concatenate([alive, alive]) if n > 1 else alive) & ~arb
-    paths_ok = cd.path_count == alive.size - int(np.count_nonzero(alive))
-    return _check("census_agreement", agree and flip_ok and even_ok and root_ok and paths_ok,
-                  {"total": c.total, "paths": c.path_count,
-                   "drifted_total": cd.total, "drifted_paths": cd.path_count}, "exact")
+    agree = symmetric = True
+    measured = {}
+    # N = 19 at zero drift and with a drift: the census walks half of each
+    # level, and at level 19 that half passes 2^14-word blocks through two
+    # high signs; per-level counts and the path count against a naive path mask
+    for key, drift in (("", DriftSpec()), ("drifted_", DriftSpec("polynomial", (0.4, -1.5, 3.0)))):
+        spec = MarketSpec(N=19, params=p, drift=drift)
+        c = census(spec)
+        alive = np.ones(1, dtype=bool)
+        for n in range(1, spec.N + 1):
+            t = coefficient_table(p, n)
+            o = drift.offset_scaled(n, spec.N, p.H)
+            naive = naive_level_values(t.j)
+            arb = (naive + t.g <= -o) | (naive - t.g >= -o)
+            agree = agree and int(np.count_nonzero(arb)) == c.per_level_counts[n - 1]
+            alive = (np.concatenate([alive, alive]) if n > 1 else alive) & ~arb
+            if drift.kind == "zero":
+                agree = (agree and np.array_equal(level_sign_values(t.j), naive)
+                         and gray_level_counts(t.j, t.g, 0.0) == c.per_level_counts[n - 1])
+                # zero drift: complementing a word (index mask-w) must preserve arbitrage
+                symmetric = symmetric and np.array_equal(arb, arb[::-1])
+        if drift.kind == "zero":  # so the root is no arbitrage point and the rest pair up
+            symmetric = (symmetric and c.per_level_counts[0] == 0
+                         and all(cnt % 2 == 0 for cnt in c.per_level_counts[1:]))
+        agree = agree and c.path_count == alive.size - int(np.count_nonzero(alive))
+        measured.update({key + "total": c.total, key + "paths": c.path_count})
+    return _check("census_agreement", agree and symmetric, measured, "exact")
 
 
 def check_reach() -> dict:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracbin import (
@@ -203,13 +203,13 @@ def test_census_budget_fails_before_allocating(p075, tmp_path, monkeypatch):
         assert not out.exists()
 
 
-def _doubling_census(spec):
+def _doubling_census(spec, sums=level_sign_values):
     """The whole-level index-doubling census, kept as the oracle for census()."""
     counts, props, uncertain = [], [], []
     alive = np.ones(1, dtype=bool)
     for n in range(1, spec.N + 1):
         table = coefficient_table(spec.params, n)
-        y = level_sign_values(table.j)
+        y = sums(table.j)
         o = spec.drift.offset_scaled(n, spec.N, spec.params.H)
         arb = (y + table.g <= -o) | (y - table.g >= -o)
         margin = np.abs(np.abs(y + o) - table.g)
@@ -241,6 +241,26 @@ def test_blocked_census_equals_doubling_census(block_bits, monkeypatch, p075, p0
         for drift in _DRIFTS:
             for N in (*range(1, 13), 16, 17, 18):
                 _assert_census_fields_equal(MarketSpec(N=N, params=params, drift=drift))
+
+
+# a(t) = t - 1/2 has a root at n = N/2: offsets exactly zero there, nonzero elsewhere
+_MIRROR_DRIFTS = (ZERO_DRIFT, DriftSpec("constant", (0.3,)), DriftSpec("constant", (-0.0,)),
+                  DriftSpec("polynomial", (-0.5, 1.0)))
+
+
+@pytest.mark.parametrize("band", [None, 0.05], ids=["tol", "wide"])
+@pytest.mark.parametrize("drift", _MIRROR_DRIFTS, ids=lambda d: d.to_text())
+def test_census_equals_a_naive_full_tree_census(drift, band, monkeypatch, p075, p09):
+    # the census walks half of each level and mirrors the rest; the oracle
+    # sums every word of the whole level naively and keeps a whole path mask.
+    # A wide band puts words in boundary_uncertain, which is mirrored too.
+    if band is not None:
+        monkeypatch.setattr(market, "_level_tolerance", lambda table, offset: band)
+    for params in (p075, p09):
+        for N in range(1, 13):
+            spec = MarketSpec(N=N, params=params, drift=drift)
+            got, want = census(spec), _doubling_census(spec, sums=naive_level_values)
+            assert {name: getattr(got, name) for name in want} == want
 
 
 def test_blocked_census_equals_doubling_census_in_a_wide_band(monkeypatch, p075):
@@ -281,6 +301,17 @@ def test_sign_values_equal_the_concatenation_route(m, scale):
         got, want = level_sign_values(j), _concatenated_sign_values(j)
         if scale > 1 and m >= 2:
             assert not np.isfinite(want).all()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308], ids=["unit", "huge"])
+@pytest.mark.parametrize("m", range(1, 21))
+def test_sign_values_from_a_start_equal_the_words_with_xi1_minus(m, scale):
+    # seeding at -j_1 and doubling over j_2.. gives the even words of the
+    # whole level (xi_1 = -1) bit for bit, sums that overflow to +-inf included
+    j = scale * np.random.default_rng(m).uniform(0.9, 1.7, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = level_sign_values(j[1:], start=-j[0]), level_sign_values(j)[0::2]
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -338,6 +369,35 @@ def test_census_level_equals_whole_level_doubling(block_bits, level):
     assert np.array_equal(alive, want_alive)
 
 
+@pytest.mark.parametrize("block_bits", [3, 5, 14])
+@given(level=_levels(), zero=st.sampled_from([None, 0.0, -0.0]))
+@settings(max_examples=150, deadline=None)
+def test_half_level_and_its_mirror_equal_the_whole_level(block_bits, level, zero):
+    # whole-level word 2k is walked word k (xi_1 = -1) and word 2^m - 1 - 2k
+    # its complement; the parent level's words pair up the same way
+    j, g, o, tol, alive = level
+    assume(len(j) >= 1)
+    if zero is not None:
+        o = zero
+    want_count, want_uncertain, want_alive = _doubling_level(j, g, o, tol, alive)
+    parent = alive[:1 << (len(j) - 1)]
+    # entries past the parent's are never read; they keep the drawn bits
+    walked, mirror = alive[0::2].copy(), alive[1::2].copy()
+    k = len(parent[0::2])
+    walked[:k], mirror[:k] = parent[0::2], parent[::-1][0::2]
+    single = walked.copy()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(market, "_BLOCK_BITS", block_bits)
+        got = market._census_level(j[1:], g, o, tol, walked, start=-j[0], mirror=mirror)
+        half = market._census_level(j[1:], g, o, tol, single, start=-j[0])
+    assert got == (want_count, want_uncertain)
+    assert np.array_equal(walked, want_alive[0::2])
+    assert np.array_equal(mirror, want_alive[::-1][0::2])
+    assert np.array_equal(single, walked)
+    if o == 0:  # a complement fares as its word, so the walked half counts twice
+        assert (2 * half[0], 2 * half[1]) == got
+
+
 def _neighbours(x):
     return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
 
@@ -362,6 +422,28 @@ def test_child_cuts_split_a_sorted_block_exactly(w, g, o, tol, others):
     assert np.array_equal(arb, (rank < k1) | (rank >= max(k1, k2)))
     assert np.array_equal(band & (z >= 0), (rank >= hi1) & (rank < hi2))
     assert np.array_equal(band & (z < 0), (rank >= lo1) & (rank < lo2))
+
+
+@given(w=st.one_of(_WEIGHTS, _WEIGHTS.map(lambda x: -x)), g=st.one_of(_WEIGHTS, st.just(np.inf)),
+       o=st.floats(-1e308, 1e308), tol=st.one_of(st.floats(0.0, 1e3), st.just(np.inf)),
+       others=st.lists(st.floats(allow_nan=False), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_mirror_cuts_split_a_sorted_block_like_the_child_at_minus_o(w, g, o, tol, others):
+    # the reflected cuts of the child by w at o classify every sum s as the
+    # child by -w at -o does; the two band ranges hold its band as a whole
+    cuts = market._mirror_cuts(market._child_cuts(w, g, o, tol))
+    near = [x for c in cuts + market._child_cuts(-w, g, -o, tol) if np.isfinite(c)
+            for x in _neighbours(c)]
+    s = np.unique(np.array(near + others + [-np.inf, np.inf, 0.0]))
+    k1, k2, hi1, hi2, lo1, lo2 = np.searchsorted(s, cuts).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = s - w
+        arb = (y + g <= o) | (y - g >= o)
+        band = np.abs(np.abs(y - o) - g) <= tol
+    rank = np.arange(len(s))
+    assert np.array_equal(arb, (rank < k1) | (rank >= max(k1, k2)))
+    assert np.array_equal(band, ((rank >= hi1) & (rank < hi2)) | ((rank >= lo1) & (rank < lo2)))
+    assert max(hi2 - hi1, 0) + max(lo2 - lo1, 0) == np.count_nonzero(band)
 
 
 @given(shift=st.floats(-1e308, 1e308), t=st.floats(allow_nan=False),
