@@ -21,7 +21,8 @@ from .coefficients import (
     kernel,
     turning_point,
 )
-from .errors import CapExceededError, FracbinError, QuadratureError, TruncationError
+from .errors import (CapExceededError, FracbinError, NonconvergenceError, QuadratureError,
+                     TruncationError)
 from .hurst import (
     HurstParams,
     RhoTailSum,
@@ -60,8 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArbitrageCensus", "CapExceededError", "CoefficientTable", "DriftSpec",
     "FracbinError", "HurstParams", "I_integrals", "J_unscaled", "McConfig",
-    "McEstimate", "MarketSpec", "NodeId", "QuadratureConfig", "QuadratureError",
-    "RhoTailSum", "StockPath", "TruncationError", "census",
+    "McEstimate", "MarketSpec", "NodeId", "NonconvergenceError", "QuadratureConfig",
+    "QuadratureError", "RhoTailSum", "StockPath", "TruncationError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
     "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
     "g_coeff", "g_unscaled", "is_arbitrage", "j_coeff", "kernel",

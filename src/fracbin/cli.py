@@ -34,7 +34,7 @@ from .coefficients import (
     table_fingerprint,
     write_tables_csv,
 )
-from .errors import CapExceededError, QuadratureError, TruncationError
+from .errors import CapExceededError, NonconvergenceError, TruncationError
 from .hurst import HurstParams, rho_sq_total, solve_critical_hurst
 from .market import (
     DEFAULT_ENUM_CAP,
@@ -463,7 +463,7 @@ def main(argv=None) -> int:
     except (CapExceededError, TruncationError) as exc:
         print(f"fracbin: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except QuadratureError as exc:
+    except NonconvergenceError as exc:
         print(f"fracbin: nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ValueError, OSError) as exc:

@@ -35,15 +35,15 @@ The interior powers (v + d)^{a-1}, d = (n-1) - fl(m + xi) at the outer nodes
 of column i = m+1, are most of the cost of a table built from nothing.  With
 k = n-3-m, d = fl((k+2) - delta) where delta = fl(m + xi) - m depends only
 on the binade of m, so row k keeps its bits from one level to another unless
-m crosses a power of two.  One memo entry per ladder rung keeps a power
-buffer whose rows are stored from the last column back, so the rows two
-levels share sit at the same index and the buffer grows at its tail.  Per
-rung, a block writes its new tail rows in place, lists the rows whose m
-crosses a power of two in closed form, gives the ones whose d differs by
-exact comparison their powers in one call, then walks its levels in
-ascending order: a scatter and two gemvs each.  The entry also keeps x**-a,
-which depends on the row alone.  Every table is byte-identical to one built
-from scratch, level by level.  clear_table_cache() empties the memo as well.
+m crosses a power of two.  A coefficient_tables call keeps one power buffer
+per ladder rung, shared by its blocks, whose rows are stored from the last
+column back, so the rows two levels share sit at the same index and the
+buffer grows at its tail.  Per rung, a block writes its new tail rows in
+place, lists the rows whose m crosses a power of two in closed form, gives
+the ones whose d differs by exact comparison their powers in one call, then
+walks its levels in ascending order: a scatter and two gemvs each.  The
+buffer also keeps x**-a, which depends on the row alone.  Every table is
+byte-identical to one built from scratch, level by level.
 """
 
 from __future__ import annotations
@@ -138,14 +138,6 @@ def _gj01(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
 # (levels, q, q) temporaries.
 _BATCH_LEVELS = 64
 
-# Per ladder rung (qo, qi): (a, n, x, x_pow, d, b) of the last interior stage
-# built at level n.  Rows of x and x_pow run over the columns (row r holds
-# x = (r+1) + xi and x**-a); rows of d and b run the other way, row k holding
-# d = (n-1) - x and the powers of column i = n-2-k, so that the rows a level
-# shares with any other sit at the same index.  Each array has room for
-# between n-3 and 2(n-3) rows.
-_POWER_MEMO: dict[tuple[int, int], tuple] = {}
-
 
 def _power_rows(out: np.ndarray, d: np.ndarray, v: np.ndarray, a: float) -> None:
     """out[..., q] = (v_q + d[...])**(a-1), computed in place."""
@@ -174,12 +166,16 @@ def _crossing_rows(prev: np.ndarray, levels: np.ndarray,
     return np.repeat(np.arange(len(levels)), count.sum(axis=1)), k
 
 
-def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int) -> np.ndarray:
+def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int,
+                     powers: dict) -> np.ndarray:
     """One stage of j_n(2..n-2) for ascending levels n >= 4, rows zero-padded to width.
 
-    The rung's memo entry is carried through the levels in order.  Rows that
-    no earlier level holds are written once, in place, with the d and powers
-    of the first level that needs them.  Of the other rows, only those from
+    powers[(qo, qi)] is the rung's (n, x, x_pow, d, b) at the last level n it
+    built.  Row r of x and x_pow holds x = (r+1) + xi and x**-a; row k of d
+    and b holds d = (n-1) - x and the powers of column i = n-2-k, so the rows
+    a level shares with any other sit at the same index.  Rows that no
+    earlier level holds are written once, in place, with the d and powers of
+    the first level that needs them.  Of the other rows, only those from
     _crossing_rows whose d differs by exact comparison get new powers, in one
     call; each level scatters its own, then runs its two gemvs (one GEMM over
     the levels would order the sums differently).
@@ -188,19 +184,14 @@ def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int)
     v, wv = _gl01(qi)
     rows = levels - 3
     top = int(rows[-1])
-    # popped while in use, so a concurrent sweep never writes rows this one reads
-    entry = _POWER_MEMO.pop((qo, qi), None)
-    if entry is None or entry[0] != a:
-        entry = (a, 0, np.empty((0, qo)), np.empty((0, qo)), np.empty((0, qo)),
-                 np.empty((0, qo, qi)))
-    _, n_prev, x, x_pow, d, b = entry
+    n_prev, x, x_pow, d, b = powers.get(
+        (qo, qi), (0, *[np.empty((0, qo))] * 3, np.empty((0, qo, qi))))
     prev = np.concatenate(([n_prev], levels[:-1]))
     kept = np.minimum(np.maximum(prev - 3, 0), rows)
     have = min(max(n_prev - 3, 0), top)
-    if not top <= len(b) <= 2 * top:
-        # room to grow into when rows are reused (up to the next power of two,
-        # so a sweep copies its rows about log2(n) times), none for a level
-        # built afresh
+    if len(b) < top:
+        # up to the next power of two when rows are reused, so a call copies
+        # its rows about log2(n) times; no spare room in a fresh buffer
         cap = 1 << (top - 1).bit_length() if have else top
         grown = [np.empty((cap,) + arr.shape[1:]) for arr in (x, x_pow, d, b)]
         for new, old in zip(grown, (x, x_pow, d, b)):
@@ -233,7 +224,7 @@ def _j_interior_rows(a: float, levels: np.ndarray, width: int, qo: int, qi: int)
     n = int(levels[-1])
     # a row keeps its d from its last change to the last level
     d[k] = (n - 1.0) - ((n - 3 - k)[:, None] + xi)
-    _POWER_MEMO[(qo, qi)] = (a, n, x, x_pow, d, b)
+    powers[(qo, qi)] = (n, x, x_pow, d, b)
     return out
 
 
@@ -632,8 +623,8 @@ def _table_key(params: HurstParams, n: int, cfg: QuadratureConfig) -> tuple:
     return (params.H, params.sigma, n, cfg.key())
 
 
-def _build_tables(params: HurstParams, levels: list[int],
-                  cfg: QuadratureConfig) -> dict[int, CoefficientTable]:
+def _build_tables(params: HurstParams, levels: list[int], cfg: QuadratureConfig,
+                  powers: dict) -> dict[int, CoefficientTable]:
     """Build and cache the tables of levels (ascending, distinct, n >= 1).
 
     Every stage runs once per rung over the block: the interior columns (rows
@@ -649,8 +640,8 @@ def _build_tables(params: HurstParams, levels: list[int],
     if mid:
         nl = np.array(mid)
         vals, errs = _escalate(
-            lambda qo, qi, live: _j_interior_rows(a, nl[live], mid[-1] - 3, qo, qi), cfg,
-            [f"j_{n}(2..{n - 2})" for n in mid])
+            lambda qo, qi, live: _j_interior_rows(a, nl[live], mid[-1] - 3, qo, qi, powers),
+            cfg, [f"j_{n}(2..{n - 2})" for n in mid])
         for n, val, err in zip(mid, vals, errs):
             j[n][1:n - 2], j_err[n][1:n - 2] = val[:n - 3], err[:n - 3]
     if 2 in j:
@@ -692,25 +683,27 @@ def coefficient_tables(params: HurstParams, levels,
                        cfg: QuadratureConfig = DEFAULT_QUAD) -> list[CoefficientTable]:
     """The tables of levels, in their order, building the missing ones together.
 
-    Missing levels are built in ascending blocks of _BATCH_LEVELS.  If a block
-    exhausts the ladder somewhere, its levels are built again one at a time, so
-    the error is the one a level-by-level sweep meets first (the lowest failing
-    level) and the levels below it are cached.
+    Missing levels are built in ascending blocks of _BATCH_LEVELS, which share
+    one set of interior power rows that lives as long as this call.  If a
+    block exhausts the ladder somewhere, its levels are built again one at a
+    time, so the error is the one a level-by-level sweep meets first (the
+    lowest failing level) and the levels below it are cached.
     """
     levels = list(levels)
     if any(n < 1 for n in levels):
         raise ValueError("level n must be >= 1")
     tables = {n: _TABLE_CACHE.get(_table_key(params, n, cfg)) for n in levels}
     todo = sorted(n for n, t in tables.items() if t is None)
+    powers: dict = {}
     for start in range(0, len(todo), _BATCH_LEVELS):
         block = todo[start:start + _BATCH_LEVELS]
         try:
-            tables.update(_build_tables(params, block, cfg))
+            tables.update(_build_tables(params, block, cfg, powers))
         except QuadratureError:
             if len(block) == 1:
                 raise
             for n in block:
-                _build_tables(params, [n], cfg)
+                _build_tables(params, [n], cfg, powers)
             raise
     return [tables[n] for n in levels]
 
@@ -723,7 +716,6 @@ def coefficient_table(params: HurstParams, n: int,
 
 def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
-    _POWER_MEMO.clear()
 
 
 def table_fingerprint(tables) -> str:

@@ -5,7 +5,11 @@ class FracbinError(Exception):
     """Base class for all package-specific failures."""
 
 
-class QuadratureError(FracbinError):
+class NonconvergenceError(FracbinError):
+    """An iteration stopped short of the requested tolerance."""
+
+
+class QuadratureError(NonconvergenceError):
     """An integral did not converge to the requested tolerance.
 
     Carries the best available estimate and the achieved error bound so

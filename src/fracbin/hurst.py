@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .errors import TruncationError
+from .errors import NonconvergenceError, TruncationError
 
 # k above which the binomial-series evaluation of rho is used.  Chosen where
 # the direct second difference and the series agree to <= 1e-12 relative
@@ -222,8 +222,9 @@ def solve_critical_hurst(tol: float = 1e-8) -> tuple[float, float]:
     """Bisect for h_c with sum_k rho_{h_c}^2(k) = 1/4; returns (h_c, H_c).
 
     Valid because rho_h(k) is increasing in h for every k, so the series sum
-    is strictly increasing.  H_c = 2 h_c - 1/2.  Stops when the bracket is
-    narrower than 1e-10 in h and the residual resolves below tol.
+    is strictly increasing.  H_c = 2 h_c - 1/2.  Bisects to a 1e-10 bracket
+    in h and on until the residual is at most tol, raising
+    NonconvergenceError if the bracket closes to adjacent doubles first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -235,14 +236,13 @@ def solve_critical_hurst(tol: float = 1e-8) -> tuple[float, float]:
             "bracket endpoints do not straddle 1/4; the series sum should "
             "increase from ~0 to +inf across (1/2, 3/4)"
         )
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if rho_sq_total(mid) - 0.25 < 0.0:
-            lo = mid
-        else:
-            hi = mid
     h_c = 0.5 * (lo + hi)
-    residual = abs(rho_sq_total(h_c) - 0.25)
-    if residual > tol + 1e-9:
-        raise AssertionError(f"bisection stalled with residual {residual:g}")
+    f = rho_sq_total(h_c) - 0.25
+    while (hi - lo > 1e-10 or abs(f) > tol) and lo < h_c < hi:
+        lo, hi = (h_c, hi) if f < 0.0 else (lo, h_c)
+        h_c = 0.5 * (lo + hi)
+        f = rho_sq_total(h_c) - 0.25
+    if abs(f) > tol:
+        raise NonconvergenceError(f"bisection for h_c reached adjacent doubles at h = {h_c!r} "
+                                  f"with residual {abs(f):g}, above tol {tol:g}")
     return h_c, 2.0 * h_c - 0.5

@@ -691,8 +691,7 @@ def stock_path(spec: MarketSpec, signs: Sequence[int],
     scale = spec.N ** (-spec.params.H)
     prices = [spec.s0]
     violations = []
-    for n in range(1, len(signs) + 1):
-        table = coefficient_table(spec.params, n, cfg)
+    for n, table in enumerate(coefficient_tables(spec.params, range(1, len(signs) + 1), cfg), 1):
         x = scale * (_node_sum(signs[:n - 1], table.j) + table.g * signs[n - 1])
         factor = 1.0 + spec.drift.step_drift(n, spec.N) + x
         if factor <= 0:

@@ -17,6 +17,7 @@ from .coefficients import (
     I_integrals,
     J_unscaled,
     coefficient_table,
+    coefficient_tables,
     g_unscaled,
     j_coeff,
     turning_point,
@@ -106,8 +107,7 @@ def check_brackets(n_max: int = 40) -> dict:
     worst = 0.0
     for H in H_GRID:
         p = HurstParams(H)
-        for n in range(2, n_max + 1):
-            t = coefficient_table(p, n)
+        for n, t in enumerate(coefficient_tables(p, range(2, n_max + 1)), 2):
             i_vals = I_integrals(H, n)
             lo = p.sigma * p.c_H * (n - 1.0) ** p.alpha * i_vals - t.j_err - 1e-12
             hi = p.sigma * p.c_H * float(n) ** p.alpha * i_vals + t.j_err + 1e-12

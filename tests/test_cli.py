@@ -79,6 +79,16 @@ def test_hc_command(tmp_path):
     assert doc["residual"] <= 1e-8
 
 
+def test_hc_meets_a_tight_tol_or_exits_nonconvergent(tmp_path, capsys):
+    rc, out = run(["hc", "--tol", "1e-12"], tmp_path)
+    assert rc == EXIT_OK
+    assert json.loads(out.read_text())["residual"] <= 1e-12
+    rc, out = run(["hc", "--tol", "1e-300"], tmp_path, "tiny.json")
+    assert rc == EXIT_NONCONVERGENCE
+    assert not out.exists()
+    assert "nonconvergence" in capsys.readouterr().err
+
+
 def test_coeffs_csv(tmp_path):
     base = tmp_path / "tbl"
     rc = main(["coeffs", "--H", "0.7", "--n", "5", "--format", "csv", "--out", str(base)])

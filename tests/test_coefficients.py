@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,7 +294,7 @@ def _fresh_middle_stage(a, n, i_arr, qo, qi):
     return (x ** (-a) * (b @ smooth)) @ wx
 
 
-def _fresh_interior_rows(a, levels, width, qo, qi):
+def _fresh_interior_rows(a, levels, width, qo, qi, powers):
     """The batched interior stage, one level at a time through _fresh_middle_stage."""
     out = np.zeros((len(levels), width))
     for row, n in zip(out, levels.tolist()):
@@ -381,29 +382,28 @@ def _fresh_table_bytes(H, sigma, n, cfg=DEFAULT_QUAD):
     return j.tobytes(), j_err.tobytes(), repr(g), repr(g_err)
 
 
-_CLEAR = "clear"  # clear_table_cache(): tables and power memo
-_REBUILD = "rebuild"  # drop only the tables, so a repeated level is built again
+_CLEAR = "clear"  # clear_table_cache(), so a repeated level is built again
 
 
 def _sweep_bytes(requests):
-    """Exact bytes of j, j_err, g and g_err for a sequence of (H, sigma, n)."""
+    """Exact bytes of j, j_err, g and g_err for a sequence of (H, sigma, levels)."""
     clear_table_cache()
     out = []
     for req in requests:
         if req == _CLEAR:
             clear_table_cache()
-        elif req == _REBUILD:
-            coefficients._TABLE_CACHE.clear()
         else:
-            out.append(_table_bytes(req))
+            out.extend(_tables_bytes(*req))
     clear_table_cache()
     return out
 
 
-def _table_bytes(req):
-    H, sigma, n = req
-    t = coefficient_table(HurstParams(H, sigma), n)
-    return req, t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)
+def _tables_bytes(H, sigma, levels):
+    """One coefficient_tables call; levels is one level or a run of them."""
+    levels = [levels] if isinstance(levels, int) else levels
+    tables = coefficient_tables(HurstParams(H, sigma), levels)
+    return [((H, sigma, t.n), t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err))
+            for t in tables]
 
 
 def _assert_matches_fresh_powers(monkeypatch, requests):
@@ -418,12 +418,13 @@ def _assert_matches_fresh_powers(monkeypatch, requests):
 
 @pytest.mark.parametrize("H", [0.5005, 0.51, 0.75, 0.97, 0.999])
 def test_ascending_sweep_matches_fresh_powers(monkeypatch, H):
-    # 140 levels cross the binade edges at m = 64 and m = 128
-    _assert_matches_fresh_powers(monkeypatch, [(H, 1.0, n) for n in range(1, 141)])
+    # 140 levels in one call: three blocks share the power rows, across the
+    # binade edges at m = 64 and m = 128
+    _assert_matches_fresh_powers(monkeypatch, [(H, 1.0, range(1, 141))])
 
 
 def test_out_of_order_and_repeated_levels_match_fresh_powers(monkeypatch):
-    levels = [30, 31, 31, _REBUILD, 31, 32, 29, 30, 65, 66, 67, _REBUILD, 66, 67, 68,
+    levels = [30, 31, 31, _CLEAR, 31, 32, 29, 30, 65, 66, 67, _CLEAR, 66, 67, 68,
               5, 4, 6, 7, 200, 201, 130, 131, 132, 4, 3, 2, 1, 2]
     _assert_matches_fresh_powers(
         monkeypatch, [lv if isinstance(lv, str) else (0.7, 1.0, lv) for lv in levels])
@@ -443,8 +444,8 @@ def test_level_after_clear_matches_fresh_powers(monkeypatch):
 
 
 def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
-    # threads replace one another's memo entries mid-sweep; entries are never
-    # written after they are stored, so every table must still be exact
+    # each call builds its own power rows; the threads share only the table
+    # cache, so every table must still be exact
     sweeps = [[(H, sigma, n) for n in range(1, 61)]
               for H, sigma in ((0.6, 1.0), (0.6, 2.0), (0.8, 1.0), (0.95, 1.0))]
     with monkeypatch.context() as m:
@@ -453,7 +454,7 @@ def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
     got = [None] * len(sweeps)
 
     def run(k):
-        got[k] = [_table_bytes(req) for req in sweeps[k]]
+        got[k] = [row for req in sweeps[k] for row in _tables_bytes(*req)]
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(sweeps))]
     interval = sys.getswitchinterval()
@@ -470,67 +471,51 @@ def test_concurrent_sweeps_match_fresh_powers(monkeypatch):
     assert got == want
 
 
-def test_power_memo_is_bounded_and_cleared(monkeypatch):
-    clear_table_cache()
-    # at H = 0.99 a 1e-16 tolerance sends the interior up more rungs (all of
-    # them at some levels) and exhausts the ladder; a default build at H = 0.8
-    # stops at the first two.  After the climb, levels jump up, fall back and
-    # switch H.
-    tight = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-16)
-    builds = [*((H, n, cfg) for n in range(4, 40) for H, cfg in ((0.8, DEFAULT_QUAD), (0.99, tight))),
-              *((0.99, n, tight) for n in (20, 90, 12, 5)), (0.8, 45, DEFAULT_QUAD), (0.99, 31, tight)]
-    memo = coefficients._POWER_MEMO
-    last = {}  # rung -> (a, n) of the last build that reached it
-    real = coefficients._j_interior_rows
-
-    def recording(a, levels, width, qo, qi):
-        last[(qo, qi)] = (a, int(levels[-1]))
-        return real(a, levels, width, qo, qi)
-
-    monkeypatch.setattr(coefficients, "_j_interior_rows", recording)
-    for H, n, cfg in builds:
-        if cfg is tight:
-            with pytest.raises(QuadratureError):
-                coefficient_table(HurstParams(H), n, cfg)
-        else:
-            coefficient_table(HurstParams(H), n, cfg)
-        assert last[_ORDER_LADDER[0]] == (HurstParams(H).alpha, n)
-        assert set(memo) == set(last)
-        for (qo, qi), (a, m, x, x_pow, d, b) in memo.items():
-            # one buffer per rung, holding the rows of its last level m and
-            # room for at most as many more
-            rows = len(b)
-            assert (a, m) == last[(qo, qi)]
-            assert m - 3 <= rows <= 2 * (m - 3)
-            assert x.shape == x_pow.shape == d.shape == (rows, qo) and b.shape == (rows, qo, qi)
-    assert set(memo) == set(_ORDER_LADDER)
-    clear_table_cache()
-    assert not memo
-
-
 def test_ascending_sweep_recomputes_few_rows(monkeypatch):
-    # level n reuses level n-1's powers except row 0 and the rows m = 2^k
+    # within one call, level 100 reuses level 99's powers except its new row
+    # and the rows m = 2^k
     clear_table_cache()
-    coefficient_table(HurstParams(0.75), 99)
-    rows = []
-    real = coefficients._power_rows
+    rows, rungs = [], []
+    real_rows, real_interior = coefficients._power_rows, coefficients._j_interior_rows
 
     def counting(out, d, v, a):
         rows.append(1 if d.ndim == 1 else d.shape[0])
-        real(out, d, v, a)
+        real_rows(out, d, v, a)
+
+    def interior(a, levels, width, qo, qi, powers):
+        rungs.append(levels.tolist())
+        return real_interior(a, levels, width, qo, qi, powers)
 
     monkeypatch.setattr(coefficients, "_power_rows", counting)
-    coefficient_table(HurstParams(0.75), 100)
-    rungs = sum(1 for entry in coefficients._POWER_MEMO.values() if entry[1] == 100)
+    monkeypatch.setattr(coefficients, "_j_interior_rows", interior)
+    coefficient_tables(HurstParams(0.75), [99, 100])
     clear_table_cache()
-    assert rungs >= 2
-    assert sum(rows) <= rungs * (1 + 6)  # row 0 and m = 2, 4, ..., 64 of 97 rows
+    assert len(rungs) >= 2 and all(levels == [99, 100] for levels in rungs)
+    # each rung writes level 99's 96 rows once
+    assert sum(rows) - 96 * len(rungs) <= len(rungs) * (1 + 6)  # m = 1 and m = 2, 4, ..., 64
+
+
+def test_a_table_build_holds_no_power_rows():
+    # the power rows of a call are freed when it returns; only the table stays
+    p = HurstParams(0.7)
+    coefficient_table(p, 2000)  # warms the node caches
+    clear_table_cache()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = coefficient_table(p, 2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        clear_table_cache()
+    assert table.n == 2000
+    assert held < 2**20
 
 
 _SWEEPS = [range(1, 71), range(9, 46), [5, 9, 10, 11, 30, 64, 65, 66, 130], range(40, 0, -3),
            [7, 7, 3, 7, 12, 3, 12], [1], [2], [3], [4], [77],
-           # one call per entry, the cache and memo kept between them: the memo
-           # falls from level 90 to 8, then a gapped block climbs past it
+           # one call per entry, the cache kept between them: a gapped block
+           # climbs past levels already cached
            ([90], [60], [30], [8], range(5, 70), [130])]
 # at H = 0.75, g_13..g_17 and g_19 need rung (32, 48) here, their neighbours
 # only (24, 32); g_2..g_12 exhaust the ladder
@@ -542,33 +527,46 @@ _TIGHTER = QuadratureConfig(abs_tol=1e-300, rel_tol=3e-16)
 _TIGHTER_SWEEP = [20, 27, 32, 36, 39, 41, 43, 45, 47, 53, 54, 55, 60, 62, 63, 64, 67, 68, 69, 70]
 
 
-def _memo_rows():
-    """(a, n, x**-a, d, b) of every memo entry, cut to the rows of its level n."""
-    return {rung: (a, n, x_pow[:n - 3].tobytes(), d[:n - 3].tobytes(), b[:n - 3].tobytes())
-            for rung, (a, n, x, x_pow, d, b) in coefficients._POWER_MEMO.items()}
+def _capture_powers(monkeypatch):
+    """Wrap _j_interior_rows; the list it returns gains (powers, top) per call.
 
-
-def _assert_memo_matches_level_by_level(params, calls, cfg):
-    """The memo after calls equals the one that building each level alone leaves.
-
-    The levels are built one coefficient_table call at a time, in the order
-    the calls build them (each call's missing levels ascending), and every
-    entry's rows must equal the powers of its level computed from nothing.
+    powers is the call's power rows and top maps each rung to the highest
+    level the call built there.
     """
-    got = _memo_rows()
-    clear_table_cache()
-    for levels in calls:
-        for n in sorted(set(levels)):
-            coefficient_table(params, n, cfg)
-    assert _memo_rows() == got
-    for (qo, qi), (a, n, x_pow, d, b) in got.items():
-        xi, _ = _gl01(qo)
-        v, _ = _gl01(qi)
-        x = np.arange(1.0, n - 2.0)[:, None] + xi
-        d_ref = (n - 1.0) - x[::-1]
-        assert x_pow == (x ** -a).tobytes()
-        assert d == d_ref.tobytes()
-        assert b == ((v + d_ref[..., None]) ** (a - 1.0)).tobytes()
+    captured = []
+    real = coefficients._j_interior_rows
+
+    def capturing(a, levels, width, qo, qi, powers):
+        if not captured or captured[-1][0] is not powers:
+            captured.append((powers, {}))
+        top = captured[-1][1]
+        top[(qo, qi)] = max(top.get((qo, qi), 0), int(levels[-1]))
+        return real(a, levels, width, qo, qi, powers)
+
+    monkeypatch.setattr(coefficients, "_j_interior_rows", capturing)
+    return captured
+
+
+def _assert_powers_match_fresh(a, captured):
+    """Each rung's rows equal the powers of its last level n, computed from nothing.
+
+    A rung's buffers hold at most twice the rows of the highest level the
+    call built there.
+    """
+    for powers, top in captured:
+        assert set(powers) == set(top)
+        for (qo, qi), (n, x, x_pow, d, b) in powers.items():
+            rows = len(b)
+            assert n - 3 <= rows <= 2 * (top[(qo, qi)] - 3)
+            assert x.shape == x_pow.shape == d.shape == (rows, qo) and b.shape == (rows, qo, qi)
+            xi, _ = _gl01(qo)
+            v, _ = _gl01(qi)
+            x_ref = np.arange(1.0, n - 2.0)[:, None] + xi
+            d_ref = (n - 1.0) - x_ref[::-1]
+            assert x[:n - 3].tobytes() == x_ref.tobytes()
+            assert x_pow[:n - 3].tobytes() == (x_ref ** -a).tobytes()
+            assert d[:n - 3].tobytes() == d_ref.tobytes()
+            assert b[:n - 3].tobytes() == ((v + d_ref[..., None]) ** (a - 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("H, sigma, cfg, sweeps", [
@@ -577,10 +575,11 @@ def _assert_memo_matches_level_by_level(params, calls, cfg):
     (0.75, 1.0, _TIGHT, [range(13, 61), [40, 19, 18, 17, 13], [18], [17]]),
     (0.97, 1.0, _TIGHTER, [_TIGHTER_SWEEP, (_TIGHTER_SWEEP[::-1], _TIGHTER_SWEEP)]),
 ])
-def test_batched_tables_match_level_by_level_oracles(H, sigma, cfg, sweeps):
-    # each sweep starts from an empty cache and memo; 1..70 spans two blocks
+def test_batched_tables_match_level_by_level_oracles(monkeypatch, H, sigma, cfg, sweeps):
+    # each sweep starts from an empty cache; 1..70 spans two blocks
     want = {}
     params = HurstParams(H, sigma)
+    captured = _capture_powers(monkeypatch)
     for sweep in sweeps:
         calls = sweep if isinstance(sweep, tuple) else (sweep,)
         clear_table_cache()
@@ -591,7 +590,8 @@ def test_batched_tables_match_level_by_level_oracles(H, sigma, cfg, sweeps):
                 assert type(t.g) is float and type(t.g_err) is float
                 ref = want.setdefault(t.n, _fresh_table_bytes(H, sigma, t.n, cfg))
                 assert (t.j.tobytes(), t.j_err.tobytes(), repr(t.g), repr(t.g_err)) == ref, t.n
-        _assert_memo_matches_level_by_level(params, calls, cfg)
+        _assert_powers_match_fresh(params.alpha, captured)
+        captured.clear()
     clear_table_cache()
 
 
@@ -600,9 +600,9 @@ def test_tighter_sweep_sends_a_gapped_subset_up_the_ladder(monkeypatch):
     reached = {}
     real = coefficients._j_interior_rows
 
-    def recording(a, levels, width, qo, qi):
+    def recording(a, levels, width, qo, qi, powers):
         reached.setdefault((qo, qi), []).extend(levels.tolist())
-        return real(a, levels, width, qo, qi)
+        return real(a, levels, width, qo, qi, powers)
 
     monkeypatch.setattr(coefficients, "_j_interior_rows", recording)
     clear_table_cache()
@@ -657,7 +657,7 @@ def test_crossing_rows_are_the_binade_changes():
     (_UNREACHABLE, [40, 9, 6]),  # the lowest level, not the first requested
     (QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15), range(17, 90)),  # only g_18 exhausts
 ], ids=["j2", "j_first", "interior", "lowest", "g"])
-def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(cfg, levels):
+def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(monkeypatch, cfg, levels):
     want = None
     for n in sorted(set(levels)):
         try:
@@ -666,9 +666,12 @@ def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(cfg, levels):
             want, failing = exc, n
             break
     clear_table_cache()
+    captured = _capture_powers(monkeypatch)
     with pytest.raises(QuadratureError) as exc:
         coefficient_tables(HurstParams(0.75), levels, cfg)
     assert (str(exc.value), exc.value.best, exc.value.err) == (str(want), want.best, want.err)
+    # the level-by-level rebuild reuses the failed block's power rows
+    _assert_powers_match_fresh(HurstParams(0.75).alpha, captured)
     # as after a level-by-level sweep, the levels below the failing one are cached
     cached = {key[2] for key in coefficients._TABLE_CACHE}
     clear_table_cache()

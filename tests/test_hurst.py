@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracbin import (
     HurstParams,
+    NonconvergenceError,
     TruncationError,
     normalizing_constant,
     rho,
@@ -186,6 +187,21 @@ def test_solve_critical_hurst_golden():
     assert H_c == pytest.approx(2.0 * h_c - 0.5, abs=0.0)
     assert abs(rho_sq_total(h_c) - 0.25) <= 1e-8
     assert h_c == pytest.approx(H_C_GOLDEN, abs=5e-10)
+
+
+def test_solve_critical_hurst_bisects_past_1e10_to_meet_a_tight_tol():
+    # the default tol stops at the 1e-10 bracket (the report's h_c); a tighter
+    # one keeps bisecting until the residual is within it
+    assert solve_critical_hurst(1e-8)[0] == 0.6765697566101039
+    h_c, H_c = solve_critical_hurst(1e-12)
+    assert abs(rho_sq_total(h_c) - 0.25) <= 1e-12
+    assert H_c == 2.0 * h_c - 0.5
+
+
+def test_solve_critical_hurst_raises_when_adjacent_doubles_miss_tol():
+    # the series sum is only good to about 1e-15
+    with pytest.raises(NonconvergenceError, match="adjacent doubles"):
+        solve_critical_hurst(1e-300)
 
 
 def test_solve_critical_hurst_validation():
