@@ -22,8 +22,13 @@ Special cases:
     delta = n-1-x; the singular factor becomes the pure Jacobi weight
     s^{a-1} and both pieces of the rotated square are analytic.
   * n = 2 (both the x^{-a} endpoint and the corner meet): the x-integral has
-    the exact form B(1-a,a) * I_{1/(1+v)}(1-a, a), leaving a 1-D adaptive
-    integral in v.
+    the exact form B(1-a,a) * I_{1/(1+v)}(1-a, a).  Integrating by parts in
+    u = 1/(1+v) and splitting B(1-a,a) at 1/2 leaves two positive terms,
+        j_2(1)/(sigma*C_H) = [(2^(a+1)-1) B(1-a,a) I_{1/2}(1-a,a)
+                              + int_0^{1/2} w^a q(w) dw] / (1+a),
+        q(w) = ((1-w)^{-2a-1} - (1-w)^{-a}) / w,
+    with q analytic on [0, 1/2], so one Gauss-Jacobi rule per rung; nothing
+    cancels as H -> 1/2.
   * n = 1: g_1 reduces exactly to sigma*C_H*B(1-a,a)/(1+a).
 
 Tables are cached per (params, n, config); construction is idempotent.
@@ -85,6 +90,10 @@ __all__ = [
 _ORDER_LADDER = ((16, 24), (24, 32), (32, 48), (48, 64), (64, 96), (96, 128))
 # QUADPACK's subdivision limit for the adaptive integrals
 _MAX_SUBDIVISIONS = 2000
+# Relative float error allowed for j_2(1)/(sigma*C_H) on top of its rung
+# difference: at every rung of the ladder it was within 9 eps of 30-digit
+# mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9].
+_J2_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -280,9 +289,9 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tupl
     as nonconvergence, whatever the error estimate says.
     """
     # Imported here, not at module level: scipy.integrate pulls in
-    # scipy.optimize, scipy.linalg and scipy.sparse.linalg (about half a
-    # second per process), and only the level-2 table and the N-dependent
-    # originals ever reach this function.
+    # scipy.optimize, scipy.linalg and scipy.sparse.linalg (about a quarter
+    # of a second and 25 MB per process), and only the N-dependent originals
+    # reach this function; no table does.
     from scipy.integrate import quad as _quad
 
     val, err, _info, *flag = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
@@ -296,14 +305,28 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tupl
 
 
 def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """j_2(1)/(sigma*C_H): exact incomplete-Beta x-integral, adaptive in v."""
-    bfull = math.pi / math.sin(math.pi * a)  # B(1-a, a)
+    """j_2(1)/(sigma*C_H) on the order ladder (module docstring, n = 2).
 
-    def f(v: float) -> float:
-        return (1.0 + v) ** a * _betainc(1.0 - a, a, 1.0 / (1.0 + v))
+    The error is the rung difference plus _J2_ROUNDING * |value|; if that
+    exceeds cfg's tolerance, QuadratureError is raised.  The first term comes
+    from betainc, within 5 eps: a Gauss-Jacobi rule for its weight w^{-a}
+    lost up to 460 eps at 96 nodes.
+    """
+    head = (math.expm1((1.0 + a) * math.log(2.0)) * math.pi / math.sin(math.pi * a)
+            * float(_betainc(1.0 - a, a, 0.5)))
 
-    val, err = _adaptive(f, 0.0, 1.0, cfg, "j_2(1)")
-    return bfull * val, bfull * err
+    def stage(qo: int, qi: int, live) -> list[float]:
+        x, wx = _gj01(qo, 0.0, a)
+        w = x / 2.0
+        q = (1.0 - w) ** -a * np.expm1(-(1.0 + a) * np.log1p(-w)) / w
+        return [(head + 2.0 ** (-a - 1.0) * float(np.dot(q, wx))) / (1.0 + a)]
+
+    vals, errs = _escalate(stage, cfg, ["j_2(1)"])
+    val = float(vals[0])
+    err = float(errs[0]) + _J2_ROUNDING * abs(val)
+    if err > cfg.tol_for(val):
+        raise QuadratureError(f"j_2(1): error bound {err:g} above tolerance", best=val, err=err)
+    return val, err
 
 
 def _escalate(stage_fn, cfg: QuadratureConfig, names: list[str]):

@@ -204,7 +204,6 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == EXIT_VALIDATION
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_nonconvergence_exit_code(tmp_path):
     rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
                   tmp_path)
@@ -213,13 +212,15 @@ def test_nonconvergence_exit_code(tmp_path):
 
 
 def test_quadpack_flag_exits_without_a_warning(tmp_path, capsys):
+    # g_2 exhausts the order ladder at 1e-14; no quadrature warning leaks
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
                       tmp_path)
     assert rc == EXIT_NONCONVERGENCE
+    assert not out.exists()
     err = capsys.readouterr().err
-    assert "j_2(1)" in err and "IntegrationWarning" not in err
+    assert "g_2: order ladder exhausted" in err and "IntegrationWarning" not in err
     assert not [w for w in caught if "IntegrationWarning" in w.category.__name__]
 
 
@@ -231,32 +232,49 @@ def test_zero_quadrature_tolerance_exits_2(tmp_path, capsys):
         "fracbin: invalid configuration: quadrature tolerances must be positive\n"
 
 
-# A fresh interpreter, because pytest's filterwarnings entry for
-# IntegrationWarning imports scipy.integrate into this process.
-_LOADED_MODULES = """
-import sys
-from fracbin.cli import main
-rc = main(sys.argv[1:])
-print(rc, "scipy.integrate" in sys.modules, "scipy.optimize" in sys.modules)
-"""
+def _loaded_modules(tmp_path, code, *argv):
+    """Run code (which sets rc) with argv in a fresh interpreter; print rc and
+    whether scipy.integrate and scipy.optimize were loaded.
 
-
-@pytest.mark.parametrize("argv, loaded", [
-    (["mc-limit", "--samples", "2000"], False),
-    (["mc-level", "--n", "30", "--samples", "200"], False),
-    (["charfn", "--fit"], False),
-    (["hc"], False),
-    (["reach", "--prefix=+-"], False),
-    (["coeffs", "--n", "3"], True),  # the level-2 table runs QUADPACK
-], ids=["mc-limit", "mc-level", "charfn", "hc", "reach", "coeffs-control"])
-def test_table_free_commands_never_load_quadpack(tmp_path, argv, loaded):
+    A fresh interpreter, because pytest's filterwarnings entry for
+    IntegrationWarning imports scipy.integrate into this process.
+    """
     env = {k: v for k, v in os.environ.items() if not k.startswith("FRACBIN_")}
     env["PYTHONPATH"] = str(Path(fracbin.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv,
-                           "--out", str(tmp_path / "r.json")],
+    script = (f"import sys\n{code}\n"
+              "print(rc, 'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loaded), str(loaded)]
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-limit", "--samples", "2000"],
+    ["mc-level", "--n", "30", "--samples", "200"],
+    ["charfn", "--fit"],
+    ["hc"],
+    ["reach", "--prefix=+-"],
+    ["coeffs", "--n", "3"],
+    ["census", "--N", "6"],
+    ["paths", "--N", "6"],
+    ["mc-level", "--n", "2", "--samples", "200"],
+    ["convergence", "--n-list", "2", "--samples", "200"],
+    ["reach", "--prefix=", "--H", "0.9"],  # the bracket screen leaves level 2 undecided
+], ids=["mc-limit", "mc-level", "charfn", "hc", "reach", "coeffs", "census", "paths", "mc-level-2",
+        "convergence-2", "reach-root"])
+def test_table_free_commands_never_load_quadpack(tmp_path, argv):
+    # every table, level 2 included, is built on the order ladder
+    code = "from fracbin.cli import main\nrc = main(sys.argv[1:])"
+    argv = [*argv, "--out", str(tmp_path / "r.json")]
+    assert _loaded_modules(tmp_path, code, *argv) == ["0", "False", "False"]
+
+
+def test_unscaled_route_loads_quadpack(tmp_path):
+    # the N-dependent originals, verify's independent route, still run QUADPACK
+    code = ("from fracbin import HurstParams, J_unscaled\n"
+            "rc = int(J_unscaled(HurstParams(0.75), 10, 5, 2) <= 0)")
+    assert _loaded_modules(tmp_path, code) == ["0", "True", "True"]
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,23 +190,75 @@ def test_error_estimates_within_config():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_j2_adaptive_error_is_checked(monkeypatch):
-    # one quad subdivision leaves j_2(1) about 3e-2 off; it must not be accepted
-    clear_table_cache()  # earlier tests cache the (0.75, n=2) table
+def test_adaptive_error_is_checked(monkeypatch):
+    # one quad subdivision leaves J(2,2,1) about 2e-2 off; it must not be accepted
+    p = HurstParams(0.75)
     with monkeypatch.context() as m:
         m.setattr(coefficients, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureError) as exc:
-            coefficient_table(HurstParams(0.75), 2)
+            J_unscaled(p, 2, 2, 1)
     assert exc.value.err > DEFAULT_QUAD.tol_for(exc.value.best)
-    t = coefficient_table(HurstParams(0.75), 2)
-    assert t.j_err[0] <= DEFAULT_QUAD.tol_for(t.j[0])
+    assert 2**0.75 * J_unscaled(p, 2, 2, 1) == pytest.approx(J_GOLDEN[(0.75, 2, 1)], abs=1e-9)
 
 
 def test_adaptive_rejects_a_quadpack_roundoff_flag():
-    # quad meets 1e-14 by its own estimate (4.5e-15) but flags roundoff
+    # quad meets 1e-14 by its own estimate (2.1e-15) but flags roundoff
     cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
-    with pytest.raises(QuadratureError, match=r"j_2\(1\)"):
-        coefficient_table(HurstParams(0.75), 2, cfg)
+    with pytest.raises(QuadratureError, match=r"g\(4,2\): QUADPACK flagged: .*roundoff"):
+        g_unscaled(HurstParams(0.75), 4, 2, cfg)
+
+
+# j_2(1)/(sigma*C_H) = B(1-a,a) int_0^1 (1+v)^a I_{1/(1+v)}(1-a,a) dv, the
+# adaptive v-integral of the exact x-integral, by mpmath at 50 digits with
+# a = float(H) - 1/2 exactly; 40 digits kept
+J2_REFERENCE = {
+    0.5001: "1.386334090269653421089906624295016861112",
+    0.501: "1.386693568226550457887970137188725948038",
+    0.51: "1.390478441748796811890473694752604584325",
+    0.55: "1.411542856417379555107252210127729791847",
+    0.75: "1.636500057475372397851749769531674574843",
+    0.8862: "1.952272328125181708919407782116671755843",
+    0.95: "2.174503640282024002810956363040718149204",
+    0.999: "2.39293076984056607425126089413720906911",
+}
+
+
+@pytest.mark.parametrize("H", sorted(J2_REFERENCE))
+def test_j2_matches_40_digit_references(H):
+    p = HurstParams(H)
+    t = coefficient_table(p, 2)
+    ref = Fraction(J2_REFERENCE[H]) * Fraction(p.sigma * p.C_H)
+    miss = abs(Fraction(t.j[0]) - ref)
+    assert miss <= Fraction(1e-11) * ref
+    assert miss <= Fraction(t.j_err[0])
+
+
+@pytest.mark.parametrize("H", sorted(J2_REFERENCE))
+def test_j2_agrees_with_the_quadpack_route(monkeypatch, H):
+    # N^H J(N, n, i) = j_n(i) at N = n = 2.  quad's own estimate understates
+    # J's error (the kernel difference it integrates is rounded), so J's side
+    # of the bound is the tolerance it was held to, scaled as J is.
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
+    seen = []
+    adaptive = coefficients._adaptive
+
+    def spy(*args):
+        seen.append(adaptive(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(coefficients, "_adaptive", spy)
+    p = HurstParams(H)
+    J = J_unscaled(p, 2, 2, 1, cfg)
+    (val, _), = seen
+    t = coefficient_table(p, 2)
+    assert abs(2**H * J - t.j[0]) <= t.j_err[0] + 2**H * abs(J / val) * cfg.tol_for(val)
+
+
+def test_j2_error_bound_is_checked():
+    # the rungs agree within 1e-15, but the rounding allowance does not fit
+    with pytest.raises(QuadratureError, match=r"j_2\(1\): error bound .* above tolerance") as exc:
+        coefficients._j2_value(0.25, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15))
+    assert exc.value.err > 1e-15 * exc.value.best
 
 
 _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
@@ -214,6 +267,7 @@ _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("route", [
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 6, _UNREACHABLE), id="interior"),
+    pytest.param(lambda: coefficient_table(HurstParams(0.75), 2, _UNREACHABLE), id="j2"),
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 3, _UNREACHABLE), id="j_first"),
     pytest.param(lambda: I_integrals(0.75, 10, _UNREACHABLE), id="I_integrals"),
     pytest.param(lambda: kernel(0.75, 1.0, 0.5, _UNREACHABLE), id="kernel"),
@@ -649,9 +703,8 @@ def test_crossing_rows_are_the_binade_changes():
         assert sorted(k[t == s].tolist()) == want.tolist(), (p, n)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("cfg, levels", [
-    (_UNREACHABLE, range(1, 30)),  # j_2(1), adaptive
+    (_UNREACHABLE, range(1, 30)),  # j_2(1)
     (_UNREACHABLE, range(3, 30)),  # j_3(1): level 3 has no interior
     (_UNREACHABLE, range(4, 30)),  # the interior of level 4 comes first
     (_UNREACHABLE, [40, 9, 6]),  # the lowest level, not the first requested
