@@ -380,23 +380,18 @@ def split_variances(params: HurstParams, n: int, table: CoefficientTable) -> tup
     return float(np.sum(table.j[:cut] ** 2)), float(np.sum(table.j[cut:] ** 2))
 
 
-def characteristic_function(params: HurstParams, v: float, tol: float = 1e-8) -> float:
+def characteristic_function(params: HurstParams, v: float | np.ndarray,
+                            tol: float = 1e-8) -> float | np.ndarray:
     """F(v) = prod_k cos(2 v g_H rho_h(k)), with a certified log-domain tail.
 
     The product is truncated once its arguments drop below 0.3; the dropped
     factors contribute -(u^2/2 S2 + u^4/12 S4 + u^6/45 S6) to log F with
     S_p the exact rho-power tails, and the first neglected term
     (17/2520) u^8 S8 must be <= tol (else TruncationError).
-    """
-    return _cf_evaluator(params, tol)(v)
 
-
-def _cf_evaluator(params: HurstParams, tol: float) -> Callable[[float], float]:
-    """v -> characteristic_function(params, v, tol), bit for bit.
-
-    rho(h, K), rho(h, 1..K) and the rho-power tails at K are computed once
-    per truncation index K for all the v one evaluator is given, instead of
-    once per v; the memo lives as long as the evaluator.
+    A float v gives a float; a 1-D array of v gives F at each v in order, so
+    TruncationError names the first v that cannot meet tol.  rho(h, K),
+    rho(h, 1..K) and the rho-power tails at K are computed once per call.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -432,7 +427,9 @@ def _cf_evaluator(params: HurstParams, tol: float) -> Callable[[float], float]:
         )
         return sign * math.exp(log_head + log_tail)
 
-    return evaluate
+    if np.ndim(v) == 0:
+        return evaluate(v)
+    return np.array([evaluate(x) for x in np.asarray(v, dtype=float).tolist()], dtype=float)
 
 
 def empirical_cf(samples: np.ndarray, v_values: np.ndarray) -> np.ndarray:
@@ -457,24 +454,20 @@ def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
     v_hi = 400.0 / params.g_H if v_hi is None else v_hi
     if not (0 < v_lo < v_hi):
         raise ValueError("need 0 < v_lo < v_hi")
-    vs = np.geomspace(v_lo, v_hi, points)
-    cf = _cf_evaluator(params, 1e-8)
-    k_head = np.arange(1, 513)
-    rho_head = rho(params.h, k_head)
-    us, lls = [], []
-    for v in vs:
+    rho_head = rho(params.h, np.arange(1, 513))
+    us, kept = [], []
+    for v in np.geomspace(v_lo, v_hi, points):
         u = 2.0 * params.g_H * v
         if float(np.min(np.abs(np.cos(u * rho_head)))) < 1e-6:
             continue
-        f = cf(float(v))
-        if not 1e-250 < abs(f) < 0.9:
-            continue
         us.append(math.log(u))
-        lls.append(math.log(-math.log(abs(f))))
-    if len(us) < 8:
+        kept.append(float(v))
+    fs = characteristic_function(params, np.array(kept)).tolist()
+    pts = [(x, math.log(-math.log(abs(f)))) for x, f in zip(us, fs) if 1e-250 < abs(f) < 0.9]
+    if len(pts) < 8:
         raise ValueError("too few usable points for the decay fit")
-    slope, intercept = np.polyfit(np.asarray(us), np.asarray(lls), 1)
-    return math.exp(intercept), float(slope), len(us)
+    slope, intercept = np.polyfit(*np.array(pts).T, 1)
+    return math.exp(intercept), float(slope), len(pts)
 
 
 def regime_constants(params: HurstParams) -> dict:

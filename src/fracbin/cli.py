@@ -56,6 +56,9 @@ EXIT_CAP = 4
 # report several times that; n = 4096 is the largest that fits
 _COEFFS_BUDGET_BYTES = 1 << 27
 
+# charfn evaluates F once per grid point, up to 0.6 s each near the series cap
+_CHARFN_POINTS_CAP = 10_000
+
 _ENV_PREFIX = "FRACBIN_"
 
 
@@ -320,14 +323,13 @@ def _cmd_hc(rc: RunConfig) -> int:
 
 
 def _cmd_charfn(rc: RunConfig) -> int:
-    if rc.points < 1:
-        raise ValueError(f"points must be >= 1, got {rc.points}")
+    if not 1 <= rc.points <= _CHARFN_POINTS_CAP:
+        raise ValueError(f"points must be >= 1 and at most {_CHARFN_POINTS_CAP}, got {rc.points}")
     if rc.v_min > rc.v_max:
         raise ValueError(f"v-min {rc.v_min} exceeds v-max {rc.v_max}")
     params = HurstParams(rc.H, rc.sigma)
     vs = np.linspace(rc.v_min, rc.v_max, rc.points)
-    cf = asym._cf_evaluator(params, rc.tol)
-    values = [cf(float(v)) for v in vs]
+    values = asym.characteristic_function(params, vs, rc.tol).tolist()
     payload: dict = {"points": [[float(v), f] for v, f in zip(vs, values)]}
     if rc.fit:
         theta, expo, used = asym.fit_cf_decay(params)

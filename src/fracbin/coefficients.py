@@ -458,7 +458,9 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     """Original N-dependent weight: direct quadrature of the kernel increment.
 
     Deliberately does not reuse the scaled-integral code path, so that
-    N^H * J_unscaled == j_coeff is a two-route consistency check.
+    N^H * J_unscaled == j_coeff is a two-route consistency check.  QUADPACK's
+    error estimate covers the outer integral only: it does not see the fixed
+    48-node inner rule of _kernel_fast, whose error is largest near H = 1/2.
     """
     if not (1 <= i < n <= N):
         raise ValueError(f"need 1 <= i < n <= N, got N={N}, n={n}, i={i}")

@@ -13,7 +13,7 @@ All functions are pure; returned dataclasses are frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -61,12 +61,12 @@ class HurstParams:
 
     H: float
     sigma: float = 1.0
-    h: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    c_H: float = 0.0
-    C_H: float = 0.0
-    g_H: float = 0.0
+    h: float = field(init=False)
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
+    c_H: float = field(init=False)
+    C_H: float = field(init=False)
+    g_H: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.5 < self.H < 1.0:

@@ -234,7 +234,7 @@ def check_cf(samples: int = 10**5) -> dict:
     y = asym.sample_limit_variable(p, cfg)
     vs = np.linspace(0.1, 1.2, 10) / p.g_H
     ecf = asym.empirical_cf(y, vs)
-    ana = np.array([asym.characteristic_function(p, float(v)) for v in vs])
+    ana = asym.characteristic_function(p, vs)
     worst = float(np.max(np.abs(ecf - ana)))
     budget = 6.0 / math.sqrt(samples)
     _, expo, _ = asym.fit_cf_decay(p, points=40)

@@ -423,17 +423,25 @@ def _fresh_cf(params, v, tol):
 
 @pytest.mark.parametrize("H", [0.6, 0.75, 0.85])
 def test_memoised_cf_matches_fresh_calls(H):
-    # one evaluator over a charfn grid and a decay-fit window, visited out of
+    # one call over a charfn grid and a decay-fit window, visited out of
     # order so later v reuse search steps and heads of earlier ones
     p = HurstParams(H)
     vs = np.concatenate([np.linspace(-4.0, 4.0, 9), np.geomspace(40.0, 400.0, 6) / p.g_H])
     vs = vs[np.random.default_rng(3).permutation(len(vs))].tolist()
     for tol in (1e-8, 1e-11):
-        cf = asym._cf_evaluator(p, tol)
-        got = np.array([cf(v) for v in vs])
+        got = characteristic_function(p, np.array(vs), tol)
         want = np.array([_fresh_cf(p, v, tol) for v in vs])
         assert got.tobytes() == want.tobytes()
         assert [characteristic_function(p, v, tol) for v in vs] == got.tolist()
+
+
+def test_cf_grid_raises_at_first_infeasible_v():
+    # v = 600 and 700 both miss tol at H = 0.95; the error names the first
+    p = HurstParams(0.95)
+    assert isinstance(characteristic_function(p, 1.0), float)
+    assert characteristic_function(p, np.array([])).shape == (0,)
+    with pytest.raises(TruncationError, match="at v=600$"):
+        characteristic_function(p, np.array([1.0, 600.0, 700.0]))
 
 
 def test_empirical_cf_matches_analytic(p075):

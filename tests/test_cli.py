@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracbin
@@ -578,6 +579,34 @@ def test_coeffs_byte_budget(tmp_path, capsys, monkeypatch, n, budget, built):
     else:
         assert rc == EXIT_CAP and builds == [] and not out.exists()
         assert f"coeffs n={n} needs {8 * n * (n - 1)} bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "edge"])
+def test_charfn_points_cap(tmp_path, capsys, monkeypatch, above):
+    # past the cap charfn exits 2 before its grid is built or F evaluated
+    from fracbin import cli
+
+    points = cli._CHARFN_POINTS_CAP + above
+    evaluated = []
+
+    def stub(params, v, tol):
+        assert not above, "F evaluated past the points cap"
+        evaluated.append(len(v))
+        return np.zeros(len(v))
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built past the points cap")
+
+    monkeypatch.setattr(cli.asym, "characteristic_function", stub)
+    if above:
+        monkeypatch.setattr(np, "linspace", no_grid)
+    rc, out = run(["charfn", "--points", str(points)], tmp_path)
+    if above:
+        assert rc == EXIT_VALIDATION and not out.exists()
+        assert f"at most {cli._CHARFN_POINTS_CAP}, got {points}" in capsys.readouterr().err
+    else:
+        assert rc == EXIT_OK and evaluated == [points]
+        assert len(json.loads(out.read_text())["points"]) == points
 
 
 @pytest.mark.parametrize("argv", [

@@ -127,6 +127,18 @@ def test_scaling_identity_randomized(H, N):
     assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j_coeff(p, n, i), abs=1e-8)
 
 
+@pytest.mark.parametrize("H", [0.501, 0.51])
+def test_scaling_identity_near_half(H):
+    # every (N, n, i) with N <= 8 just above H = 1/2, where the fixed inner
+    # rule of the unscaled route is least accurate
+    p = HurstParams(H)
+    for N in range(1, 9):
+        for n in range(1, N + 1):
+            assert N**H * g_unscaled(p, N, n) == pytest.approx(g_coeff(p, n), abs=1e-8)
+            for i in range(1, n):
+                assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j_coeff(p, n, i), abs=1e-8)
+
+
 def test_bracket_at_spec_point():
     p = HurstParams(0.75)
     t = coefficient_table(p, 50)

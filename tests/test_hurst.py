@@ -76,6 +76,14 @@ def test_params_validation():
         HurstParams(0.4)
     with pytest.raises(ValueError):
         HurstParams(0.7, sigma=0.0)
+    with pytest.raises(TypeError):
+        HurstParams(0.75, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("name", ["h", "alpha", "beta", "c_H", "C_H", "g_H"])
+def test_params_derived_values_are_not_arguments(name):
+    with pytest.raises(TypeError):
+        HurstParams(0.75, **{name: 0.3})
 
 
 def test_rho_lag_one_closed_form():
