@@ -36,12 +36,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
 from .errors import TruncationError
-from .hurst import HurstParams, rho, rho_pow_tail, rho_sq_sum, rho_sq_total
+from .hurst import HurstParams, rho, rho_pow_tail, rho_pow_tail_bracket, rho_sq_sum, rho_sq_total
 from .market import _finite_tolerance, _sign_sums, arbitrage_event, level_sign_values
+from .special import ndtri
 
 __all__ = [
     "DEFAULT_TRUNCATION_K",
@@ -245,7 +245,7 @@ def sample_limit_variable(params: HurstParams, cfg: McConfig) -> np.ndarray:
 
 
 def _z_value(confidence: float) -> float:
-    return float(ndtri(0.5 * (1.0 + confidence)))
+    return ndtri(0.5 * (1.0 + confidence))
 
 
 def _interval(count: int, n: int, confidence: float) -> tuple[float, float, float]:
@@ -399,6 +399,19 @@ def characteristic_function(params: HurstParams, v: float | np.ndarray,
     rho_at = functools.cache(lambda K: rho(h, K))
     head = functools.cache(lambda K: rho(h, np.arange(1, K + 1)))
     tail = functools.cache(lambda K, power: rho_pow_tail(h, K, power))
+    bracket8 = functools.cache(lambda K: rho_pow_tail_bracket(h, K, 8))
+
+    def tail_term_within_tol(u: float, K: int) -> bool:
+        # (17/2520) u^8 S8 <= tol.  Float products are monotone, so a bound
+        # of S8 that decides the test decides it as S8 itself would; S8 is
+        # only needed for the decision, and its zeta calls cost most of F.
+        c = (17.0 / 2520.0) * u**8
+        lo, hi = bracket8(K)
+        if c * hi <= tol:
+            return True
+        if c * lo > tol:
+            return False
+        return c * tail(K, 8) <= tol
 
     def evaluate(v: float) -> float:
         if not math.isfinite(v):
@@ -408,7 +421,7 @@ def characteristic_function(params: HurstParams, v: float | np.ndarray,
         u = 2.0 * params.g_H * abs(v)
         K = 64
         while True:
-            if u * rho_at(K) <= 0.3 and (17.0 / 2520.0) * u**8 * tail(K, 8) <= tol:
+            if u * rho_at(K) <= 0.3 and tail_term_within_tol(u, K):
                 break
             if K >= (1 << 22):
                 raise TruncationError(f"characteristic_function: tol {tol:g} infeasible at v={v:g}")

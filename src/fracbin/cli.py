@@ -59,6 +59,11 @@ _COEFFS_BUDGET_BYTES = 1 << 27
 # charfn evaluates F once per grid point, up to 0.6 s each near the series cap
 _CHARFN_POINTS_CAP = 10_000
 
+# byte-table lookups one command may sample: samples * ceil(K/8) for each
+# sampled law of K weights.  A 4096-sample chunk at K=8192 makes 4.2e6
+# lookups in about 11.5 ms, so the cap is about five minutes of sampling
+_SAMPLE_LOOKUP_CAP = 10**11
+
 _ENV_PREFIX = "FRACBIN_"
 
 
@@ -223,6 +228,24 @@ def _check_level(n: int) -> None:
         raise ValueError(f"n must be at most {asym._SAMPLER_K_CAP + 1}, got {n}")
 
 
+def _check_samples(samples: int, weights: list[int]) -> None:
+    """Refuse a run that would make more than _SAMPLE_LOOKUP_CAP table lookups.
+
+    weights lists the weight count K of every law the run samples; a level
+    of at most asym._EXACT_LEVEL_MAX weights is enumerated, not sampled, and
+    callers leave it out.  Checked before any table or stream is built.
+    """
+    lookups = samples * sum(-(-K // 8) for K in weights)
+    if lookups > _SAMPLE_LOOKUP_CAP:
+        raise CapExceededError(f"{samples} samples of {weights} weights need {lookups} table "
+                               f"lookups, above the cap {_SAMPLE_LOOKUP_CAP}")
+
+
+def _sampled_levels(levels: list[int]) -> list[int]:
+    """Weights of the levels an estimate samples rather than enumerates."""
+    return [n - 1 for n in levels if n - 1 > asym._EXACT_LEVEL_MAX]
+
+
 def _cmd_coeffs(rc: RunConfig) -> int:
     if rc.n < 1:
         raise ValueError(f"n must be >= 1, got {rc.n}")
@@ -288,6 +311,7 @@ def _cmd_paths(rc: RunConfig) -> int:
 def _cmd_mc_limit(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     cfg = _mc_config(rc)
+    _check_samples(rc.samples, [asym.resolve_truncation(params, cfg)[0]])
     est = asym.limit_proportion(params, cfg)
     payload = {"coeff_cache_hash": _weights_hash(params, est.K)}
     payload.update(est.to_dict())
@@ -300,6 +324,7 @@ def _cmd_mc_limit(rc: RunConfig) -> int:
 def _cmd_mc_level(rc: RunConfig) -> int:
     params = HurstParams(rc.H, rc.sigma)
     _check_level(rc.n)
+    _check_samples(rc.samples, _sampled_levels([rc.n]))
     cfg = asym.McConfig(samples=rc.samples, seed=rc.seed, confidence=rc.confidence)
     table = coefficient_table(params, rc.n, _quad(rc))
     est = asym.finite_level_proportion(params, rc.n, rc.offset, table, cfg)
@@ -377,6 +402,8 @@ def _cmd_convergence(rc: RunConfig) -> int:
     levels = [int(x) for x in rc.n_list.split(",") if x]
     for n in levels:
         _check_level(n)
+    _check_samples(rc.samples,
+                   [*_sampled_levels(levels), asym.resolve_truncation(params, cfg)[0]])
     tables = coefficient_tables(params, levels, quad)
     # every number that a large sigma can overflow is checked before anything is sampled
     with np.errstate(over="ignore"):

@@ -59,12 +59,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc as _betainc
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import QuadratureError
 from .hurst import HurstParams, normalizing_constant
 from .reports import float_reprs
+from .special import _gauss_rule, betainc
 
 __all__ = [
     "QuadratureConfig",
@@ -91,8 +90,9 @@ _ORDER_LADDER = ((16, 24), (24, 32), (32, 48), (48, 64), (64, 96), (96, 128))
 # QUADPACK's subdivision limit for the adaptive integrals
 _MAX_SUBDIVISIONS = 2000
 # Relative float error allowed for j_2(1)/(sigma*C_H) on top of its rung
-# difference: at every rung of the ladder it was within 9 eps of 30-digit
-# mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9].
+# difference: at every rung of the ladder it was within 8.3 eps of 30-digit
+# mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9], with its betainc
+# within 5 eps (tests/test_special.py).
 _J2_ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -124,21 +124,20 @@ DEFAULT_QUAD = QuadratureConfig()
 @lru_cache(maxsize=512)
 def _gl01(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = roots_legendre(m)
+    x, w = _gauss_rule(m)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 @lru_cache(maxsize=512)
 def _gl11(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1]."""
-    x, w = roots_legendre(m)
-    return x, w
+    return _gauss_rule(m)
 
 
 @lru_cache(maxsize=512)
 def _gj01(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for int_0^1 (1-x)^alpha x^beta f(x) dx = sum W f(x)."""
-    t, w = roots_jacobi(m, alpha, beta)
+    t, w = _gauss_rule(m, alpha, beta)
     x = (t + 1.0) / 2.0
     return x, w * 2.0 ** (-alpha - beta - 1.0)
 
@@ -309,11 +308,10 @@ def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
 
     The error is the rung difference plus _J2_ROUNDING * |value|; if that
     exceeds cfg's tolerance, QuadratureError is raised.  The first term comes
-    from betainc, within 5 eps: a Gauss-Jacobi rule for its weight w^{-a}
-    lost up to 460 eps at 96 nodes.
+    from betainc's series, within 5 eps.
     """
     head = (math.expm1((1.0 + a) * math.log(2.0)) * math.pi / math.sin(math.pi * a)
-            * float(_betainc(1.0 - a, a, 0.5)))
+            * float(betainc(1.0 - a, a, 0.5)))
 
     def stage(qo: int, qi: int, live) -> list[float]:
         x, wx = _gj01(qo, 0.0, a)
@@ -553,8 +551,9 @@ def I_integrals(H: float, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> np.nd
 
 # Float evaluation error allowed for each weight_brackets bound, relative, and
 # absolute for 1 - L I_{1/L}(1+a, 1-a), which lies in (0, 1).  The powers,
-# expm1/log1p steps and betainc (within 1e-15 of 40-digit values over a in
-# [1e-6, 0.49], L in [2, 1e7]) are each good to a few ulps.
+# expm1/log1p steps and betainc (I and L I within 1e-15 of 40-digit values
+# over a in [1e-12, 0.4999], L in [2, 1e7]; tests/test_special.py) are each
+# good to a few ulps.
 _BRACKET_ERR = 1e-13
 
 
@@ -602,7 +601,7 @@ def weight_brackets(params: HurstParams, levels, columns: int = 0) -> WeightBrac
         s_lo = params.sigma * params.c_H * (L - 1.0) ** a * lo
         s_hi = params.sigma * params.c_H * L**a * hi
         x = _pow_step(i - 1.0, 1.0 - a) / (1.0 - a)
-        q = 1.0 - L[:, 0] * _betainc(1.0 + a, 1.0 - a, 1.0 / L[:, 0])
+        q = 1.0 - L[:, 0] * betainc(1.0 + a, 1.0 - a, 1.0 / L[:, 0])
         b = math.pi * a / math.sin(math.pi * a)
         ratio = ((L[:, 0] - 1.0) / L[:, 0]) ** a
         return WeightBrackets(

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import NonconvergenceError, TruncationError
+from .special import zeta
 
 # k above which the binomial-series evaluation of rho is used.  Chosen where
 # the direct second difference and the series agree to <= 1e-12 relative
@@ -133,6 +133,20 @@ def rho(h: float, k):
     return out.reshape(k_in.shape)
 
 
+def _tail_series(h: float, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conv, s) with sum_{k>K} rho_h(k)^power = sum_r conv[r] zeta(s[r], K+1), K >= 64.
+
+    conv is rho's binomial series convolved with itself power times, so
+    every entry is positive; s = 2r - 2 power h > 1, r = power..power * terms.
+    """
+    cs = np.asarray(_series_coeffs(h))
+    conv = cs.copy()
+    for _ in range(power - 1):
+        conv = np.convolve(conv, cs)
+    r = np.arange(power, power * len(cs) + 1, dtype=np.float64)
+    return conv, 2.0 * r - 2.0 * power * h
+
+
 def rho_pow_tail(h: float, K: int, power: int = 2) -> float:
     """Exact-value tail sum_{k>K} rho_h(k)^power for even power in {2,4,6,8}.
 
@@ -147,13 +161,32 @@ def rho_pow_tail(h: float, K: int, power: int = 2) -> float:
     if K < _RHO_SERIES_MIN_K:
         extra = rho(h, np.arange(K + 1, _RHO_SERIES_MIN_K + 1))
         return float(np.sum(extra**power)) + rho_pow_tail(h, _RHO_SERIES_MIN_K, power)
-    cs = np.asarray(_series_coeffs(h))
-    conv = cs.copy()
-    for _ in range(power - 1):
-        conv = np.convolve(conv, cs)
-    r = np.arange(power, power * len(cs) + 1, dtype=np.float64)
-    s = 2.0 * r - 2.0 * power * h
-    return float(np.sum(conv * hurwitz_zeta(s, K + 1)))
+    conv, s = _tail_series(h, power)
+    return float(np.sum(conv * [zeta(x, K + 1.0) for x in s.tolist()]))
+
+
+def rho_pow_tail_bracket(h: float, K: int, power: int) -> tuple[float, float]:
+    """(lo, hi) with lo <= rho_pow_tail(h, K, power) <= hi, for K >= 64, in a
+    few vectorised operations instead of one zeta port call per term.
+
+    For q = K+1, zeta(s, q) lies in [A - E, A] with the Euler-Maclaurin terms
+    A = q^(1-s)/(s-1) + q^-s/2 + s q^(-s-1)/12 and E = s(s+1)(s+2) q^(-s-3)/720:
+    the expansion of a completely monotone sum envelops it, the remainder
+    lying between 0 and the first term left out.  A slack of 1e-12 of the
+    sum covers the float error of the zeta port, of rho_pow_tail's sum and of
+    this one.  The width is below 4e-7 of the value at K = 64 (h near 1/2,
+    power 8) and shrinks like K^-4.
+    """
+    _check_h(h)
+    if K < _RHO_SERIES_MIN_K:
+        raise ValueError(f"the bracket needs K >= {_RHO_SERIES_MIN_K}, got {K}")
+    conv, s = _tail_series(h, power)
+    q = K + 1.0
+    q_s = q**-s
+    a = float(np.sum(conv * (q_s * q / (s - 1.0) + q_s / 2.0 + s * q_s / (12.0 * q))))
+    e = float(np.sum(conv * (s * (s + 1.0) * (s + 2.0) * q_s / (720.0 * q**3))))
+    slack = 1e-12 * a
+    return a - e - slack, a + slack
 
 
 def rho_sq_partial(h: float, K: int) -> float:

@@ -435,6 +435,27 @@ def test_memoised_cf_matches_fresh_calls(H):
         assert [characteristic_function(p, v, tol) for v in vs] == got.tolist()
 
 
+def test_cf_bracket_screen_only_skips_work(monkeypatch):
+    # with a bracket that decides nothing every S8 test falls back to the
+    # exact tail; F is the same to the bit, and the screened call never
+    # evaluates S8 on this grid
+    p = HurstParams(0.77)
+    vs = np.concatenate([np.linspace(0.0, 4.0, 21), np.geomspace(40.0, 400.0, 60) / p.g_H])
+    powers = []
+    exact = hurst.rho_pow_tail
+
+    def counting(h, K, power=2):
+        powers.append(power)
+        return exact(h, K, power)
+
+    monkeypatch.setattr(asym, "rho_pow_tail", counting)
+    screened = characteristic_function(p, vs)
+    assert 8 not in powers
+    monkeypatch.setattr(asym, "rho_pow_tail_bracket", lambda h, K, power: (0.0, math.inf))
+    assert characteristic_function(p, vs).tobytes() == screened.tobytes()
+    assert 8 in powers
+
+
 def test_cf_grid_raises_at_first_infeasible_v():
     # v = 600 and 700 both miss tol at H = 0.95; the error names the first
     p = HurstParams(0.95)

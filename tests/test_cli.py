@@ -206,17 +206,18 @@ def test_exit_codes(tmp_path):
 
 
 def test_nonconvergence_exit_code(tmp_path):
-    rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
+    # j_2(1) carries a 16 eps rounding allowance, so no rule can meet 1e-15
+    rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-15", "--quad-rel-tol", "1e-15"],
                   tmp_path)
     assert rc == EXIT_NONCONVERGENCE
     assert not out.exists()
 
 
 def test_quadpack_flag_exits_without_a_warning(tmp_path, capsys):
-    # g_2 exhausts the order ladder at 1e-14; no quadrature warning leaks
+    # g_2 exhausts the order ladder at 5e-15; no quadrature warning leaks
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "1e-14", "--quad-rel-tol", "1e-14"],
+        rc, out = run(["coeffs", "--n", "3", "--quad-abs-tol", "5e-15", "--quad-rel-tol", "5e-15"],
                       tmp_path)
     assert rc == EXIT_NONCONVERGENCE
     assert not out.exists()
@@ -233,17 +234,20 @@ def test_zero_quadrature_tolerance_exits_2(tmp_path, capsys):
         "fracbin: invalid configuration: quadrature tolerances must be positive\n"
 
 
-def _loaded_modules(tmp_path, code, *argv):
+def _loaded_modules(tmp_path, code, *argv, any_scipy=False):
     """Run code (which sets rc) with argv in a fresh interpreter; print rc and
-    whether scipy.integrate and scipy.optimize were loaded.
+    whether scipy.integrate and scipy.optimize were loaded, and with
+    any_scipy also whether any module scipy or scipy.* was.
 
     A fresh interpreter, because pytest's filterwarnings entry for
     IntegrationWarning imports scipy.integrate into this process.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("FRACBIN_")}
     env["PYTHONPATH"] = str(Path(fracbin.__file__).resolve().parent.parent)
-    script = (f"import sys\n{code}\n"
-              "print(rc, 'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    flags = "'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules"
+    if any_scipy:
+        flags += ", any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    script = f"import sys\n{code}\nprint(rc, {flags})"
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -265,10 +269,11 @@ def _loaded_modules(tmp_path, code, *argv):
 ], ids=["mc-limit", "mc-level", "charfn", "hc", "reach", "coeffs", "census", "paths", "mc-level-2",
         "convergence-2", "reach-root"])
 def test_table_free_commands_never_load_quadpack(tmp_path, argv):
-    # every table, level 2 included, is built on the order ladder
+    # every table, level 2 included, is built on the order ladder, and every
+    # special function comes from fracbin.special: no scipy module loads
     code = "from fracbin.cli import main\nrc = main(sys.argv[1:])"
     argv = [*argv, "--out", str(tmp_path / "r.json")]
-    assert _loaded_modules(tmp_path, code, *argv) == ["0", "False", "False"]
+    assert _loaded_modules(tmp_path, code, *argv, any_scipy=True) == ["0", "False", "False", "False"]
 
 
 def test_unscaled_route_loads_quadpack(tmp_path):
@@ -607,6 +612,39 @@ def test_charfn_points_cap(tmp_path, capsys, monkeypatch, above):
     else:
         assert rc == EXIT_OK and evaluated == [points]
         assert len(json.loads(out.read_text())["points"]) == points
+
+
+@pytest.mark.parametrize("argv, lookups_per_sample", [
+    (["mc-limit"], 1024),  # K = 8192
+    (["mc-limit", "--trunc-k", "100"], 13),
+    (["mc-level", "--n", "2000"], 250),  # 1999 weights
+    (["convergence", "--n-list", "10,30,100"], 4 + 13 + 1024),  # level 10 is enumerated
+], ids=["mc-limit", "mc-limit-K100", "mc-level", "convergence"])
+@pytest.mark.parametrize("above", [True, False], ids=["above", "edge"])
+def test_sample_budget(tmp_path, capsys, monkeypatch, argv, lookups_per_sample, above):
+    # past the lookup cap a sampling command exits 4 before any table or
+    # stream is built; at the cap it goes on to build them (stubbed out here)
+    from fracbin import cli
+
+    class Started(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Started
+
+    for module, name in ((cli, "coefficient_table"), (cli, "coefficient_tables"),
+                         (cli.asym, "limit_weights"), (cli.asym, "_map_chunks")):
+        monkeypatch.setattr(module, name, refuse)
+    samples = cli._SAMPLE_LOOKUP_CAP // lookups_per_sample + above
+    argv = [*argv, "--samples", str(samples)]
+    if above:
+        rc, out = run(argv, tmp_path)
+        assert rc == EXIT_CAP and not out.exists()
+        err = capsys.readouterr().err
+        assert f"need {samples * lookups_per_sample} table lookups" in err
+    else:
+        with pytest.raises(Started):
+            run(argv, tmp_path)
 
 
 @pytest.mark.parametrize("argv", [

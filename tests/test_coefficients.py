@@ -583,14 +583,16 @@ _SWEEPS = [range(1, 71), range(9, 46), [5, 9, 10, 11, 30, 64, 65, 66, 130], rang
            # one call per entry, the cache kept between them: a gapped block
            # climbs past levels already cached
            ([90], [60], [30], [8], range(5, 70), [130])]
-# at H = 0.75, g_13..g_17 and g_19 need rung (32, 48) here, their neighbours
-# only (24, 32); g_2..g_12 exhaust the ladder
-_TIGHT = QuadratureConfig(abs_tol=1.5e-15, rel_tol=1.5e-15)
-# at H = 0.97 the interiors of levels 32, 39, 43, 45, 47, 53, 62-64, 68 and 69
-# of this sweep need rung (32, 48) here and 43, 47, 63, 68 and 69 rung (48, 64);
-# every other listed level stops at (24, 32), and most unlisted ones exhaust
+# at H = 0.75, j_20(19), g_27 and g_45 need rung (32, 48) here and j_35(34)
+# rung (96, 128), their neighbours only (24, 32); g_2..g_19 and g_23 exhaust
+# the ladder
+_TIGHT = QuadratureConfig(abs_tol=5e-16, rel_tol=5e-16)
+# at H = 0.97 the interiors of levels 22, 25, 29, 33, 41, 44, 45, 47, 52, 55,
+# 58, 64 and 68 of this sweep need rung (32, 48) here and 25 and 68 rung
+# (64, 96); every other listed level stops at (24, 32), and a third of the
+# unlisted ones in 4..100 exhaust
 _TIGHTER = QuadratureConfig(abs_tol=1e-300, rel_tol=3e-16)
-_TIGHTER_SWEEP = [20, 27, 32, 36, 39, 41, 43, 45, 47, 53, 54, 55, 60, 62, 63, 64, 67, 68, 69, 70]
+_TIGHTER_SWEEP = [21, 22, 24, 25, 27, 29, 31, 33, 39, 41, 44, 45, 47, 52, 54, 55, 58, 64, 68, 70]
 
 
 def _capture_powers(monkeypatch):
@@ -638,7 +640,7 @@ def _assert_powers_match_fresh(a, captured):
 @pytest.mark.parametrize("H, sigma, cfg, sweeps", [
     *((H, sigma, DEFAULT_QUAD, _SWEEPS)
       for H in (0.5005, 0.75, 0.97, 0.999) for sigma in (1.0, 2.5)),
-    (0.75, 1.0, _TIGHT, [range(13, 61), [40, 19, 18, 17, 13], [18], [17]]),
+    (0.75, 1.0, _TIGHT, [range(24, 61), [45, 35, 27, 24, 20], [27], [26]]),
     (0.97, 1.0, _TIGHTER, [_TIGHTER_SWEEP, (_TIGHTER_SWEEP[::-1], _TIGHTER_SWEEP)]),
 ])
 def test_batched_tables_match_level_by_level_oracles(monkeypatch, H, sigma, cfg, sweeps):
@@ -675,8 +677,8 @@ def test_tighter_sweep_sends_a_gapped_subset_up_the_ladder(monkeypatch):
     coefficient_tables(HurstParams(0.97), _TIGHTER_SWEEP, _TIGHTER)
     clear_table_cache()
     assert reached[_ORDER_LADDER[1]] == _TIGHTER_SWEEP
-    assert reached[_ORDER_LADDER[2]] == [32, 39, 43, 45, 47, 53, 62, 63, 64, 68, 69]
-    assert reached[_ORDER_LADDER[3]] == [43, 47, 63, 68, 69]
+    assert reached[_ORDER_LADDER[2]] == [22, 25, 29, 33, 41, 44, 45, 47, 52, 55, 58, 64, 68]
+    assert reached[_ORDER_LADDER[3]] == reached[_ORDER_LADDER[4]] == [25, 68]
 
 
 @pytest.mark.parametrize("qo", sorted({qo for qo, _ in _ORDER_LADDER}))
@@ -720,7 +722,7 @@ def test_crossing_rows_are_the_binade_changes():
     (_UNREACHABLE, range(3, 30)),  # j_3(1): level 3 has no interior
     (_UNREACHABLE, range(4, 30)),  # the interior of level 4 comes first
     (_UNREACHABLE, [40, 9, 6]),  # the lowest level, not the first requested
-    (QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15), range(17, 90)),  # only g_18 exhausts
+    (QuadratureConfig(abs_tol=7e-16, rel_tol=7e-16), range(18, 90)),  # only g_19 exhausts
 ], ids=["j2", "j_first", "interior", "lowest", "g"])
 def test_exhausted_ladder_in_a_sweep_raises_as_level_by_level(monkeypatch, cfg, levels):
     want = None

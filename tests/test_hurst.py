@@ -17,7 +17,7 @@ from fracbin import (
     rho_sq_total,
     solve_critical_hurst,
 )
-from fracbin.hurst import rho_pow_tail, rho_sq_partial
+from fracbin.hurst import rho_pow_tail, rho_pow_tail_bracket, rho_sq_partial
 
 # 50-digit gamma-oracle values
 C_H_GOLDEN = {0.6: 1.0760051841318071863, 0.75: 1.0696446350319903241, 0.9: 0.81122064814335251477}
@@ -143,6 +143,20 @@ def test_rho_pow_tail_matches_direct_summation():
     for p in (2, 4):
         direct = float(np.sum(rho(h, ks) ** p)) + rho_pow_tail(h, 300_000, p)
         assert rho_pow_tail(h, K, p) == pytest.approx(direct, rel=1e-11)
+
+
+@pytest.mark.parametrize("power", [2, 4, 6, 8])
+def test_rho_pow_tail_bracket_holds_the_tail(power):
+    # characteristic_function decides its S8 test from this bracket; it must
+    # hold the float tail itself, and is narrow enough to decide nearly always
+    for h in (0.5001, 0.55, 0.6, 0.65, 0.7, 0.7499):
+        for K in (64, 65, 100, 1000, 8192, 1 << 16, (1 << 22) - 1, 1 << 22):
+            lo, hi = rho_pow_tail_bracket(h, K, power)
+            value = rho_pow_tail(h, K, power)
+            assert lo <= value <= hi, (h, K)
+            assert hi - lo <= 1e-6 * value, (h, K)
+    with pytest.raises(ValueError):
+        rho_pow_tail_bracket(0.6, 63, power)
 
 
 def test_rho_sq_partial_consistency():
