@@ -14,7 +14,8 @@ route for the N^{-H} scaling law.  Every singular factor here is algebraic,
 so fixed Gauss-Legendre / Gauss-Jacobi tensor rules converge spectrally; the
 (outer, inner) orders climb the ladder (16,24) -> (24,32) -> ... -> (96,128)
 until two consecutive rules agree within tolerance, and that difference is the
-reported error bound.
+reported error bound.  The originals climb the same ladder with a tanh-sinh
+outer rule, so they share no rule with the tables.
 
 Special cases:
   * i = n-1 (the x-integral runs into the (v+n-1-x)^{a-1} blow-up at the
@@ -87,8 +88,9 @@ __all__ = [
 # (outer, inner) Gaussian orders tried in sequence until two consecutive
 # stages agree within tolerance.
 _ORDER_LADDER = ((16, 24), (24, 32), (32, 48), (48, 64), (64, 96), (96, 128))
-# QUADPACK's subdivision limit for the adaptive integrals
-_MAX_SUBDIVISIONS = 2000
+# Half-width of _de01's t-range: a node at t = +-3.5 lies e^(-pi sinh 3.5),
+# about 3e-23, from its end.
+_DE_T_MAX = 3.5
 # Relative float error allowed for j_2(1)/(sigma*C_H) on top of its rung
 # difference: at every rung of the ladder it was within 8.3 eps of 30-digit
 # mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9], with its betainc
@@ -140,6 +142,21 @@ def _gj01(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     t, w = _gauss_rule(m, alpha, beta)
     x = (t + 1.0) / 2.0
     return x, w * 2.0 ** (-alpha - beta - 1.0)
+
+
+@lru_cache(maxsize=512)
+def _de01(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh rule on [0, 1]: distances to the nearer end, and weights.
+
+    x = 1/(1+e^(-pi sinh t)) at m equispaced t in [-_DE_T_MAX, _DE_T_MAX]
+    (Takahasi and Mori, 1974); the first m//2 distances are x, the rest 1-x,
+    each computed without cancellation.  Algebraic endpoint singularities
+    need no exponent.
+    """
+    t = np.linspace(-_DE_T_MAX, _DE_T_MAX, m)
+    s = 0.5 * np.pi * np.sinh(t)
+    w = (t[1] - t[0]) * np.pi / 4.0 * np.cosh(t) / np.cosh(s) ** 2
+    return 1.0 / (1.0 + np.exp(2.0 * np.abs(s))), w
 
 
 # Levels built together by coefficient_tables; bounds the batched stages'
@@ -281,28 +298,6 @@ def _g_rows(a: float, levels: np.ndarray, qo: int, qi: int) -> np.ndarray:
     return _row_dots(x ** (-a) * inner, wu)
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-    """Adaptive int_lo^hi f with its error estimate, checked against cfg.
-
-    Any QUADPACK flag (subdivision limit, roundoff, bad integrand, ...) counts
-    as nonconvergence, whatever the error estimate says.
-    """
-    # Imported here, not at module level: scipy.integrate pulls in
-    # scipy.optimize, scipy.linalg and scipy.sparse.linalg (about a quarter
-    # of a second and 25 MB per process), and only the N-dependent originals
-    # reach this function; no table does.
-    from scipy.integrate import quad as _quad
-
-    val, err, _info, *flag = _quad(f, lo, hi, epsabs=cfg.abs_tol / 10.0, epsrel=cfg.rel_tol / 10.0,
-                                   limit=_MAX_SUBDIVISIONS, full_output=1)
-    if flag:
-        raise QuadratureError(f"{what}: QUADPACK flagged: {' '.join(flag[0].split())}",
-                              best=val, err=err)
-    if err > cfg.tol_for(val):
-        raise QuadratureError(f"{what}: adaptive error {err:g} above tolerance", best=val, err=err)
-    return val, err
-
-
 def _j2_value(a: float, cfg: QuadratureConfig) -> tuple[float, float]:
     """j_2(1)/(sigma*C_H) on the order ladder (module docstring, n = 2).
 
@@ -392,9 +387,9 @@ def _inner_t(a: float, c: float, m: int) -> float:
     return head + total
 
 
-def _kernel_value(a: float, c_big: float, t: float, s: float, inner: float) -> float:
-    """The kernel C_H s^{-a} (t-s)^{2a} T(s/(t-s)) given inner = T(s/(t-s))."""
-    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * inner
+def _kernel(a: float, c_big: float, t: float, s: float, m: int) -> float:
+    """The kernel C_H s^{-a} (t-s)^{2a} T(s/(t-s)), T by m-node rules."""
+    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * _inner_t(a, s / (t - s), m)
 
 
 def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -407,9 +402,9 @@ def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -
         raise ValueError(f"kernel requires 0 < s < t, got t={t}, s={s}")
     a = H - 0.5
     c_big = normalizing_constant(H) * a
-    vals, _ = _escalate(lambda qo, qi, _: [_inner_t(a, s / (t - s), qi)], cfg,
+    vals, _ = _escalate(lambda qo, qi, _: [_kernel(a, c_big, t, s, qi)], cfg,
                         [f"kernel(H={H},t={t},s={s})"])
-    return _kernel_value(a, c_big, t, s, float(vals[0]))
+    return float(vals[0])
 
 
 def j_coeff(params: HurstParams, n: int, i: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -430,25 +425,23 @@ def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -
 # Unscaled originals: the independent route for the N^{-H} scaling law.
 # ---------------------------------------------------------------------------
 
-def _kernel_fast(a: float, c_big: float, t: float, s: float) -> float:
-    return _kernel_value(a, c_big, t, s, _inner_t(a, s / (t - s), 48))
-
-
 def _unscaled(params: HurstParams, N: int, k: int, f, cfg: QuadratureConfig,
               what: str) -> float:
-    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u) du by adaptive quadrature."""
-    pref = params.sigma * math.sqrt(N)
-    if k > 1:
-        return pref * _adaptive(f, (k - 1) / N, k / N, cfg, what)[0]
-    # k = 1: remove the u^{-a} left singularity exactly via tau = u^{1-a}
-    a = params.alpha
-    q = 1.0 / (1.0 - a)
+    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u, m) du on the order ladder.
 
-    def sub(tau: float) -> float:
-        u = tau**q
-        return u**a * f(u)
+    Rung (qo, qi) takes qo tanh-sinh nodes in u and gives f the inner order
+    qi, so the rung difference covers the inner rules' error too.  Nodes that
+    round onto an end are dropped: f may divide by zero there.
+    """
+    lo, hi = (k - 1) / N, k / N
 
-    return pref * q * _adaptive(sub, 0.0, (1.0 / N) ** (1.0 - a), cfg, what)[0]
+    def stage(qo: int, qi: int, live) -> list[float]:
+        d, w = _de01(qo)
+        u = np.where(np.arange(qo) < qo // 2, lo + (hi - lo) * d, hi - (hi - lo) * d)
+        inside = (lo < u) & (u < hi)
+        return [(hi - lo) * float(np.dot([f(x, qi) for x in u[inside].tolist()], w[inside]))]
+
+    return params.sigma * math.sqrt(N) * float(_escalate(stage, cfg, [what])[0][0])
 
 
 def J_unscaled(params: HurstParams, N: int, n: int, i: int,
@@ -456,17 +449,16 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     """Original N-dependent weight: direct quadrature of the kernel increment.
 
     Deliberately does not reuse the scaled-integral code path, so that
-    N^H * J_unscaled == j_coeff is a two-route consistency check.  QUADPACK's
-    error estimate covers the outer integral only: it does not see the fixed
-    48-node inner rule of _kernel_fast, whose error is largest near H = 1/2.
+    N^H * J_unscaled == j_coeff is a two-route consistency check: a tanh-sinh
+    outer rule in place of the tables' Gauss-Jacobi rules.
     """
     if not (1 <= i < n <= N):
         raise ValueError(f"need 1 <= i < n <= N, got N={N}, n={n}, i={i}")
     a, c_big = params.alpha, params.C_H
     t_hi, t_lo = n / N, (n - 1) / N
 
-    def diff(u: float) -> float:
-        return _kernel_fast(a, c_big, t_hi, u) - _kernel_fast(a, c_big, t_lo, u)
+    def diff(u: float, m: int) -> float:
+        return _kernel(a, c_big, t_hi, u, m) - _kernel(a, c_big, t_lo, u, m)
 
     return _unscaled(params, N, i, diff, cfg, f"J({N},{n},{i})")
 
@@ -478,7 +470,7 @@ def g_unscaled(params: HurstParams, N: int, n: int,
         raise ValueError(f"need 1 <= n <= N, got N={N}, n={n}")
     a, c_big = params.alpha, params.C_H
     t_hi = n / N
-    return _unscaled(params, N, n, lambda u: _kernel_fast(a, c_big, t_hi, u), cfg,
+    return _unscaled(params, N, n, lambda u, m: _kernel(a, c_big, t_hi, u, m), cfg,
                      f"g({N},{n})")
 
 

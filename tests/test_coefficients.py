@@ -115,6 +115,8 @@ def test_scaling_identities_at_spec_points():
     assert 64**0.7 * g_unscaled(p, 64, 7) == pytest.approx(g_coeff(p, 7), abs=1e-8)
     # N = n reduces to the scaled value
     assert 7**0.7 * g_unscaled(p, 7, 7) == pytest.approx(g_coeff(p, 7), abs=1e-10)
+    assert 2**0.75 * J_unscaled(HurstParams(0.75), 2, 2, 1) == pytest.approx(
+        J_GOLDEN[(0.75, 2, 1)], abs=1e-9)
 
 
 @given(st.floats(min_value=0.55, max_value=0.95), st.integers(2, 24))
@@ -201,25 +203,6 @@ def test_error_estimates_within_config():
     assert t.g_err <= cfg.tol_for(t.g)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_adaptive_error_is_checked(monkeypatch):
-    # one quad subdivision leaves J(2,2,1) about 2e-2 off; it must not be accepted
-    p = HurstParams(0.75)
-    with monkeypatch.context() as m:
-        m.setattr(coefficients, "_MAX_SUBDIVISIONS", 1)
-        with pytest.raises(QuadratureError) as exc:
-            J_unscaled(p, 2, 2, 1)
-    assert exc.value.err > DEFAULT_QUAD.tol_for(exc.value.best)
-    assert 2**0.75 * J_unscaled(p, 2, 2, 1) == pytest.approx(J_GOLDEN[(0.75, 2, 1)], abs=1e-9)
-
-
-def test_adaptive_rejects_a_quadpack_roundoff_flag():
-    # quad meets 1e-14 by its own estimate (2.1e-15) but flags roundoff
-    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
-    with pytest.raises(QuadratureError, match=r"g\(4,2\): QUADPACK flagged: .*roundoff"):
-        g_unscaled(HurstParams(0.75), 4, 2, cfg)
-
-
 # j_2(1)/(sigma*C_H) = B(1-a,a) int_0^1 (1+v)^a I_{1/(1+v)}(1-a,a) dv, the
 # adaptive v-integral of the exact x-integral, by mpmath at 50 digits with
 # a = float(H) - 1/2 exactly; 40 digits kept
@@ -246,24 +229,20 @@ def test_j2_matches_40_digit_references(H):
 
 
 @pytest.mark.parametrize("H", sorted(J2_REFERENCE))
-def test_j2_agrees_with_the_quadpack_route(monkeypatch, H):
-    # N^H J(N, n, i) = j_n(i) at N = n = 2.  quad's own estimate understates
-    # J's error (the kernel difference it integrates is rounded), so J's side
-    # of the bound is the tolerance it was held to, scaled as J is.
+def test_j2_agrees_with_the_quadpack_route(H):
+    # N^H J(N, n, i) = j_n(i) at N = n = 2.  J's side of the bound is the
+    # tolerance it was held to, scaled as J is: J = sigma sqrt(2) times the
+    # integral that met cfg.  Against the 40-digit reference J has that
+    # tolerance alone; the inner rules' error is largest near H = 1/2.
     cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
-    seen = []
-    adaptive = coefficients._adaptive
-
-    def spy(*args):
-        seen.append(adaptive(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(coefficients, "_adaptive", spy)
     p = HurstParams(H)
     J = J_unscaled(p, 2, 2, 1, cfg)
-    (val, _), = seen
+    scale = p.sigma * math.sqrt(2.0)
+    tol = 2**H * scale * cfg.tol_for(J / scale)
     t = coefficient_table(p, 2)
-    assert abs(2**H * J - t.j[0]) <= t.j_err[0] + 2**H * abs(J / val) * cfg.tol_for(val)
+    assert abs(2**H * J - t.j[0]) <= t.j_err[0] + tol
+    ref = Fraction(J2_REFERENCE[H]) * Fraction(p.sigma * p.C_H)
+    assert abs(Fraction(2**H * J) - ref) <= Fraction(tol)
 
 
 def test_j2_error_bound_is_checked():
@@ -276,7 +255,6 @@ def test_j2_error_bound_is_checked():
 _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("route", [
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 6, _UNREACHABLE), id="interior"),
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 2, _UNREACHABLE), id="j2"),
@@ -284,12 +262,13 @@ _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     pytest.param(lambda: I_integrals(0.75, 10, _UNREACHABLE), id="I_integrals"),
     pytest.param(lambda: kernel(0.75, 1.0, 0.5, _UNREACHABLE), id="kernel"),
     pytest.param(lambda: J_unscaled(HurstParams(0.75), 10, 5, 2, _UNREACHABLE), id="J_unscaled"),
+    pytest.param(lambda: g_unscaled(HurstParams(0.75), 4, 2, _UNREACHABLE), id="g_unscaled"),
 ])
 def test_nonconvergence_raises(route):
     with pytest.raises(QuadratureError) as exc:
         route()
     assert isinstance(exc.value.best, float) and np.isfinite(exc.value.best)
-    assert exc.value.err > 0
+    assert exc.value.err > _UNREACHABLE.tol_for(exc.value.best)
 
 
 def test_validation_errors():
