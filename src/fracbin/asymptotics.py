@@ -217,26 +217,33 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
     return y
 
 
-def _map_chunks(tables: np.ndarray, cfg: McConfig,
-                per_chunk: Callable[[np.ndarray], object]) -> list:
-    """per_chunk(values) of every chunk's kept samples, in chunk order.
+def _fold_chunks(tables: np.ndarray, cfg: McConfig,
+                 step: Callable[[object, np.ndarray], object], total: object) -> object:
+    """total = step(total, values) over every chunk's kept samples, in chunk order.
 
     Chunk c holds samples c*_CHUNK onwards; the last chunk draws only its
     kept prefix, which the prefix-stable stream makes equal to the head of a
     full chunk, so a sample's value never depends on cfg.samples.  The word
-    buffer and block views are built once and shared by every chunk.
+    buffer and block views are built once and shared by every chunk, and no
+    chunk's values outlive its step, so memory does not grow with the
+    sample count.
     """
-    nchunks = (cfg.samples + _CHUNK - 1) // _CHUNK
     views = _chunk_views(tables, min(_CHUNK, cfg.samples))
-    out = []
-    for c in range(nchunks):
-        n = min(_CHUNK, cfg.samples - c * _CHUNK)
-        out.append(per_chunk(_chunk_values(tables, cfg.seed, c, n, views)))
-    return out
+    for c, first in enumerate(range(0, cfg.samples, _CHUNK)):
+        n = min(_CHUNK, cfg.samples - first)
+        total = step(total, _chunk_values(tables, cfg.seed, c, n, views))
+    return total
 
 
 def _sample_with_weights(w: np.ndarray, cfg: McConfig) -> np.ndarray:
-    return np.concatenate(_map_chunks(_block_tables(w), cfg, lambda y: y))
+    out = np.empty(cfg.samples)
+
+    def put(filled: int, y: np.ndarray) -> int:
+        out[filled:filled + len(y)] = y
+        return filled + len(y)
+
+    _fold_chunks(_block_tables(w), cfg, put, 0)
+    return out
 
 
 def sample_limit_variable(params: HurstParams, cfg: McConfig) -> np.ndarray:
@@ -300,7 +307,9 @@ class SignSum:
             raise TruncationError(f"sampling {K} weights exceeds the sampler cap {_SAMPLER_K_CAP}")
         else:
             total = cfg.samples
-            hits = map(sum, zip(*_map_chunks(_block_tables(self.head), cfg, counts)))
+            hits = _fold_chunks(_block_tables(self.head), cfg,
+                                lambda hits, y: [h + c for h, c in zip(hits, counts(y))],
+                                [0] * len(events))
         out = []
         for hit in hits:
             p = hit / total

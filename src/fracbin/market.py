@@ -73,10 +73,14 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 26
 # census levels are enumerated in blocks of 2^_BLOCK_BITS words (128 KiB of
-# float sums, small enough to stay in cache through a block's classification)
+# float sums, small enough to stay in cache through a block's classification);
+# at least 3, so a block of a level past 8 words is whole bytes of a path mask
 _BLOCK_BITS = 14
-# the census path masks take one byte per leaf in all; larger N fail fast
+# the census's two packed half path masks take one bit per leaf in all,
+# 2^(N-4) bytes; an N whose masks need more bytes than this fails fast
 _MASK_BUDGET_BYTES = 1 << 30
+# bytes of a packed mask counted at a time, so no count unpacks a whole mask
+_POPCOUNT_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -428,17 +432,24 @@ def _census_level(j: np.ndarray, g: float, o: float, tol: float, alive: np.ndarr
     the uncertainty band each between two cuts (_child_cuts).  The cuts are
     found once per level and child; np.searchsorted then classifies a whole
     block: a -inf cut (test true for every sum) has no entry below it and a
-    NaN cut (true for none) has every entry below it.  A walk leaf holds the
-    parent block of the last sign's two children, which share one block of
-    alive[:2^(m-1)]: the upper child's block (xi_m = +1) is written from it
-    before the lower child's is updated in place.  alive stays in word
-    order; a child keeps the words whose rank in the sorted block lies
-    between its two arbitrage cuts.  With m = 0 the one word is start, its
-    own only child, y = fl(start + 0).
+    NaN cut (true for none) has every entry below it.
 
-    mirror, when given, is a second mask over the same word indices that
-    holds each word's complement, all of whose sums are negated (round to
-    nearest is symmetric, so fl(-x - c) = -fl(x + c) and fl(-y +- g) =
+    alive is a packed bit mask in word order (np.packbits, bitorder
+    "little": word w is bit w % 8 of byte w // 8), and the level reads its
+    first 2^(m-1) bits and writes its first 2^m.  A walk leaf holds the
+    parent block of the last sign's two children, which share one block of
+    2^b bits, 2^(b-3) bytes: the upper child's block (xi_m = +1) is written
+    from it before the lower child's is updated in place.  A child keeps the
+    words whose rank in the sorted block lies between its two arbitrage
+    cuts: the whole block is copied, or cleared, or ANDed with that rank
+    test packed to bits.  A level of at most 8 words (b < 3) lies in the
+    first byte, which is unpacked to 8 bools, classified and packed back;
+    its other bits keep their values.  With m = 0 the one word is start,
+    its own only child, y = fl(start + 0).
+
+    mirror, when given, is a second packed mask over the same word indices
+    that holds each word's complement, all of whose sums are negated (round
+    to nearest is symmetric, so fl(-x - c) = -fl(x + c) and fl(-y +- g) =
     -fl(y -+ g)).  The complement is an arbitrage point, or in the band, at
     offset o exactly when the word is one at -o, so the leaf classifies it
     by a second set of cuts for -o (_mirror_cuts), and both counts are
@@ -459,32 +470,46 @@ def _census_level(j: np.ndarray, g: float, o: float, tol: float, alive: np.ndarr
         cuts += [_mirror_cuts(c) for c in reversed(cuts)]
     cuts = np.array(cuts).ravel()
     half = 1 << max(m - 1, 0)
+    # words per mask element: a level of at most 8 words is classified unpacked
+    unit = 8 if size >= 8 else 1
+    bits = masks if unit == 8 else [np.unpackbits(mk[:1], bitorder="little").view(bool)
+                                     for mk in masks]
     shifted, keep = np.empty(size, dtype=rank.dtype), np.empty(size, dtype=bool)
     count = uncertain = 0
 
     def leaf(sums: np.ndarray, first: int) -> None:
         nonlocal count, uncertain
         pos = np.searchsorted(sums, cuts).tolist()
-        for i, mask in enumerate(masks):
-            lower = mask[first:first + size]
+        lo, hi, width = first // unit, (half + first) // unit, size // unit
+        for i, mask in enumerate(bits):
+            lower = mask[lo:lo + width]
             for child in reversed(range(len(weights))):
                 at = 6 * (i * len(weights) + child)
                 k1, k2, hi1, hi2, lo1, lo2 = pos[at:at + 6]
                 count += size - max(k2 - k1, 0)
                 uncertain += max(hi2 - hi1, 0) + max(lo2 - lo1, 0)
-                out = mask[half + first:half + first + size] if child else lower
+                out = mask[hi:hi + width] if child else lower
                 if k1 == 0 and k2 == size:
                     if child:
                         out[:] = lower
                 elif k2 <= k1:
-                    out[:] = False
-                else:
-                    np.less(np.subtract(rank, k1, out=shifted), k2 - k1, out=keep)
-                    np.logical_and(lower, keep, out=out)
+                    out[:] = 0
+                else:  # keep ranks k1..k2-1; a window open at one end takes one pass
+                    if k1 == 0:
+                        np.less(rank, k2, out=keep)
+                    elif k2 == size:
+                        np.greater_equal(rank, k1, out=keep)
+                    else:
+                        np.less(np.subtract(rank, k1, out=shifted), k2 - k1, out=keep)
+                    np.bitwise_and(lower, keep if unit == 1 else
+                                   np.packbits(keep, bitorder="little"), out=out)
 
     high = j[b:m - 1]
     stack = [low[order]] + [np.empty(size) for _ in high]
     _walk_high_signs(stack, high, leaf)
+    if unit == 1:
+        for mk, unpacked in zip(masks, bits):
+            mk[:1] = np.packbits(unpacked, bitorder="little")
     return count, uncertain
 
 
@@ -505,6 +530,12 @@ def _walk_high_signs(stack: list, high: np.ndarray, leaf, d: int = 0, start: int
     _walk_high_signs(stack, high, leaf, d + 1, start + (len(stack[0]) << d))
 
 
+def _popcount(mask: np.ndarray) -> int:
+    """Set bits of a packed mask, unpacking _POPCOUNT_PIECE bytes at a time."""
+    return sum(int(np.count_nonzero(np.unpackbits(mask[i:i + _POPCOUNT_PIECE])))
+               for i in range(0, len(mask), _POPCOUNT_PIECE))
+
+
 def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
            cap: int = DEFAULT_ENUM_CAP) -> ArbitrageCensus:
     """Exhaustive arbitrage census of all levels plus the path count.
@@ -515,40 +546,46 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     index doubling, so the counts equal a naive sweep.  Each walked word also
     classifies its complement, at the negated offset.  The root is its own
     complement and is classified once.  A path is counted as soon as any of
-    its prefixes is an arbitrage point: one byte per leaf in two half masks,
-    alive[:2^(n-2)] marking the walked level-n nodes with no arbitrage prefix
-    and mirror[:2^(n-2)] their complements, each level extending both in
-    place.  When every level's offset is zero a complement is an arbitrage
-    point exactly when its word is, so one mask is kept and the counts are
-    doubled.  Ties within the combined quadrature + rounding tolerance are
-    reported separately in boundary_uncertain, never silently reclassified.
-    N above cap, or path masks above _MASK_BUDGET_BYTES in all, raise
-    CapExceededError before anything is computed; a drift offset that is not
-    finite at some level raises ValueError, also before any table or mask is
-    built; so does, when it is reached, a level whose tolerance is not
-    finite, which certifies nothing.
+    its prefixes is an arbitrage point: one bit per leaf in two packed half
+    masks of ceil(2^(N-2) / 8) bytes each, the first 2^(n-2) bits of alive
+    marking the walked level-n nodes with no arbitrage prefix and those of
+    mirror their complements, each level extending both in place.  The
+    survivors are counted a fixed-size piece of each mask at a time.  When
+    every level's offset is zero a complement is an arbitrage point exactly
+    when its word is, so one mask is kept and the counts are doubled.  Ties
+    within the combined quadrature + rounding tolerance are reported
+    separately in boundary_uncertain, never silently reclassified.  N above
+    cap, or two half masks of more than _MASK_BUDGET_BYTES in all (N >= 35,
+    counted whether or not the mirror is kept), raise CapExceededError
+    before anything is computed; a drift offset that is not finite at some
+    level raises ValueError, also before any table or mask is built; so
+    does, when it is reached, a level whose tolerance is not finite, which
+    certifies nothing.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
     leaves = 2 ** (spec.N - 1)
-    if leaves > _MASK_BUDGET_BYTES:
-        raise CapExceededError(f"census N={spec.N} needs a {leaves}-byte path mask, "
-                               f"above the {_MASK_BUDGET_BYTES}-byte budget")
+    words = max(leaves // 2, 1)
+    mask_bytes = -(-words // 8)
+    if 2 * mask_bytes > _MASK_BUDGET_BYTES:
+        raise CapExceededError(f"census N={spec.N} needs {2 * mask_bytes} bytes of packed "
+                               f"path masks, above the {_MASK_BUDGET_BYTES}-byte budget")
     offsets = [spec.drift.offset_scaled(n, spec.N, spec.params.H) for n in range(1, spec.N + 1)]
     tables = coefficient_tables(spec.params, range(1, spec.N + 1), cfg)
     counts, props, uncertain = [], [], []
     # alive holds the walked words (xi_1 = -1), mirror their complements;
     # with every offset zero a complement fares as its word, so alive counts twice
-    alive = np.ones(max(leaves // 2, 1), dtype=bool)
-    mirror = np.ones_like(alive) if any(offsets) else None
+    alive = np.full(mask_bytes, 0xFF, dtype=np.uint8)
+    alive[-1] >>= -words % 8  # the padding bits past the last word stay clear
+    mirror = alive.copy() if any(offsets) else None
     for n, (o, table) in enumerate(zip(offsets, tables), 1):
         tol = _finite_tolerance(table, o, "census level")
         # a sum that overflows is +-inf, which the cuts order like any double
         with np.errstate(over="ignore"):
             if n == 1:  # the root is its own complement
                 cnt, unc = _census_level(table.j, table.g, o, tol, alive)
-                if mirror is not None:
-                    mirror[0] = alive[0]
+                if mirror is not None:  # its first byte: bit 0 and bits still set in both
+                    mirror[:1] = alive[:1]
             else:
                 cnt, unc = _census_level(table.j[1:], table.g, o, tol, alive,
                                          start=-table.j[0], mirror=mirror)
@@ -557,9 +594,9 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
         uncertain.append(unc)
-    survivors = int(np.count_nonzero(alive))
+    survivors = _popcount(alive)
     if spec.N > 1:
-        survivors += survivors if mirror is None else int(np.count_nonzero(mirror))
+        survivors += survivors if mirror is None else _popcount(mirror)
     return ArbitrageCensus(
         N=spec.N,
         per_level_counts=tuple(counts),

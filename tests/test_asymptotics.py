@@ -236,7 +236,7 @@ def test_finite_level_exact_matches_census_on_edge_offsets(H):
             for o in (-(y[k] + t.g), -(y[k] - t.g)):
                 o = float(o)
                 est = finite_level_proportion(p, n, o, t, cfg)
-                alive = np.ones(len(y), dtype=bool)
+                alive = np.packbits(np.ones(len(y), dtype=bool), bitorder="little")
                 count, _ = market._census_level(t.j, t.g, o, market._level_tolerance(t, o), alive)
                 assert est.exact
                 assert est.p_hat * 2 ** (n - 1) == count, (n, k, o)

@@ -631,7 +631,7 @@ def test_sample_budget(tmp_path, capsys, monkeypatch, argv, lookups_per_sample, 
         raise Started
 
     for module, name in ((cli, "coefficient_table"), (cli, "coefficient_tables"),
-                         (cli.asym, "limit_weights"), (cli.asym, "_map_chunks")):
+                         (cli.asym, "limit_weights"), (cli.asym, "_fold_chunks")):
         monkeypatch.setattr(module, name, refuse)
     samples = cli._SAMPLE_LOOKUP_CAP // lookups_per_sample + above
     argv = [*argv, "--samples", str(samples)]

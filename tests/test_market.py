@@ -203,6 +203,19 @@ def test_census_budget_fails_before_allocating(p075, tmp_path, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec("constant", (0.3,))],
+                         ids=lambda d: d.to_text())
+def test_census_budget_boundary(p075, monkeypatch, drift):
+    # N = 12 needs two 2^10-bit half masks of 128 bytes each, N = 13 two of 256;
+    # both are counted at either drift, though zero drift keeps one
+    monkeypatch.setattr(market, "_MASK_BUDGET_BYTES", 256)
+    spec = MarketSpec(N=12, params=p075, drift=drift)
+    assert census(spec).path_count == _doubling_census(spec)["path_count"]
+    with pytest.raises(CapExceededError, match="needs 512 bytes of packed path masks, "
+                                               "above the 256-byte budget"):
+        census(MarketSpec(N=13, params=p075, drift=drift))
+
+
 def _doubling_census(spec, sums=level_sign_values):
     """The whole-level index-doubling census, kept as the oracle for census()."""
     counts, props, uncertain = [], [], []
@@ -356,17 +369,28 @@ def _levels(draw):
     return j, g, o, tol, alive
 
 
+def _packed(alive):
+    """A bool mask as _census_level takes it: one bit per word, bit w % 8 of byte w // 8."""
+    return np.packbits(alive, bitorder="little")
+
+
+def _unpacked(bits, words):
+    return np.unpackbits(bits, count=words, bitorder="little").view(bool)
+
+
 @pytest.mark.parametrize("block_bits", [3, 5, 14])
 @given(level=_levels())
 @settings(max_examples=150, deadline=None)
 def test_census_level_equals_whole_level_doubling(block_bits, level):
     j, g, o, tol, alive = level
     want_count, want_uncertain, want_alive = _doubling_level(j, g, o, tol, alive)
+    bits = _packed(alive)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
         mp.setattr(market, "_BLOCK_BITS", block_bits)
-        got = market._census_level(j, g, o, tol, alive)
+        got = market._census_level(j, g, o, tol, bits)
     assert got == (want_count, want_uncertain)
-    assert np.array_equal(alive, want_alive)
+    assert np.array_equal(_unpacked(bits, len(alive)), want_alive)
+    assert not _unpacked(bits, 8 * len(bits))[len(alive):].any()  # the padding stays clear
 
 
 @pytest.mark.parametrize("block_bits", [3, 5, 14])
@@ -385,11 +409,14 @@ def test_half_level_and_its_mirror_equal_the_whole_level(block_bits, level, zero
     walked, mirror = alive[0::2].copy(), alive[1::2].copy()
     k = len(parent[0::2])
     walked[:k], mirror[:k] = parent[0::2], parent[::-1][0::2]
-    single = walked.copy()
+    walked_bits, mirror_bits, single_bits = _packed(walked), _packed(mirror), _packed(walked)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
         mp.setattr(market, "_BLOCK_BITS", block_bits)
-        got = market._census_level(j[1:], g, o, tol, walked, start=-j[0], mirror=mirror)
-        half = market._census_level(j[1:], g, o, tol, single, start=-j[0])
+        got = market._census_level(j[1:], g, o, tol, walked_bits, start=-j[0],
+                                   mirror=mirror_bits)
+        half = market._census_level(j[1:], g, o, tol, single_bits, start=-j[0])
+    walked, mirror = _unpacked(walked_bits, len(walked)), _unpacked(mirror_bits, len(mirror))
+    single = _unpacked(single_bits, len(walked))
     assert got == (want_count, want_uncertain)
     assert np.array_equal(walked, want_alive[0::2])
     assert np.array_equal(mirror, want_alive[::-1][0::2])
@@ -471,6 +498,24 @@ def test_census_never_materialises_a_level(p075):
         tracemalloc.stop()
     # half of one float per last-level word (2^21 words)
     assert peak < 8 * 2**20
+
+
+def test_census_path_masks_take_one_bit_per_leaf(p075):
+    # at N = 26 one byte per leaf would be 2^25 bytes in two half masks; one
+    # bit per leaf is an eighth of that, so with the walk's own block buffers
+    # (about 1.7 MiB here) the peak stays under a quarter, which an unpacked
+    # copy of either half mask (2^24 bytes) would break.  At N = 22 those
+    # buffers alone pass a quarter of the 2^21 unpacked bytes.
+    spec = MarketSpec(N=26, params=p075, drift=DriftSpec("constant", (0.3,)))
+    coefficient_tables(p075, range(1, spec.N + 1))
+    tracemalloc.start()
+    try:
+        got = census(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** (spec.N - 1) // 4
+    assert got.path_count == 15141319  # the one-byte-per-leaf census's count
 
 
 def test_monotone_reach_goldens(p075, p09, p06):
