@@ -1,12 +1,13 @@
 """Command-line front end: deterministic reports for every operation.
 
-One table, _COMMANDS, lists each command's help text, options and handler;
-the parser, the dispatch and every report's config block are read from it.
-A report embeds its command's fully resolved options (defaults and seed
-included) plus a content hash of the coefficient tables the run consumed,
-so artifacts are reproducible byte for byte.  Any long option can take its
-default from the environment as FRACBIN_<NAME> (dashes as underscores),
-which is how CI pins sizes; explicit flags win.
+_COMMANDS lists each command's help text, options and handler, and _OPTIONS
+each option's type, default and help; the parser, the dispatch and every
+report's config block are read from them, and the parsed namespace is the
+run config.  A report embeds its command's resolved options (defaults and
+seed included) plus a content hash of the coefficient tables the run
+consumed, so artifacts are reproducible byte for byte.  A valued option
+takes its default from FRACBIN_<NAME> (dashes as underscores) when set,
+checked as the flag's value is, which is how CI pins sizes; flags win.
 
 Exit codes: 0 success; 1 verify-check failure; 2 invalid configuration;
 3 numeric nonconvergence; 4 enumeration/series cap exceeded.
@@ -19,8 +20,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -67,87 +66,54 @@ _SAMPLE_LOOKUP_CAP = 10**11
 _ENV_PREFIX = "FRACBIN_"
 
 
-def _env_default(name: str, fallback, cast):
+def _env_default(name: str, kw: dict):
+    """FRACBIN_<NAME>, checked as the flag's value is, if set; else kw's default."""
     var = _ENV_PREFIX + name.upper().replace("-", "_")
     raw = os.environ.get(var)
     if raw is None:
-        return fallback
+        return kw["default"]
     try:
-        return cast(raw)
+        value = kw["type"](raw)
     except ValueError:
-        raise ValueError(f"{var}={raw!r} is not a valid {cast.__name__}") from None
+        raise ValueError(f"{var}={raw!r} is not a valid {kw['type'].__name__}") from None
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(f"{var}={raw!r} is not one of {', '.join(kw['choices'])}")
+    return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on, and the one home of every default.
-
-    A report embeds command, output_format and the fields of its command's
-    options.
-    """
-
-    command: str
-    H: float = 0.75
-    sigma: float = 1.0
-    N: int = 16
-    n: int = 16
-    drift: str = "zero"
-    s0: float = 1.0
-    seed: int = asym.McConfig.seed
-    samples: int = asym.McConfig.samples
-    quad_abs_tol: float = DEFAULT_QUAD.abs_tol
-    quad_rel_tol: float = DEFAULT_QUAD.rel_tol
-    tail_sd_tol: Optional[float] = None
-    # left unset so --tail-sd-tol can choose K; _resolved fills in the default
-    trunc_k: Optional[int] = None
-    confidence: float = asym.McConfig.confidence
-    tol: float = 1e-8
-    n_list: str = "10,14,18"
-    offset: float = 0.0
-    prefix: str = ""
-    direction: str = "up"
-    n_max: int = 10_000
-    v_min: float = 0.0
-    v_max: float = 4.0
-    points: int = 21
-    fit: bool = False
-    cap: int = DEFAULT_ENUM_CAP
-    full: bool = False
-    output_format: str = "json"
-    output_path: str = "-"
-
-
-# every option a command can list; its default is the RunConfig field of the
-# same name (threads is no field: it is accepted and never read)
+# every option a command can list, the one home of its type, default and
+# help; format and out end every command's list
 _OPTIONS = {
-    "H": dict(type=float, help="memory exponent in (1/2,1)"),
-    "sigma": dict(type=float, help="volatility > 0"),
-    "N": dict(type=int, help="number of periods"),
-    "n": dict(type=int, help="tree level"),
-    "drift": dict(type=str, help="zero | const:c | poly:c0,c1,..."),
-    "s0": dict(type=float, help="initial price"),
-    "seed": dict(type=int, help="64-bit RNG seed"),
-    "samples": dict(type=int, help="MC sample count"),
-    "quad-abs-tol": dict(type=float),
-    "quad-rel-tol": dict(type=float),
-    "tail-sd-tol": dict(type=float,
+    "H": dict(type=float, default=0.75, help="memory exponent in (1/2,1)"),
+    "sigma": dict(type=float, default=1.0, help="volatility > 0"),
+    "N": dict(type=int, default=16, help="number of periods"),
+    "n": dict(type=int, default=16, help="tree level"),
+    "drift": dict(type=str, default="zero", help="zero | const:c | poly:c0,c1,..."),
+    "s0": dict(type=float, default=1.0, help="initial price"),
+    "seed": dict(type=int, default=asym.McConfig.seed, help="64-bit RNG seed"),
+    "samples": dict(type=int, default=asym.McConfig.samples, help="MC sample count"),
+    "quad-abs-tol": dict(type=float, default=DEFAULT_QUAD.abs_tol),
+    "quad-rel-tol": dict(type=float, default=DEFAULT_QUAD.rel_tol),
+    "tail-sd-tol": dict(type=float, default=None,
                         help="target sd of the discarded series tail (may be infeasible; see docs)"),
-    "trunc-k": dict(type=int, help="explicit series truncation index "
-                                   f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
-    "confidence": dict(type=float),
-    "tol": dict(type=float),
-    "threads": dict(type=int, help="ignored; sampling always runs on one thread"),
-    "n-list": dict(type=str),
-    "offset": dict(type=float, help="scaled drift offset added to the level sum"),
-    "prefix": dict(type=str, help="sign word like '+-+' or '' for the root"),
-    "direction": dict(type=str, choices=("up", "down")),
-    "n-max": dict(type=int),
-    "v-min": dict(type=float),
-    "v-max": dict(type=float),
-    "points": dict(type=int),
-    "cap": dict(type=int, help="enumeration cap on N"),
+    "trunc-k": dict(type=int, default=None, help="explicit series truncation index "
+                    f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
+    "confidence": dict(type=float, default=asym.McConfig.confidence),
+    "tol": dict(type=float, default=1e-8),
+    "threads": dict(type=int, default=None, help="ignored; sampling always runs on one thread"),
+    "n-list": dict(type=str, default="10,14,18"),
+    "offset": dict(type=float, default=0.0, help="scaled drift offset added to the level sum"),
+    "prefix": dict(type=str, default="", help="sign word like '+-+' or '' for the root"),
+    "direction": dict(type=str, default="up", choices=("up", "down")),
+    "n-max": dict(type=int, default=10_000),
+    "v-min": dict(type=float, default=0.0),
+    "v-max": dict(type=float, default=4.0),
+    "points": dict(type=int, default=21),
+    "cap": dict(type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap on N"),
     "fit": dict(action="store_true", help="also fit the decay exponent"),
     "full": dict(action="store_true", help="acceptance-grade sizes"),
+    "format": dict(type=str, default="json", choices=("json", "csv"), dest="output_format"),
+    "out": dict(type=str, default="-", dest="output_path", help="output file or - for stdout"),
 }
 
 
@@ -161,41 +127,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, options, _) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        for name in options:
+        for name in (*options, "format", "out"):
             kw = _OPTIONS[name]
-            default = getattr(RunConfig, name.replace("-", "_"), None)
-            if "type" in kw:  # flags take no default from the environment
-                default = _env_default(name, default, kw["type"])
-            sp.add_argument("--" + name, default=default, **kw)
-        sp.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                        default=_env_default("format", RunConfig.output_format, str))
-        sp.add_argument("--out", dest="output_path",
-                        default=_env_default("out", RunConfig.output_path, str),
-                        help="output file or - for stdout")
+            if "type" in kw:  # flags take no value from the environment
+                kw = {**kw, "default": _env_default(name, kw)}
+            sp.add_argument("--" + name, **kw)
     return parser
 
 
-def _resolved(args: argparse.Namespace) -> RunConfig:
-    rc = RunConfig(**{k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__})
-    if rc.trunc_k is None and rc.tail_sd_tol is None:
-        rc = replace(rc, trunc_k=asym.DEFAULT_TRUNCATION_K)
+def _resolved(rc: argparse.Namespace) -> argparse.Namespace:
+    # where the command has trunc_k, an unset one takes its default unless tail_sd_tol chooses K
+    if "trunc_k" in vars(rc) and rc.trunc_k is None and rc.tail_sd_tol is None:
+        rc.trunc_k = asym.DEFAULT_TRUNCATION_K
     return rc
 
 
-def _mc_config(rc: RunConfig) -> asym.McConfig:
+def _mc_config(rc: argparse.Namespace) -> asym.McConfig:
     return asym.McConfig(samples=rc.samples, seed=rc.seed, truncation_k=rc.trunc_k,
                          tail_sd_tol=rc.tail_sd_tol, confidence=rc.confidence)
 
 
-def _quad(rc: RunConfig) -> QuadratureConfig:
+def _quad(rc: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=rc.quad_abs_tol, rel_tol=rc.quad_rel_tol)
 
 
-def _emit(rc: RunConfig, payload: dict, csv_spec=None) -> None:
-    # the config block holds the command's own options; the output path never
-    # influences the numbers, so reports stay byte-identical across destinations
-    keys = {"command", "output_format", *(o.replace("-", "_") for o in _COMMANDS[rc.command][1])}
-    doc = {"config": {k: v for k, v in sorted(asdict(rc).items()) if k in keys}}
+def _emit(rc: argparse.Namespace, payload: dict, csv_spec=None) -> None:
+    # every parsed option but threads (never read) and the output path, so a
+    # report stays byte-identical across destinations
+    doc = {"config": {k: v for k, v in sorted(vars(rc).items())
+                      if k not in ("output_path", "threads")}}
     doc.update(payload)
     if rc.output_format == "csv" and csv_spec is not None:
         columns, rows = csv_spec
@@ -246,7 +206,7 @@ def _sampled_levels(levels: list[int]) -> list[int]:
     return [n - 1 for n in levels if n - 1 > asym._EXACT_LEVEL_MAX]
 
 
-def _cmd_coeffs(rc: RunConfig) -> int:
+def _cmd_coeffs(rc: argparse.Namespace) -> int:
     if rc.n < 1:
         raise ValueError(f"n must be >= 1, got {rc.n}")
     _check_level(rc.n)
@@ -273,7 +233,7 @@ def _cmd_coeffs(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _census_common(rc: RunConfig):
+def _census_common(rc: argparse.Namespace):
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
     spec = MarketSpec(N=rc.N, params=params, drift=DriftSpec.parse(rc.drift), s0=rc.s0)
@@ -282,7 +242,7 @@ def _census_common(rc: RunConfig):
     return spec, result, table_fingerprint(tables)
 
 
-def _cmd_census(rc: RunConfig) -> int:
+def _cmd_census(rc: argparse.Namespace) -> int:
     spec, result, fp = _census_common(rc)
     payload = {"coeff_cache_hash": fp}
     payload.update(result.to_dict(spec))
@@ -292,7 +252,7 @@ def _cmd_census(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_paths(rc: RunConfig) -> int:
+def _cmd_paths(rc: argparse.Namespace) -> int:
     spec, result, fp = _census_common(rc)
     first = next((i + 1 for i, c in enumerate(result.per_level_counts) if c), None)
     payload = {
@@ -308,7 +268,7 @@ def _cmd_paths(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_mc_limit(rc: RunConfig) -> int:
+def _cmd_mc_limit(rc: argparse.Namespace) -> int:
     params = HurstParams(rc.H, rc.sigma)
     cfg = _mc_config(rc)
     _check_samples(rc.samples, [asym.resolve_truncation(params, cfg)[0]])
@@ -321,7 +281,7 @@ def _cmd_mc_limit(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_mc_level(rc: RunConfig) -> int:
+def _cmd_mc_level(rc: argparse.Namespace) -> int:
     params = HurstParams(rc.H, rc.sigma)
     _check_level(rc.n)
     _check_samples(rc.samples, _sampled_levels([rc.n]))
@@ -335,7 +295,7 @@ def _cmd_mc_level(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_hc(rc: RunConfig) -> int:
+def _cmd_hc(rc: argparse.Namespace) -> int:
     h_c, H_c = solve_critical_hurst(rc.tol)
     payload = {
         "h_c": h_c,
@@ -347,7 +307,7 @@ def _cmd_hc(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_charfn(rc: RunConfig) -> int:
+def _cmd_charfn(rc: argparse.Namespace) -> int:
     if not 1 <= rc.points <= _CHARFN_POINTS_CAP:
         raise ValueError(f"points must be >= 1 and at most {_CHARFN_POINTS_CAP}, got {rc.points}")
     if rc.v_min > rc.v_max:
@@ -376,7 +336,7 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _cmd_reach(rc: RunConfig) -> int:
+def _cmd_reach(rc: argparse.Namespace) -> int:
     params = HurstParams(rc.H, rc.sigma)
     prefix = _parse_prefix(rc.prefix)
     _check_level(len(prefix) + 1 + rc.n_max)
@@ -393,7 +353,7 @@ def _cmd_reach(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_convergence(rc: RunConfig) -> int:
+def _cmd_convergence(rc: argparse.Namespace) -> int:
     """Per-level time series: arbitrage-set proportion (non-strict), the
     strict exceedance diagnostic, and the variance split, plus the limit."""
     params = HurstParams(rc.H, rc.sigma)
@@ -441,7 +401,7 @@ def _cmd_convergence(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(rc: RunConfig) -> int:
+def _cmd_verify(rc: argparse.Namespace) -> int:
     report = verify_mod.run_checks(full=rc.full)
     _emit(rc, report, csv_spec=(("check", "passed"),
                                 [(c["name"], c["passed"]) for c in report["checks"]]))

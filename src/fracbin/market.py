@@ -632,14 +632,14 @@ def _reach_screen(params: HurstParams, prefix: np.ndarray, direction: int, level
         n u/(1 - n u): the left-to-right sum, y +- g and this screen's own
         sums.
     The brackets' evaluation error is already in their bounds.  The offset o
-    is offset_scaled's, bit for bit.  A level where 4 (sum_hi + g_hi + |o| +
-    error) is not finite (a sigma near overflow, a drift that overflows) is
+    is offset_scaled(L, L, H), which raises ValueError, before any table is
+    built, for a drift whose a(1) is not finite.  A level where 4 (sum_hi +
+    g_hi + |o| + error) is not finite (a sigma or a drift near overflow) is
     left undecided, so its table route raises as it would without the screen.
     """
     br = weight_brackets(params, levels, len(prefix))
     c = prefix - direction  # 0 or +-2 per prefix column
-    a1 = drift.value(1.0)  # the horizon is the level, so t = L/L = 1
-    o = np.array([(a1 / n) * n**params.H for n in levels.tolist()])
+    o = np.array([drift.offset_scaled(n, n, params.H) for n in levels.tolist()])
     with np.errstate(all="ignore"):
         y_lo = (np.minimum(c * br.j_lo, c * br.j_hi).sum(axis=1)
                 + np.minimum(direction * br.sum_lo, direction * br.sum_hi))

@@ -365,15 +365,15 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv):
 ], ids=["census", "paths", "reach"])
 def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a(t) overflows to inf at t = 1: the census must check every level's
-    # offset before it builds a table or a mask, and no numpy warning leaks
+    # offset before it builds a table or a mask, the reach screen its first
+    # level's, and no numpy warning leaks
     from fracbin import market
 
-    if argv[0] != "reach":
-        def no_tables(*args):
-            raise AssertionError("census built a table before checking its offsets")
+    def no_tables(*args):
+        raise AssertionError(f"{argv[0]} built a table before checking its offsets")
 
-        monkeypatch.setattr(market, "coefficient_table", no_tables)
-        monkeypatch.setattr(market, "coefficient_tables", no_tables)
+    monkeypatch.setattr(market, "coefficient_table", no_tables)
+    monkeypatch.setattr(market, "coefficient_tables", no_tables)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out = run(argv, tmp_path)
@@ -444,7 +444,11 @@ def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypat
 @pytest.mark.parametrize("var, raw, argv", [
     ("FRACBIN_SAMPLES", "abc", ["hc"]),
     ("FRACBIN_H", "0.7x", ["census", "--N", "5"]),
-], ids=["samples", "H"])
+    # a value outside the flag's choices, on its own command or another
+    ("FRACBIN_DIRECTION", "sideways", ["reach", "--prefix=---"]),
+    ("FRACBIN_DIRECTION", "sideways", ["hc"]),
+    ("FRACBIN_FORMAT", "xml", ["hc"]),
+], ids=["samples", "H", "direction", "direction-hc", "format"])
 def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, var, raw, argv):
     monkeypatch.setenv(var, raw)
     rc, out = run(argv, tmp_path)
@@ -454,6 +458,22 @@ def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, var, raw, ar
     assert err.startswith("fracbin: invalid configuration:") and var in err
     monkeypatch.delenv(var)
     assert run(argv, tmp_path)[0] == EXIT_OK
+
+
+def test_flags_beat_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACBIN_SAMPLES", "1500")
+    monkeypatch.setenv("FRACBIN_DIRECTION", "down")
+    monkeypatch.setenv("FRACBIN_FORMAT", "csv")
+    rc, out = run(["mc-limit", "--samples", "1000", "--format", "json"], tmp_path, "mc.json")
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["config"]["samples"] == doc["samples"] == 1000
+    rc, out = run(["reach", "--prefix=+-", "--direction", "up"], tmp_path, "reach.csv")
+    assert rc == EXIT_OK
+    assert "# direction=up" in out.read_text().splitlines()
+    rc, out = run(["reach", "--prefix=+-"], tmp_path, "env.csv")
+    assert rc == EXIT_OK
+    assert "# direction=down" in out.read_text().splitlines()
 
 
 def test_charfn_keeps_a_negative_v_min(tmp_path):
@@ -749,10 +769,54 @@ def test_config_block_holds_only_the_command_options(tmp_path, monkeypatch, argv
 
 
 def test_every_option_and_field_has_a_user():
-    # no option or RunConfig default outlives the last command that reads it
+    # no option outlives the last command that reads it (format and out end
+    # every command's list), and every valued option, the ones FRACBIN_* can
+    # set, declares its default field in _OPTIONS; flags default to False
     from fracbin import cli
 
     used = {name for _, options, _ in cli._COMMANDS.values() for name in options}
-    assert used == set(cli._OPTIONS)
-    embedded = {"command", "output_format"} | ({o.replace("-", "_") for o in used} - {"threads"})
-    assert set(cli.RunConfig.__dataclass_fields__) - {"output_path"} == embedded
+    assert used | {"format", "out"} == set(cli._OPTIONS)
+    valued = {name for name, kw in cli._OPTIONS.items() if "type" in kw}
+    assert valued == {name for name, kw in cli._OPTIONS.items() if "default" in kw}
+    assert set(cli._OPTIONS) - valued == {"fit", "full"}
+
+
+_QUAD_DEFAULTS = {"quad_abs_tol": 1e-10, "quad_rel_tol": 1e-9}
+_MC_DEFAULTS = {"H": 0.75, "sigma": 1.0, "samples": 100_000, "seed": 0, "confidence": 0.99}
+_MARKET_DEFAULTS = {"H": 0.75, "sigma": 1.0, "N": 16, "drift": "zero", "s0": 1.0, "cap": 26,
+                    **_QUAD_DEFAULTS}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["coeffs"], {"H": 0.75, "sigma": 1.0, "n": 16, **_QUAD_DEFAULTS}),
+    (["census"], _MARKET_DEFAULTS),
+    (["paths"], _MARKET_DEFAULTS),
+    (["mc-limit"], {**_MC_DEFAULTS, "trunc_k": 8192, "tail_sd_tol": None}),
+    (["mc-limit", "--tail-sd-tol", "0.5"], {**_MC_DEFAULTS, "trunc_k": None, "tail_sd_tol": 0.5}),
+    (["mc-level"], {**_MC_DEFAULTS, "n": 16, "offset": 0.0, **_QUAD_DEFAULTS}),
+    (["hc"], {"tol": 1e-8}),
+    (["charfn"], {"H": 0.75, "sigma": 1.0, "v_min": 0.0, "v_max": 4.0, "points": 21, "tol": 1e-8,
+                  "fit": False}),
+    (["reach"], {"H": 0.75, "sigma": 1.0, "prefix": "", "direction": "up", "n_max": 10_000,
+                 "drift": "zero", **_QUAD_DEFAULTS}),
+    (["convergence"], {**_MC_DEFAULTS, "n_list": "10,14,18", "trunc_k": 8192, "tail_sd_tol": None,
+                       **_QUAD_DEFAULTS}),
+    (["verify"], {"full": False}),
+], ids=["coeffs", "census", "paths", "mc-limit", "mc-limit-tail", "mc-level", "hc", "charfn",
+        "reach", "convergence", "verify"])
+def test_default_config_values(tmp_path, monkeypatch, argv, config):
+    # every command's config block at its defaults, value and type, so a
+    # default moved or retyped changes a report only with this test; each
+    # handler is replaced by one that emits the config block alone
+    from fracbin import cli
+
+    def emit_config(rc):
+        cli._emit(rc, {})
+        return EXIT_OK
+
+    help_text, options, _ = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, options, emit_config))
+    rc, out = run(argv, tmp_path)
+    assert rc == EXIT_OK
+    expected = {"command": argv[0], "output_format": "json", **config}
+    assert out.read_text() == render_json({"config": dict(sorted(expected.items()))})
