@@ -15,7 +15,10 @@ of a sample is the sum of its per-byte partial sums in byte order, each
 byte's sum accumulated left-to-right from 0.0 (realised with 256-entry
 lookup tables, built by in-place doubling; padding weights are zero).  A
 sampling run builds its word buffer and per-block byte views once and every
-chunk gathers through them.  Equality in law of the reversed-coefficient
+chunk gathers through them.  Philox is counter-based, so a chunk draws its
+stream in pieces of at most _PIECE_WORDS words (256 KiB), each transposed
+straight into the word buffer, and never holds the whole chunk's stream;
+the bytes are those of one draw.  Equality in law of the reversed-coefficient
 walk with the split tail walk is realised by feeding the sampler reversed
 weights; no separate variable is kept.
 
@@ -67,6 +70,8 @@ _GENERATOR_ID = "philox4x64:key=[seed,chunk];bytes-le;8bit-blocks"
 _SAMPLER_K_CAP = 1 << 16
 # samples per chunk; chunk c of a stream holds samples c*_CHUNK onwards
 _CHUNK = 4096
+# most 64-bit Philox words (256 KiB) one draw of a chunk's stream takes
+_PIECE_WORDS = 1 << 15
 # longest sign word a level estimate enumerates instead of sampling
 _EXACT_LEVEL_MAX = 20
 
@@ -137,16 +142,28 @@ class McEstimate:
         }
 
 
+def _tail_sd(params: HurstParams, K: int) -> float:
+    """2 g_H sqrt(sum_{k>K} rho_h(k)^2), the sd of the tail a K-truncation drops."""
+    return 2.0 * params.g_H * math.sqrt(rho_pow_tail(params.h, K, 2))
+
+
 def resolve_truncation(params: HurstParams, cfg: McConfig) -> tuple[int, float]:
-    """(K, achieved tail sd) for the configured truncation policy."""
-    h = params.h
+    """(K, achieved tail sd) for the configured truncation policy.
+
+    A tail_sd_tol that no K within _SAMPLER_K_CAP meets raises
+    TruncationError naming the target and the tail sd at the cap.
+    """
     if cfg.truncation_k is not None:
         K = cfg.truncation_k
     else:
         target_sq = (cfg.tail_sd_tol / (2.0 * params.g_H)) ** 2
-        K = rho_sq_sum(h, target_sq, k_cap=_SAMPLER_K_CAP).K
-    tail_sd = 2.0 * params.g_H * math.sqrt(rho_pow_tail(h, K, 2))
-    return K, tail_sd
+        try:
+            K = rho_sq_sum(params.h, target_sq, k_cap=_SAMPLER_K_CAP).K
+        except TruncationError:
+            raise TruncationError(
+                f"tail sd target {cfg.tail_sd_tol:g} unachievable within K cap {_SAMPLER_K_CAP} "
+                f"(tail sd at the cap is {_tail_sd(params, _SAMPLER_K_CAP):g})") from None
+    return K, _tail_sd(params, K)
 
 
 def limit_weights(params: HurstParams, K: int) -> np.ndarray:
@@ -181,28 +198,32 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
     The stream is Philox's 64-bit outputs read little-endian, the same bytes
     Generator.bytes emits, and it is prefix-stable: the first n*nblocks bytes
     do not depend on how many are drawn, so a sample's value does not depend
-    on n.  Rows are zero-padded to whole words (pad bytes are never read) and
-    the (n, words) matrix is transposed in column blocks into the word buffer
-    of views, _chunk_views(tables, n') for some n' >= n; a sampling run builds
-    it once and passes it to every chunk, a short chunk using the prefix of
-    each byte column.  Per-block partial sums are added in byte order.
+    on n.  Philox is counter-based, so the chunk's one generator is drawn in
+    sequential pieces of at most _PIECE_WORDS words, each a whole multiple of
+    8 samples and so of whole words; the last piece draws only the kept
+    samples' bytes.  Each piece's (samples, words) matrix is transposed
+    straight into the word buffer of views, _chunk_views(tables, n') for some
+    n' >= n, so no chunk-sized stream array is held; rows not a whole number
+    of words are first zero-padded in a piece-sized buffer (pad bytes are
+    never read).  A sampling run builds views once and passes them to every
+    chunk, a short chunk using the prefix of each byte column.  Per-block
+    partial sums are added in byte order.
     """
     nblocks = tables.shape[0]
     words, blocks = _chunk_views(tables, n) if views is None else views
     nwords = words.shape[0]
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    stream = np.random.Philox(key=key).random_raw((n * nblocks + 7) // 8)
-    stream = stream.astype("<u8", copy=False)
-    if nblocks % 8 == 0:
-        rows = stream.reshape(n, nwords)
-    else:
-        rows = np.zeros((n, nwords), dtype="<u8")
-        rows.view(np.uint8)[:, :nblocks] = stream.view(np.uint8)[: n * nblocks].reshape(n, nblocks)
-    del stream
-    # a 256-sample block of rows stays in cache while it is written out as columns
-    for s in range(0, n, 256):
-        words[:, s:min(s + 256, n)] = rows[s:s + 256].T
-    del rows
+    bitgen = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
+    step = 8 * max(1, _PIECE_WORDS // nblocks)
+    padded = None if nblocks % 8 == 0 else np.zeros((min(step, n), nwords), dtype="<u8")
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        piece = bitgen.random_raw((m * nblocks + 7) // 8).astype("<u8", copy=False)
+        if padded is None:
+            rows = piece.reshape(m, nwords)
+        else:
+            rows = padded[:m]
+            rows.view(np.uint8)[:, :nblocks] = piece.view(np.uint8)[:m * nblocks].reshape(m, -1)
+        words[:, s:s + m] = rows.T
     if n < words.shape[1]:
         blocks = [(table, col[:n]) for table, col in blocks]
     part = np.empty(n)
@@ -323,7 +344,8 @@ class SignSum:
         return out
 
 
-def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> McEstimate:
+def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1,
+                     law: Optional[SignSum] = None) -> McEstimate:
     """Estimate of P(|Y^(K)| > g_H) from the truncated sampler.
 
     The limit event is strict (the limit law is atomless).  The reported
@@ -332,9 +354,10 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1) -> Mc
     by six discarded-tail standard deviations.  It is a sensitivity of the
     truncated answer, not a bracket of the untruncated P(|Y| > g_H)
     (ROADMAP item 1).  threads is accepted for compatibility and ignored:
-    sampling always runs on the calling thread.
+    sampling always runs on the calling thread.  law, if given, is
+    SignSum.limit(params, cfg) as the caller already built it.
     """
-    law = SignSum.limit(params, cfg)
+    law = SignSum.limit(params, cfg) if law is None else law
     g, d = params.g_H, 6.0 * law.tail_sd
     est, lo, hi = law.estimates([lambda y: np.abs(y) > g, lambda y: np.abs(y) > g + d,
                                  lambda y: np.abs(y) > g - d], cfg)

@@ -172,12 +172,6 @@ def _emit(rc: argparse.Namespace, payload: dict, csv_spec=None) -> None:
         write_text(rc.output_path, render_json(doc))
 
 
-def _weights_hash(params: HurstParams, K: int) -> str:
-    import hashlib
-
-    return hashlib.sha256(asym.limit_weights(params, K).tobytes()).hexdigest()
-
-
 def _check_level(n: int) -> None:
     """Every command's cap on a level n: its n - 1 weights fit the sampler's K cap.
 
@@ -204,6 +198,17 @@ def _check_samples(samples: int, weights: list[int]) -> None:
 def _sampled_levels(levels: list[int]) -> list[int]:
     """Weights of the levels an estimate samples rather than enumerates."""
     return [n - 1 for n in levels if n - 1 > asym._EXACT_LEVEL_MAX]
+
+
+def _limit_law(params: HurstParams, cfg: asym.McConfig, sampled: list[int]) -> asym.SignSum:
+    """SignSum.limit(params, cfg), its truncation resolved once.
+
+    The run's sample budget, K plus the weight counts sampled of its other
+    laws, is checked by _check_samples before any weight is built.
+    """
+    K, tail_sd = asym.resolve_truncation(params, cfg)
+    _check_samples(cfg.samples, [*sampled, K])
+    return asym.SignSum(asym.limit_weights(params, K), tail_sd)
 
 
 def _cmd_coeffs(rc: argparse.Namespace) -> int:
@@ -269,11 +274,13 @@ def _cmd_paths(rc: argparse.Namespace) -> int:
 
 
 def _cmd_mc_limit(rc: argparse.Namespace) -> int:
+    import hashlib
+
     params = HurstParams(rc.H, rc.sigma)
     cfg = _mc_config(rc)
-    _check_samples(rc.samples, [asym.resolve_truncation(params, cfg)[0]])
-    est = asym.limit_proportion(params, cfg)
-    payload = {"coeff_cache_hash": _weights_hash(params, est.K)}
+    law = _limit_law(params, cfg, [])
+    est = asym.limit_proportion(params, cfg, law=law)
+    payload = {"coeff_cache_hash": hashlib.sha256(law.head.tobytes()).hexdigest()}
     payload.update(est.to_dict())
     _emit(rc, payload, csv_spec=(("p_hat", "stderr", "ci_low", "ci_high", "samples", "K"),
                                  [(est.p_hat, est.stderr, est.ci_low, est.ci_high,
@@ -362,8 +369,7 @@ def _cmd_convergence(rc: argparse.Namespace) -> int:
     levels = [int(x) for x in rc.n_list.split(",") if x]
     for n in levels:
         _check_level(n)
-    _check_samples(rc.samples,
-                   [*_sampled_levels(levels), asym.resolve_truncation(params, cfg)[0]])
+    law = _limit_law(params, cfg, _sampled_levels(levels))
     tables = coefficient_tables(params, levels, quad)
     # every number that a large sigma can overflow is checked before anything is sampled
     with np.errstate(over="ignore"):
@@ -382,7 +388,7 @@ def _cmd_convergence(rc: argparse.Namespace) -> int:
         est, strict = asym._level_estimate(table, 0.0, cfg)
         rows.append((n, est.p_hat, est.stderr, est.ci_low, est.ci_high,
                      strict.p_hat, var_bar, var_hat))
-    lim = asym.limit_proportion(params, cfg)
+    lim = asym.limit_proportion(params, cfg, law=law)
     payload = {
         "levels": [
             {"n": r[0], "p_hat": r[1], "stderr": r[2], "ci": [r[3], r[4]],

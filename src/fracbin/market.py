@@ -133,7 +133,9 @@ class DriftSpec:
 
     def step_drift(self, n: int, N: int) -> float:
         """a_n^{(N)} = a(n/N) / N, |a_n| <= sup_norm / N; ValueError if not finite."""
-        a = self.value(n / N) / N
+        return self._finite_step(self.value(n / N) / N, n, N)
+
+    def _finite_step(self, a: float, n: int, N: int) -> float:
         if not math.isfinite(a):
             raise ValueError(f"drift {self.to_text()} gives a non-finite offset at level {n} "
                              f"of N={N}")
@@ -142,6 +144,16 @@ class DriftSpec:
     def offset_scaled(self, n: int, N: int, H: float) -> float:
         """a_n^{(N)} N^H, the scaled drift offset; finite, as |a_n N^H| <= |a(n/N)|."""
         return self.step_drift(n, N) * N**H
+
+    def horizon_offsets(self, levels: Sequence[int], H: float) -> list[float]:
+        """offset_scaled(L, L, H) at each level L, evaluating a(1) once.
+
+        With the horizon N = L, L/N is 1.0 at every level, so each offset is
+        (a(1) / L) L^H in offset_scaled's float operations, and a non-finite
+        a(1) raises its ValueError at the first level.
+        """
+        a1 = self.value(1.0)
+        return [self._finite_step(a1 / L, L, L) * L**H for L in levels]
 
 
 ZERO_DRIFT = DriftSpec()
@@ -632,14 +644,15 @@ def _reach_screen(params: HurstParams, prefix: np.ndarray, direction: int, level
         n u/(1 - n u): the left-to-right sum, y +- g and this screen's own
         sums.
     The brackets' evaluation error is already in their bounds.  The offset o
-    is offset_scaled(L, L, H), which raises ValueError, before any table is
-    built, for a drift whose a(1) is not finite.  A level where 4 (sum_hi +
+    is offset_scaled(L, L, H), a(1) evaluated once per call by
+    horizon_offsets, which raises ValueError, before any table is built, for
+    a drift whose a(1) is not finite.  A level where 4 (sum_hi +
     g_hi + |o| + error) is not finite (a sigma or a drift near overflow) is
     left undecided, so its table route raises as it would without the screen.
     """
     br = weight_brackets(params, levels, len(prefix))
     c = prefix - direction  # 0 or +-2 per prefix column
-    o = np.array([drift.offset_scaled(n, n, params.H) for n in levels.tolist()])
+    o = np.array(drift.horizon_offsets(levels.tolist(), params.H))
     with np.errstate(all="ignore"):
         y_lo = (np.minimum(c * br.j_lo, c * br.j_hi).sum(axis=1)
                 + np.minimum(direction * br.sum_lo, direction * br.sum_hi))

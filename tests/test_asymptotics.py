@@ -1,6 +1,7 @@
 """Sampler determinism, estimates, bounds, and the characteristic function."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,46 @@ def test_short_chunk_values_match_column_reference(p08, K, n):
     got = asym._chunk_values(tables, 17, 2, n)
     expect = _column_chunk_values(tables, 17, 2, n)
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("K,n", [(32768, 4096), (32768, 200), (1999, 4096), (1999, 1049),
+                                 (8192, 300)])
+def test_chunk_values_match_column_reference_across_pieces(p08, K, n):
+    # a chunk's stream is drawn in pieces of 8 * (_PIECE_WORDS // nblocks)
+    # samples: 64 at K=32768 and 1048 of padded rows at K=1999; a full
+    # K=32768 chunk is 64 whole pieces, every other n ends in a short piece
+    tables = asym._block_tables(asym.limit_weights(p08, K))
+    step = 8 * (asym._PIECE_WORDS // tables.shape[0])
+    assert step == {32768: 64, 1999: 1048, 8192: 256}[K]
+    got = asym._chunk_values(tables, 17, 2, n)
+    expect = _column_chunk_values(tables, 17, 2, n)
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("piece_words", [1, 64, 1 << 20])
+@pytest.mark.parametrize("K", [20, 1999, 8192])
+def test_chunk_values_do_not_depend_on_the_piece_length(p08, monkeypatch, K, piece_words):
+    # pieces of 8 samples (piece_words below nblocks) up to the whole chunk in one draw
+    tables = asym._block_tables(asym.limit_weights(p08, K))
+    expect = asym._chunk_values(tables, 5, 1, 1003)
+    monkeypatch.setattr(asym, "_PIECE_WORDS", piece_words)
+    got = asym._chunk_values(tables, 5, 1, 1003)
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def test_chunk_holds_no_chunk_sized_stream(p08):
+    # the K=32768 word buffer is 16 MiB and the tables 8 MiB; a chunk-sized
+    # stream array would add another 16 MiB on top of the buffer
+    tables = asym._block_tables(asym.limit_weights(p08, 32768))
+    asym._chunk_values(tables, 3, 0, 8)  # numpy.random loads on first use, outside the trace
+    tracemalloc.start()
+    try:
+        asym._chunk_values(tables, 3, 0, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words_bytes = 4096 * 8 * (tables.shape[0] // 8)
+    assert peak < words_bytes + tables.nbytes + 2**20
 
 
 def _concatenated_block_tables(w):

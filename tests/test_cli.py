@@ -196,6 +196,21 @@ def test_csv_header_carries_dict_fields(tmp_path):
     assert "limit.ci" not in head  # lists stay out of the header
 
 
+@pytest.mark.parametrize("H, tol", [("0.9", "0.1"), ("0.85", "0.001")])
+def test_infeasible_tail_sd_tol_is_reported_in_its_own_units(tmp_path, capsys, H, tol):
+    # the message names the tail sd asked for and the tail sd reached at the
+    # K cap, not squared rho-tail sums
+    from fracbin import asymptotics as asym
+
+    rc, out = run(["mc-limit", "--H", H, "--tail-sd-tol", tol, "--samples", "10"], tmp_path)
+    assert rc == EXIT_CAP and not out.exists()
+    params, cap = HurstParams(float(H)), asym._SAMPLER_K_CAP
+    at_cap = asym.resolve_truncation(params, asym.McConfig(truncation_k=cap))[1]
+    err = capsys.readouterr().err
+    assert f"tail sd target {tol} unachievable within K cap {cap}" in err
+    assert f"(tail sd at the cap is {at_cap:g})" in err and at_cap > float(tol)
+
+
 def test_exit_codes(tmp_path):
     assert main(["census", "--H", "1.2", "--N", "5"]) == EXIT_VALIDATION
     assert main(["census", "--H", "0.75", "--N", "40"]) == EXIT_CAP

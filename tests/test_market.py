@@ -642,6 +642,27 @@ def test_screened_reach_equals_the_table_route(H):
             assert forced == want[drift][:14], (H, drift)
 
 
+@pytest.mark.parametrize("drift", [ZERO_DRIFT, DriftSpec("polynomial", (0.2, -0.1, 0.05))])
+def test_reach_screen_evaluates_the_drift_once_per_block(monkeypatch, drift):
+    # a walk to 10^4 levels screens them in about a dozen doubling blocks;
+    # a(1) is evaluated once per block, not once per level
+    values, screens = [], []
+    real_value, real_screen = DriftSpec.value, market._reach_screen
+
+    def value(self, t):
+        values.append(t)
+        return real_value(self, t)
+
+    def screen(*args):
+        screens.append(args)
+        return real_screen(*args)
+
+    monkeypatch.setattr(DriftSpec, "value", value)
+    monkeypatch.setattr(market, "_reach_screen", screen)
+    assert monotone_reach(HurstParams(0.505), (1, -1), 1, 10**4, drift) is None
+    assert values == [1.0] * len(screens) and len(screens) < 20
+
+
 def test_reach_to_ten_thousand_levels_builds_no_table(monkeypatch):
     # the CLI default n_max; a table per level would be 10^4 tables (about
     # 35 s and 0.8 GB)
