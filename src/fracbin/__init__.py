@@ -37,12 +37,9 @@ from .market import (
     DriftSpec,
     MarketSpec,
     NodeId,
-    StockPath,
     census,
     is_arbitrage,
     monotone_reach,
-    node_values,
-    stock_path,
 )
 from .asymptotics import (
     McConfig,
@@ -62,12 +59,11 @@ __all__ = [
     "ArbitrageCensus", "CapExceededError", "CoefficientTable", "DriftSpec",
     "FracbinError", "HurstParams", "I_integrals", "J_unscaled", "McConfig",
     "McEstimate", "MarketSpec", "NodeId", "NonconvergenceError", "QuadratureConfig",
-    "QuadratureError", "RhoTailSum", "StockPath", "TruncationError", "census",
+    "QuadratureError", "RhoTailSum", "TruncationError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
     "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
     "g_coeff", "g_unscaled", "is_arbitrage", "j_coeff", "kernel",
-    "limit_proportion", "monotone_reach", "node_values",
-    "normalizing_constant", "rho", "rho_sq_sum", "rho_sq_total",
-    "sample_limit_variable", "solve_critical_hurst", "split_variances",
-    "stock_path", "turning_point",
+    "limit_proportion", "monotone_reach", "normalizing_constant", "rho", "rho_sq_sum",
+    "rho_sq_total", "sample_limit_variable", "solve_critical_hurst", "split_variances",
+    "turning_point",
 ]

@@ -24,11 +24,11 @@ weights; no separate variable is kept.
 
 Both proportions are probabilities of one law, the Rademacher sum
 Y = sum_k w_k xi_k of a SignSum: the level-n share of arbitrage points
-counts arbitrage_event on the level weights j_n, the limit counts
-|Y^(K)| > g_H on the K-truncated limit weights.  SignSum.estimates counts
-every event on the same words, all 2^m of them for a finite law of at most
-_EXACT_LEVEL_MAX weights and cfg's sample stream otherwise; a truncated
-limit law is always sampled.
+counts arbitrage_event on the level weights j_n, the limit counts the same
+rule, strict and at zero offset (|Y^(K)| > g_H), on the K-truncated limit
+weights.  SignSum.estimates counts every event on the same words, all 2^m
+of them for a finite law of at most _EXACT_LEVEL_MAX weights and cfg's
+sample stream otherwise; a truncated limit law is always sampled.
 """
 
 from __future__ import annotations
@@ -348,7 +348,9 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1,
                      law: Optional[SignSum] = None) -> McEstimate:
     """Estimate of P(|Y^(K)| > g_H) from the truncated sampler.
 
-    The limit event is strict (the limit law is atomless).  The reported
+    The limit event is arbitrage_event at zero offset, strict as the limit
+    law is atomless; fl(y + t) < 0 iff y < -t, so it is |y| > t bit for bit
+    at every threshold t, a negative one included.  The reported
     bias window is [P(|Y^(K)| > g_H + d), P(|Y^(K)| > g_H - d)] with
     d = 6 * tail_sd: the truncated law's proportion with its threshold moved
     by six discarded-tail standard deviations.  It is a sensitivity of the
@@ -359,8 +361,8 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1,
     """
     law = SignSum.limit(params, cfg) if law is None else law
     g, d = params.g_H, 6.0 * law.tail_sd
-    est, lo, hi = law.estimates([lambda y: np.abs(y) > g, lambda y: np.abs(y) > g + d,
-                                 lambda y: np.abs(y) > g - d], cfg)
+    est, lo, hi = law.estimates([functools.partial(arbitrage_event, g=t, o=0.0, strict=True)
+                                 for t in (g, g + d, g - d)], cfg)
     return replace(est, bias_window=(lo.p_hat, hi.p_hat))
 
 

@@ -89,7 +89,6 @@ _OPTIONS = {
     "N": dict(type=int, default=16, help="number of periods"),
     "n": dict(type=int, default=16, help="tree level"),
     "drift": dict(type=str, default="zero", help="zero | const:c | poly:c0,c1,..."),
-    "s0": dict(type=float, default=1.0, help="initial price"),
     "seed": dict(type=int, default=asym.McConfig.seed, help="64-bit RNG seed"),
     "samples": dict(type=int, default=asym.McConfig.samples, help="MC sample count"),
     "quad-abs-tol": dict(type=float, default=DEFAULT_QUAD.abs_tol),
@@ -241,7 +240,7 @@ def _cmd_coeffs(rc: argparse.Namespace) -> int:
 def _census_common(rc: argparse.Namespace):
     params = HurstParams(rc.H, rc.sigma)
     quad = _quad(rc)
-    spec = MarketSpec(N=rc.N, params=params, drift=DriftSpec.parse(rc.drift), s0=rc.s0)
+    spec = MarketSpec(N=rc.N, params=params, drift=DriftSpec.parse(rc.drift))
     result = census(spec, quad, cap=rc.cap)
     tables = coefficient_tables(params, range(1, rc.N + 1), quad)
     return spec, result, table_fingerprint(tables)
@@ -415,7 +414,7 @@ def _cmd_verify(rc: argparse.Namespace) -> int:
 
 
 _QUAD = ("quad-abs-tol", "quad-rel-tol")
-_MARKET = ("H", "sigma", "N", "drift", "s0", *_QUAD, "cap")
+_MARKET = ("H", "sigma", "N", "drift", *_QUAD, "cap")
 
 # command -> (help text, option names, handler)
 _COMMANDS = {

@@ -88,9 +88,17 @@ __all__ = [
 # (outer, inner) Gaussian orders tried in sequence until two consecutive
 # stages agree within tolerance.
 _ORDER_LADDER = ((16, 24), (24, 32), (32, 48), (48, 64), (64, 96), (96, 128))
-# Half-width of _de01's t-range: a node at t = +-3.5 lies e^(-pi sinh 3.5),
-# about 3e-23, from its end.
-_DE_T_MAX = 3.5
+# Half-width of _de01's t-range: a node at t = +-4 lies e^(-pi sinh 4), about
+# 6e-38, from its end, so the dropped end mass of the unscaled integrands'
+# u^(-a) singularity (a < 1/2) is below 1e-18 relative.  The rung difference
+# cannot see that mass: 3.5 dropped 2e-13 at H = 0.95 and 3e-12 at H = 0.999.
+_DE_T_MAX = 4.0
+# Inner Gauss order of the unscaled routes' kernel.  Its integrands have
+# their nearest singularity at a fixed distance (Bernstein ellipse rho >= 2.7,
+# _inner_t), so 24 nodes are converged to 1e-20; higher orders only add the
+# rules' own error: against 30-digit values, T was within 56 eps at 24 nodes
+# and up to 1022 eps at 96 (H in [0.5001, 0.999], c in [1e-38, 1e6]).
+_UNSCALED_INNER = 24
 # Relative float error allowed for j_2(1)/(sigma*C_H) on top of its rung
 # difference: at every rung of the ladder it was within 8.3 eps of 30-digit
 # mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9], with its betainc
@@ -427,11 +435,11 @@ def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -
 
 def _unscaled(params: HurstParams, N: int, k: int, f, cfg: QuadratureConfig,
               what: str) -> float:
-    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u, m) du on the order ladder.
+    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u) du on the order ladder.
 
-    Rung (qo, qi) takes qo tanh-sinh nodes in u and gives f the inner order
-    qi, so the rung difference covers the inner rules' error too.  Nodes that
-    round onto an end are dropped: f may divide by zero there.
+    Rung (qo, qi) takes qo tanh-sinh nodes in u; f evaluates the kernel at
+    the fixed inner order _UNSCALED_INNER, so qi is unused.  Nodes that round
+    onto an end are dropped: f may divide by zero there.
     """
     lo, hi = (k - 1) / N, k / N
 
@@ -439,7 +447,7 @@ def _unscaled(params: HurstParams, N: int, k: int, f, cfg: QuadratureConfig,
         d, w = _de01(qo)
         u = np.where(np.arange(qo) < qo // 2, lo + (hi - lo) * d, hi - (hi - lo) * d)
         inside = (lo < u) & (u < hi)
-        return [(hi - lo) * float(np.dot([f(x, qi) for x in u[inside].tolist()], w[inside]))]
+        return [(hi - lo) * float(np.dot([f(x) for x in u[inside].tolist()], w[inside]))]
 
     return params.sigma * math.sqrt(N) * float(_escalate(stage, cfg, [what])[0][0])
 
@@ -457,7 +465,8 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     a, c_big = params.alpha, params.C_H
     t_hi, t_lo = n / N, (n - 1) / N
 
-    def diff(u: float, m: int) -> float:
+    def diff(u: float) -> float:
+        m = _UNSCALED_INNER
         return _kernel(a, c_big, t_hi, u, m) - _kernel(a, c_big, t_lo, u, m)
 
     return _unscaled(params, N, i, diff, cfg, f"J({N},{n},{i})")
@@ -470,7 +479,7 @@ def g_unscaled(params: HurstParams, N: int, n: int,
         raise ValueError(f"need 1 <= n <= N, got N={N}, n={n}")
     a, c_big = params.alpha, params.C_H
     t_hi = n / N
-    return _unscaled(params, N, n, lambda u, m: _kernel(a, c_big, t_hi, u, m), cfg,
+    return _unscaled(params, N, n, lambda u: _kernel(a, c_big, t_hi, u, _UNSCALED_INNER), cfg,
                      f"g({N},{n})")
 
 

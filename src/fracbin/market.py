@@ -1,12 +1,13 @@
 """The N-period binary market on its tree: nodes, censuses, reach.
 
-A node at level n is a word of n-1 signs (the moves already made).  With the
-level tables from :mod:`fracbin.coefficients`, the past contribution to the
-next multiplier is Y = N^{-H} * sum_i j_n(i) xi_i, the two candidate moves
-are u = Y + N^{-H} g_n and d = Y - N^{-H} g_n, and a node is an arbitrage
-point iff NOT (d < -a_n < u), i.e. u <= -a_n or d >= -a_n.  Everything here
-works in the scaled coordinates (curly-Y against g_n with offset a_n N^H),
-which is the same condition multiplied through by N^H.
+A node at level n is a word of n-1 signs (the moves already made).  The
+price moves by the factor S_n / S_{n-1} = 1 + a_n + X_n.  With the level
+tables from :mod:`fracbin.coefficients`, the past contribution to X_n is
+Y = N^{-H} * sum_i j_n(i) xi_i, the two candidate moves are
+u = Y + N^{-H} g_n and d = Y - N^{-H} g_n, and a node is an arbitrage point
+iff NOT (d < -a_n < u), i.e. u <= -a_n or d >= -a_n; S_0 cancels.
+Everything here works in the scaled coordinates (curly-Y against g_n with
+offset a_n N^H), which is the same condition multiplied through by N^H.
 
 Enumeration convention (fixed so censuses are portable): sign words are
 little-endian bit words, bit i-1 set <=> xi_i = +1, and the canonical float
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,12 +63,10 @@ __all__ = [
     "MarketSpec",
     "NodeId",
     "ArbitrageCensus",
-    "node_values",
     "is_arbitrage",
     "arbitrage_event",
     "census",
     "monotone_reach",
-    "stock_path",
     "level_sign_values",
 ]
 
@@ -127,12 +126,8 @@ class DriftSpec:
             out = np.polynomial.polynomial.polyval(t, self.coefficients or (0.0,))
         return out if out.ndim else float(out)
 
-    def sup_norm(self) -> float:
-        """max |a| over [0,1] on a 1e4-point grid (a grid maximum, not a bound)."""
-        return float(np.max(np.abs(self.value(np.linspace(0.0, 1.0, 10**4 + 1)))))
-
     def step_drift(self, n: int, N: int) -> float:
-        """a_n^{(N)} = a(n/N) / N, |a_n| <= sup_norm / N; ValueError if not finite."""
+        """a_n^{(N)} = a(n/N) / N, |a_n| <= max |a| / N; ValueError if not finite."""
         return self._finite_step(self.value(n / N) / N, n, N)
 
     def _finite_step(self, a: float, n: int, N: int) -> float:
@@ -166,13 +161,10 @@ class MarketSpec:
     N: int
     params: HurstParams
     drift: DriftSpec = ZERO_DRIFT
-    s0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 0 < self.s0 < np.inf:
-            raise ValueError(f"s0 must be positive and finite, got {self.s0}")
 
     def to_dict(self) -> dict:
         return {
@@ -180,7 +172,6 @@ class MarketSpec:
             "H": self.params.H,
             "sigma": self.params.sigma,
             "drift": self.drift.to_text(),
-            "s0": self.s0,
         }
 
 
@@ -224,18 +215,6 @@ def arbitrage_event(y, g, o, strict: bool = False):
     """u <= -a or d >= -a on floats or arrays; strict=True: u < -a or d > -a."""
     with np.errstate(over="ignore"):  # y +- g may overflow to +-inf, which compares as usual
         return ((y + g < -o) | (y - g > -o)) if strict else ((y + g <= -o) | (y - g >= -o))
-
-
-def node_values(spec: MarketSpec, node: NodeId, table: CoefficientTable):
-    """(y, u, d, a): past contribution, the two moves, and the step drift."""
-    if table.n != node.level:
-        raise ValueError(f"table level {table.n} does not match node level {node.level}")
-    if node.level > spec.N:
-        raise ValueError(f"node level {node.level} exceeds N={spec.N}")
-    scale = spec.N ** (-spec.params.H)
-    y = scale * _node_sum(node.sign_tuple(), table.j)
-    g = scale * table.g
-    return y, y + g, y - g, spec.drift.step_drift(node.level, spec.N)
 
 
 def is_arbitrage(spec: MarketSpec, node: NodeId, table: CoefficientTable) -> bool:
@@ -715,38 +694,3 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
         m += len(levels)
         block = min(2 * block, max(1, _SCREEN_ENTRIES // k))
     return None
-
-
-@dataclass(frozen=True)
-class StockPath:
-    """A price trajectory with any positivity violations flagged."""
-
-    prices: np.ndarray
-    violations: tuple[int, ...] = field(default_factory=tuple)
-
-
-def stock_path(spec: MarketSpec, signs: Sequence[int],
-               cfg: QuadratureConfig = DEFAULT_QUAD) -> StockPath:
-    """Trajectory S_0..S_L for a sign word of length L (N-1 or N allowed).
-
-    S_n = (1 + a_n + X_n) S_{n-1} with X_n = N^{-H}(curly-Y_n + g_n xi_n).
-    Steps with a nonpositive multiplier are flagged, not raised; a price or
-    step drift that is not finite raises ValueError.
-    """
-    signs = tuple(signs)
-    if len(signs) not in (spec.N - 1, spec.N):
-        raise ValueError(f"sign word length must be N-1 or N, got {len(signs)}")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +-1")
-    scale = spec.N ** (-spec.params.H)
-    prices = [spec.s0]
-    violations = []
-    for n, table in enumerate(coefficient_tables(spec.params, range(1, len(signs) + 1), cfg), 1):
-        x = scale * (_node_sum(signs[:n - 1], table.j) + table.g * signs[n - 1])
-        factor = 1.0 + spec.drift.step_drift(n, spec.N) + x
-        if factor <= 0:
-            violations.append(n)
-        prices.append(prices[-1] * factor)
-        if not math.isfinite(prices[-1]):
-            raise ValueError(f"price S_{n} is not finite (factor {factor!r})")
-    return StockPath(prices=np.asarray(prices), violations=tuple(violations))

@@ -22,7 +22,7 @@ from fracbin import (
 )
 from fracbin import asymptotics as asym
 from fracbin import hurst
-from fracbin.market import census, MarketSpec
+from fracbin.market import arbitrage_event, census, MarketSpec
 
 # frozen reference trace: H=0.7, sigma=1, seed=42, K=4096 (see sampler layout
 # in fracbin.asymptotics; any change to the stream is a breaking change)
@@ -237,6 +237,20 @@ def test_limit_proportion_determinism_and_threads(p08):
     assert 0 < a.ci_low <= a.p_hat <= a.ci_high < 1
     lo, hi = a.bias_window
     assert lo <= a.p_hat <= hi
+
+
+def test_limit_event_is_the_strict_level_rule_at_zero_offset():
+    # limit_proportion counts arbitrage_event(y, t, 0, strict=True) for
+    # |y| > t: fl(y + t) < 0 iff y < -t, so the two agree bit for bit, also
+    # where y +- t overflows, at a negative t (g - 6 tail_sd < 0) and on NaN
+    rng = np.random.default_rng(3)
+    for t in (0.0, 5e-324, 0.37, 1.9, 1e308, -0.4):
+        edges = [e for x in (t, -t) for e in (math.nextafter(x, -math.inf), x,
+                                              math.nextafter(x, math.inf))]
+        y = np.concatenate([rng.normal(0.0, 2.0, 10**4), edges,
+                            [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]])
+        np.testing.assert_array_equal(arbitrage_event(y, t, 0.0, strict=True),
+                                      np.abs(y) > t)
 
 
 def test_limit_proportion_bounds():

@@ -360,11 +360,10 @@ def test_threads_option_is_ignored(tmp_path, monkeypatch, argv):
     ["census", "--H", "0.9", "--N", "12", "--drift", "const:nan"],
     ["census", "--H", "0.9", "--N", "12", "--drift", "poly:0.1,inf"],
     ["census", "--H", "0.9", "--N", "12", "--sigma", "inf"],
-    ["census", "--H", "0.9", "--N", "12", "--s0", "inf"],
     ["mc-level", "--n", "30", "--samples", "100", "--offset", "nan"],
     ["charfn", "--v-max", "nan"],
     ["convergence", "--n-list", "30", "--sigma", "1e300"],
-], ids=["drift-nan", "poly-inf", "sigma-inf", "s0-inf", "offset-nan", "v-max-nan",
+], ids=["drift-nan", "poly-inf", "sigma-inf", "offset-nan", "v-max-nan",
         "convergence-sigma"])
 def test_non_finite_options_exit_2(tmp_path, capsys, argv):
     rc, out = run(argv, tmp_path)
@@ -740,7 +739,7 @@ def test_report_bytes_equal_json_dumps(argv, tmp_path, monkeypatch):
 
 
 _QUAD_KEYS = {"quad_abs_tol", "quad_rel_tol"}
-_MARKET_KEYS = {"H", "sigma", "N", "drift", "s0", "cap"} | _QUAD_KEYS
+_MARKET_KEYS = {"H", "sigma", "N", "drift", "cap"} | _QUAD_KEYS
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -778,8 +777,8 @@ def test_config_block_holds_only_the_command_options(tmp_path, monkeypatch, argv
         "# H=0.75", "# N=8", "# cap=26", f"# coeff_cache_hash={doc['coeff_cache_hash']}",
         "# command=census", "# drift=zero", "# output_format=csv",
         f"# path_count={doc['path_count']}", "# quad_abs_tol=1e-10", "# quad_rel_tol=1e-09",
-        "# s0=1.0", "# sigma=1.0", "# spec.H=0.75", "# spec.N=8", "# spec.drift=zero",
-        "# spec.s0=1.0", "# spec.sigma=1.0", f"# total={doc['total']}",
+        "# sigma=1.0", "# spec.H=0.75", "# spec.N=8", "# spec.drift=zero",
+        "# spec.sigma=1.0", f"# total={doc['total']}",
     ]
 
 
@@ -796,9 +795,17 @@ def test_every_option_and_field_has_a_user():
     assert set(cli._OPTIONS) - valued == {"fit", "full"}
 
 
+@pytest.mark.parametrize("command", ["census", "paths"])
+def test_market_commands_take_no_initial_price(command):
+    # the arbitrage test is scale-free in S_0, so no census number reads it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "5", "--s0", "1"])
+    assert exc.value.code == EXIT_VALIDATION
+
+
 _QUAD_DEFAULTS = {"quad_abs_tol": 1e-10, "quad_rel_tol": 1e-9}
 _MC_DEFAULTS = {"H": 0.75, "sigma": 1.0, "samples": 100_000, "seed": 0, "confidence": 0.99}
-_MARKET_DEFAULTS = {"H": 0.75, "sigma": 1.0, "N": 16, "drift": "zero", "s0": 1.0, "cap": 26,
+_MARKET_DEFAULTS = {"H": 0.75, "sigma": 1.0, "N": 16, "drift": "zero", "cap": 26,
                     **_QUAD_DEFAULTS}
 
 

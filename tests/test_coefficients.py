@@ -245,6 +245,31 @@ def test_j2_agrees_with_the_quadpack_route(H):
     assert abs(Fraction(2**H * J) - ref) <= Fraction(tol)
 
 
+@pytest.mark.parametrize("m", [64, 96])
+def test_tanh_sinh_rule_keeps_the_end_mass_of_an_endpoint_singularity(m):
+    # int_0^1 x^-a dx = 1/(1-a): the mass a truncated t-range drops near an
+    # end grows as a -> 1/2 and no rung difference sees it
+    d, w = coefficients._de01(m)
+    x = np.where(np.arange(m) < m // 2, d, 1.0 - d)
+    for a in (0.25, 0.45, 0.4999):
+        assert float(np.dot(x**-a, w)) == pytest.approx(1.0 / (1.0 - a), rel=1e-14)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13, 1e-14])
+@pytest.mark.parametrize("H", [0.55, 0.75, 0.95])
+def test_unscaled_route_meets_tight_tolerances_or_raises(H, rel_tol):
+    # the tanh-sinh range's dropped end mass and the inner rules' own error
+    # both lie outside the rung difference, so they must stay below it
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=rel_tol)
+    p = HurstParams(H)
+    t = coefficient_table(p, 2, cfg)
+    try:
+        J = J_unscaled(p, 2, 2, 1, cfg)
+    except QuadratureError:
+        return
+    assert abs(2**H * J - t.j[0]) <= cfg.tol_for(t.j[0]) + t.j_err[0]
+
+
 def test_j2_error_bound_is_checked():
     # the rungs agree within 1e-15, but the rounding allowance does not fit
     with pytest.raises(QuadratureError, match=r"j_2\(1\): error bound .* above tolerance") as exc:

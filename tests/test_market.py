@@ -1,4 +1,4 @@
-"""Tree nodes, arbitrage classification, exact censuses, reach, stock paths."""
+"""Tree nodes, arbitrage classification, exact censuses, reach."""
 
 import itertools
 import math
@@ -20,8 +20,6 @@ from fracbin import (
     coefficient_table,
     is_arbitrage,
     monotone_reach,
-    node_values,
-    stock_path,
 )
 from fracbin import market
 from fracbin.cli import EXIT_CAP, main
@@ -35,7 +33,7 @@ CENSUS_075_20 = (0, 0, 0, 0, 2, 2, 2, 8, 14, 26, 64, 102, 246, 450, 936, 1868,
                  3730, 7504, 15110, 30172)
 CENSUS_075_20_PATHS = 179714
 
-# oracle-summed weights: 16^{-0.75} * (j1 + j2 - j3 + j4) at level 5
+# oracle-summed scaled weights j1 + j2 - j3 + j4 at level 5, H = 0.75
 NODE_GOLDEN_SCALED = 0.4905606925282876
 
 
@@ -53,7 +51,7 @@ def test_drift_parse_roundtrip():
 @settings(max_examples=30, deadline=None)
 def test_drift_step_bound(coeffs, N):
     d = DriftSpec("polynomial", tuple(coeffs))
-    sup = d.sup_norm()
+    sup = float(np.max(np.abs(d.value(np.linspace(0.0, 1.0, 10**4 + 1)))))
     for n in range(1, N + 1):
         assert abs(d.step_drift(n, N)) <= sup / N + 1e-12
 
@@ -82,39 +80,30 @@ def test_node_validation():
         NodeId.from_signs([1, 0])
 
 
-def test_node_values_root(p075):
-    spec = MarketSpec(N=16, params=p075)
+def test_root_node_sum_is_zero_and_not_arbitrage(p075):
     t1 = coefficient_table(p075, 1)
-    y, u, d, a = node_values(spec, NodeId(1), t1)
-    assert y == 0.0 and a == 0.0
-    assert u == pytest.approx(16**-0.75 * t1.g)
-    assert d == -u
-    assert not is_arbitrage(spec, NodeId(1), t1)
+    assert market._node_sum(NodeId(1).sign_tuple(), t1.j) == 0.0
+    assert not is_arbitrage(MarketSpec(N=16, params=p075), NodeId(1), t1)
 
 
-def test_node_values_sign_flip(p075):
-    spec = MarketSpec(N=16, params=p075)
-    t5 = coefficient_table(p075, 5)
-    node = NodeId.from_signs([1, 1, -1, 1])
-    y, u, d, _ = node_values(spec, node, t5)
-    yc, uc, dc, _ = node_values(spec, node.complement(), t5)
-    assert yc == pytest.approx(-y, rel=1e-15)
-    assert uc == pytest.approx(-d, rel=1e-15)
-    assert dc == pytest.approx(-u, rel=1e-15)
+def test_node_sum_complement_negates(p075):
+    # round to nearest is symmetric, so the complement's canonical sum is the
+    # exact negation
+    j = coefficient_table(p075, 9).j
+    for word in range(1 << 8):
+        node = NodeId(9, word)
+        y = market._node_sum(node.sign_tuple(), j)
+        assert market._node_sum(node.complement().sign_tuple(), j) == -y
 
 
-def test_node_values_golden(p075):
-    spec = MarketSpec(N=16, params=p075)
-    t5 = coefficient_table(p075, 5)
+def test_node_sum_golden(p075):
     node = NodeId(level=5, signs=0b1011)
-    y, _, _, _ = node_values(spec, node, t5)
-    assert y == pytest.approx(16**-0.75 * NODE_GOLDEN_SCALED, rel=1e-11)
+    y = market._node_sum(node.sign_tuple(), coefficient_table(p075, 5).j)
+    assert y == pytest.approx(NODE_GOLDEN_SCALED, rel=1e-11)
 
 
 def test_node_table_mismatch(p075):
     spec = MarketSpec(N=16, params=p075)
-    with pytest.raises(ValueError):
-        node_values(spec, NodeId(3), coefficient_table(p075, 5))
     with pytest.raises(ValueError):
         is_arbitrage(spec, NodeId(3), coefficient_table(p075, 5))
 
@@ -680,94 +669,31 @@ def test_monotone_reach_validation(p075):
         monotone_reach(p075, (), 0, 10)
 
 
-def test_stock_path_golden():
-    spec = MarketSpec(N=8, params=HurstParams(0.75, 0.1))
-    sp = stock_path(spec, [1, -1, 1, -1, 1, -1, 1, -1])
-    want = [1.0, 1.0199809849727706, 1.0106558212551529, 1.0270402777067635,
-            1.0161355061374275, 1.031835502468911, 1.020318671351517,
-            1.0357007461800445, 1.0238266009094685]
-    np.testing.assert_allclose(sp.prices, want, rtol=1e-12)
-    assert sp.violations == ()
-    assert sp.prices[0] == spec.s0
-
-
-def test_stock_path_recursion_independent():
-    # spreadsheet-style recomputation from the same tables
-    params = HurstParams(0.7, 0.3)
-    drift = DriftSpec("constant", (0.8,))
-    spec = MarketSpec(N=6, params=params, drift=drift, s0=2.0)
-    signs = [1, 1, -1, 1, -1]
-    sp = stock_path(spec, signs)
-    s = 2.0
-    scale = 6.0**-0.7
-    for n in range(1, 6):
-        t = coefficient_table(params, n)
-        y = sum((1 if signs[i] == 1 else -1) * t.j[i] for i in range(n - 1))
-        x = scale * (y + t.g * signs[n - 1])
-        s *= 1.0 + 0.8 / 6.0 + x
-        assert sp.prices[n] == pytest.approx(s, rel=1e-12)
-    assert len(sp.prices) == 6  # length-5 word gives S_0..S_5
-
-
-def test_stock_path_degenerates_near_memoryless_boundary():
-    # as H -> 1/2+ all past weights vanish and the walk becomes a simple
-    # binary product with step ~ sigma * N^{-1/2} * g-factor
-    params = HurstParams(0.5 + 1e-7, sigma=0.05)
-    N = 8
-    spec = MarketSpec(N=N, params=params)
-    signs = [1, -1, -1, 1, 1, -1, 1, -1]
-    sp = stock_path(spec, signs)
-    assert sp.violations == ()
-    s = 1.0
-    scale = float(N) ** -params.H
-    for n in range(1, N + 1):
-        t = coefficient_table(params, n)
-        assert float(np.sum(np.abs(t.j))) < 1e-5  # memory is gone
-        s *= 1.0 + scale * t.g * signs[n - 1]
-    assert sp.prices[-1] == pytest.approx(s, abs=1e-6)
-
-
-def test_stock_path_flags_positivity():
-    spec = MarketSpec(N=2, params=HurstParams(0.75, sigma=60.0))
-    sp = stock_path(spec, [-1, -1])
-    assert sp.violations != ()
-    assert np.any(sp.prices < 0)
-
-
-def test_stock_path_rejects_an_overflowing_price_or_drift(p075):
-    # a(t) = 1e308 (1 + t): the price overflows at step 2, the drift itself at t = 1
-    spec = MarketSpec(N=4, params=p075, drift=DriftSpec.parse("poly:1e308,1e308"))
+def test_step_drift_rejects_a_non_finite_offset():
+    # a(t) = 1e308 (1 + t) overflows at t = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="S_2 is not finite"):
-            stock_path(spec, [1, 1, 1, 1])
         with pytest.raises(ValueError, match="non-finite offset"):
-            spec.drift.step_drift(4, 4)
+            DriftSpec.parse("poly:1e308,1e308").step_drift(4, 4)
 
 
-def test_stock_path_validation(p075):
-    spec = MarketSpec(N=8, params=p075)
-    with pytest.raises(ValueError):
-        stock_path(spec, [1, 1])
-    with pytest.raises(ValueError):
-        stock_path(spec, [1, 1, 1, 1, 1, 1, 2])
+def test_tables_vanish_near_memoryless_boundary():
+    # as H -> 1/2+ all past weights vanish: the walk forgets its moves
+    params = HurstParams(0.5 + 1e-7, sigma=0.05)
+    for t in coefficient_tables(params, range(1, 9)):
+        assert float(np.sum(np.abs(t.j))) < 1e-5
 
 
 def test_market_spec_validation(p075):
     with pytest.raises(ValueError):
         MarketSpec(N=0, params=p075)
-    with pytest.raises(ValueError):
-        MarketSpec(N=4, params=p075, s0=0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_drift_and_s0_rejected(p075, bad):
+def test_non_finite_drift_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         DriftSpec("constant", (bad,))
     with pytest.raises(ValueError, match="finite"):
         DriftSpec("polynomial", (0.1, bad))
     with pytest.raises(ValueError, match="finite"):
         DriftSpec.parse(f"poly:0.2,{bad}")
-    if bad > 0:  # nan and negative values already failed `s0 > 0`
-        with pytest.raises(ValueError, match="finite"):
-            MarketSpec(N=4, params=p075, s0=bad)
