@@ -25,10 +25,8 @@ from .errors import (CapExceededError, FracbinError, NonconvergenceError, Quadra
                      TruncationError)
 from .hurst import (
     HurstParams,
-    RhoTailSum,
     normalizing_constant,
     rho,
-    rho_sq_sum,
     rho_sq_total,
     solve_critical_hurst,
 )
@@ -59,11 +57,11 @@ __all__ = [
     "ArbitrageCensus", "CapExceededError", "CoefficientTable", "DriftSpec",
     "FracbinError", "HurstParams", "I_integrals", "J_unscaled", "McConfig",
     "McEstimate", "MarketSpec", "NodeId", "NonconvergenceError", "QuadratureConfig",
-    "QuadratureError", "RhoTailSum", "TruncationError", "census",
+    "QuadratureError", "TruncationError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
     "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
     "g_coeff", "g_unscaled", "is_arbitrage", "j_coeff", "kernel",
-    "limit_proportion", "monotone_reach", "normalizing_constant", "rho", "rho_sq_sum",
+    "limit_proportion", "monotone_reach", "normalizing_constant", "rho",
     "rho_sq_total", "sample_limit_variable", "solve_critical_hurst", "split_variances",
     "turning_point",
 ]

@@ -42,7 +42,7 @@ import numpy as np
 
 from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
 from .errors import TruncationError
-from .hurst import HurstParams, rho, rho_pow_tail, rho_pow_tail_bracket, rho_sq_sum, rho_sq_total
+from .hurst import HurstParams, rho, rho_pow_tail, rho_pow_tail_bracket, rho_sq_total
 from .market import _finite_tolerance, _sign_sums, arbitrage_event, level_sign_values
 from .special import ndtri
 
@@ -51,7 +51,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "SignSum",
-    "resolve_truncation",
     "limit_weights",
     "sample_limit_variable",
     "limit_proportion",
@@ -64,7 +63,7 @@ __all__ = [
     "regime_constants",
 ]
 
-# series truncation index of the samplers when no tail-sd target is given
+# series truncation index K of the limit law's samplers
 DEFAULT_TRUNCATION_K = 8192
 _GENERATOR_ID = "philox4x64:key=[seed,chunk];bytes-le;8bit-blocks"
 _SAMPLER_K_CAP = 1 << 16
@@ -78,20 +77,16 @@ _EXACT_LEVEL_MAX = 20
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling configuration; (seed, samples, truncation) fixes the stream.
+    """Sampling configuration; (seed, samples, truncation_k) fixes the stream.
 
-    Exactly one of truncation_k / tail_sd_tol must be set, and K never
-    exceeds _SAMPLER_K_CAP.  tail_sd_tol mode picks the smallest K whose
-    exactly-evaluated tail standard deviation 2 g_H sqrt(sum_{k>K} rho^2)
-    meets the target, and raises TruncationError when no K within the cap
-    does (for H not far above 1/2 even modest targets are genuinely
-    unreachable; see README).
+    truncation_k is the K of the limit law, 1 <= K <= _SAMPLER_K_CAP; the
+    exactly-evaluated tail sd 2 g_H sqrt(sum_{k>K} rho^2) it leaves is
+    reported with every limit estimate.
     """
 
     samples: int = 100_000
     seed: int = 0
-    truncation_k: Optional[int] = DEFAULT_TRUNCATION_K
-    tail_sd_tol: Optional[float] = None
+    truncation_k: int = DEFAULT_TRUNCATION_K
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
@@ -99,12 +94,8 @@ class McConfig:
             raise ValueError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if (self.truncation_k is None) == (self.tail_sd_tol is None):
-            raise ValueError("set exactly one of truncation_k / tail_sd_tol")
-        if self.truncation_k is not None and not 1 <= self.truncation_k <= _SAMPLER_K_CAP:
+        if self.truncation_k is None or not 1 <= self.truncation_k <= _SAMPLER_K_CAP:
             raise ValueError(f"truncation_k must lie in [1, {_SAMPLER_K_CAP}]")
-        if self.tail_sd_tol is not None and not self.tail_sd_tol > 0:
-            raise ValueError("tail_sd_tol must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
 
@@ -145,25 +136,6 @@ class McEstimate:
 def _tail_sd(params: HurstParams, K: int) -> float:
     """2 g_H sqrt(sum_{k>K} rho_h(k)^2), the sd of the tail a K-truncation drops."""
     return 2.0 * params.g_H * math.sqrt(rho_pow_tail(params.h, K, 2))
-
-
-def resolve_truncation(params: HurstParams, cfg: McConfig) -> tuple[int, float]:
-    """(K, achieved tail sd) for the configured truncation policy.
-
-    A tail_sd_tol that no K within _SAMPLER_K_CAP meets raises
-    TruncationError naming the target and the tail sd at the cap.
-    """
-    if cfg.truncation_k is not None:
-        K = cfg.truncation_k
-    else:
-        target_sq = (cfg.tail_sd_tol / (2.0 * params.g_H)) ** 2
-        try:
-            K = rho_sq_sum(params.h, target_sq, k_cap=_SAMPLER_K_CAP).K
-        except TruncationError:
-            raise TruncationError(
-                f"tail sd target {cfg.tail_sd_tol:g} unachievable within K cap {_SAMPLER_K_CAP} "
-                f"(tail sd at the cap is {_tail_sd(params, _SAMPLER_K_CAP):g})") from None
-    return K, _tail_sd(params, K)
 
 
 def limit_weights(params: HurstParams, K: int) -> np.ndarray:
@@ -304,9 +276,19 @@ class SignSum:
 
     @classmethod
     def limit(cls, params: HurstParams, cfg: McConfig) -> "SignSum":
-        """The limit law truncated at cfg's K, with its exact tail sd."""
-        K, tail_sd = resolve_truncation(params, cfg)
-        return cls(limit_weights(params, K), tail_sd)
+        """The limit law truncated at K = cfg.truncation_k, with its exact tail sd.
+
+        A sigma so large that sum |w_k| + g_H + 6 tail_sd, the reach of the
+        limit event's sums and thresholds, is not finite raises ValueError,
+        as a level's non-finite tolerance does in the census.
+        """
+        K = cfg.truncation_k
+        head, tail_sd = limit_weights(params, K), _tail_sd(params, K)
+        with np.errstate(over="ignore"):
+            reach = float(np.sum(np.abs(head))) + params.g_H + 6.0 * tail_sd
+        if not math.isfinite(reach):
+            raise ValueError(f"sigma={params.sigma!r} gives a non-finite limit law (too large)")
+        return cls(head, tail_sd)
 
     def estimates(self, events: Sequence[Callable[[np.ndarray], np.ndarray]],
                   cfg: McConfig) -> list[McEstimate]:

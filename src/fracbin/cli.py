@@ -93,10 +93,8 @@ _OPTIONS = {
     "samples": dict(type=int, default=asym.McConfig.samples, help="MC sample count"),
     "quad-abs-tol": dict(type=float, default=DEFAULT_QUAD.abs_tol),
     "quad-rel-tol": dict(type=float, default=DEFAULT_QUAD.rel_tol),
-    "tail-sd-tol": dict(type=float, default=None,
-                        help="target sd of the discarded series tail (may be infeasible; see docs)"),
-    "trunc-k": dict(type=int, default=None, help="explicit series truncation index "
-                    f"(default {asym.DEFAULT_TRUNCATION_K} when tail-sd-tol unset)"),
+    "trunc-k": dict(type=int, default=asym.DEFAULT_TRUNCATION_K,
+                    help="series truncation index K of the limit law"),
     "confidence": dict(type=float, default=asym.McConfig.confidence),
     "tol": dict(type=float, default=1e-8),
     "threads": dict(type=int, default=None, help="ignored; sampling always runs on one thread"),
@@ -134,16 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(rc: argparse.Namespace) -> argparse.Namespace:
-    # where the command has trunc_k, an unset one takes its default unless tail_sd_tol chooses K
-    if "trunc_k" in vars(rc) and rc.trunc_k is None and rc.tail_sd_tol is None:
-        rc.trunc_k = asym.DEFAULT_TRUNCATION_K
-    return rc
-
-
 def _mc_config(rc: argparse.Namespace) -> asym.McConfig:
     return asym.McConfig(samples=rc.samples, seed=rc.seed, truncation_k=rc.trunc_k,
-                         tail_sd_tol=rc.tail_sd_tol, confidence=rc.confidence)
+                         confidence=rc.confidence)
 
 
 def _quad(rc: argparse.Namespace) -> QuadratureConfig:
@@ -200,14 +191,13 @@ def _sampled_levels(levels: list[int]) -> list[int]:
 
 
 def _limit_law(params: HurstParams, cfg: asym.McConfig, sampled: list[int]) -> asym.SignSum:
-    """SignSum.limit(params, cfg), its truncation resolved once.
+    """SignSum.limit(params, cfg), built once per run.
 
     The run's sample budget, K plus the weight counts sampled of its other
     laws, is checked by _check_samples before any weight is built.
     """
-    K, tail_sd = asym.resolve_truncation(params, cfg)
-    _check_samples(cfg.samples, [*sampled, K])
-    return asym.SignSum(asym.limit_weights(params, K), tail_sd)
+    _check_samples(cfg.samples, [*sampled, cfg.truncation_k])
+    return asym.SignSum.limit(params, cfg)
 
 
 def _cmd_coeffs(rc: argparse.Namespace) -> int:
@@ -423,8 +413,8 @@ _COMMANDS = {
     "census": ("exact arbitrage census of an N-period market", _MARKET, _cmd_census),
     "paths": ("arbitrage-path view of the census", _MARKET, _cmd_paths),
     "mc-limit": ("Monte Carlo estimate of the limiting proportion",
-                 ("H", "sigma", "samples", "seed", "trunc-k", "tail-sd-tol", "confidence",
-                  "threads"), _cmd_mc_limit),
+                 ("H", "sigma", "samples", "seed", "trunc-k", "confidence", "threads"),
+                 _cmd_mc_limit),
     "mc-level": ("finite-level exceedance estimate (exact for small n)",
                  ("H", "sigma", "n", "samples", "seed", "offset", "confidence", "threads",
                   *_QUAD), _cmd_mc_level),
@@ -434,8 +424,8 @@ _COMMANDS = {
     "reach": ("steps of repeated moves until an arbitrage point",
               ("H", "sigma", "prefix", "direction", "n-max", "drift", *_QUAD), _cmd_reach),
     "convergence": ("finite-level estimates against the limit",
-                    ("H", "sigma", "n-list", "samples", "seed", "trunc-k", "tail-sd-tol",
-                     "confidence", "threads", *_QUAD), _cmd_convergence),
+                    ("H", "sigma", "n-list", "samples", "seed", "trunc-k", "confidence",
+                     "threads", *_QUAD), _cmd_convergence),
     "verify": ("run the property battery", ("full",), _cmd_verify),
 }
 
@@ -452,7 +442,7 @@ def main(argv=None) -> int:
     try:
         if _PARSER[0] != env:
             _PARSER = (env, build_parser())
-        rc = _resolved(_PARSER[1].parse_args(argv))
+        rc = _PARSER[1].parse_args(argv)
         return _COMMANDS[rc.command][2](rc)
     except (CapExceededError, TruncationError) as exc:
         print(f"fracbin: cap exceeded: {exc}", file=sys.stderr)

@@ -104,6 +104,14 @@ _UNSCALED_INNER = 24
 # mpmath values over 130 H in [1/2 + 1e-12, 1 - 1e-9], with its betainc
 # within 5 eps (tests/test_special.py).
 _J2_ROUNDING = 16.0 * np.finfo(float).eps
+# Float error allowed for an unscaled integral on top of its rung difference,
+# relative to the integral of |K_hi| + |K_lo|, which J's difference cancels
+# down to about a/1.4 of itself near H = 1/2.  N^H J(N, n, i) was within
+# 13.1 eps of it from the table's j_n(i) (N = n <= 10, 16 H in [0.5001,
+# 0.999], 64 and 96 nodes; 30-digit values at four of them confirm the
+# tables to 5e-16).  The error is nearly the same at every N, as the kernel
+# is evaluated at the same c = u/(t-u).
+_UNSCALED_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -433,23 +441,38 @@ def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -
 # Unscaled originals: the independent route for the N^{-H} scaling law.
 # ---------------------------------------------------------------------------
 
-def _unscaled(params: HurstParams, N: int, k: int, f, cfg: QuadratureConfig,
+def _unscaled(params: HurstParams, N: int, k: int, times: tuple, cfg: QuadratureConfig,
               what: str) -> float:
-    """sigma sqrt(N) int_{(k-1)/N}^{k/N} f(u) du on the order ladder.
+    """sigma sqrt(N) int_{(k-1)/N}^{k/N} K(t_0, u) [- K(t_1, u)] du on the order ladder.
 
-    Rung (qo, qi) takes qo tanh-sinh nodes in u; f evaluates the kernel at
-    the fixed inner order _UNSCALED_INNER, so qi is unused.  Nodes that round
-    onto an end are dropped: f may divide by zero there.
+    times is (t_0,) or (t_0, t_1).  Rung (qo, qi) takes qo tanh-sinh nodes
+    in u; the kernel is evaluated at the fixed inner order _UNSCALED_INNER,
+    so qi is unused.  Nodes that round onto an end are dropped: the kernel
+    may divide by zero there.  The error is the rung difference plus
+    _UNSCALED_ROUNDING times the integral of sum_t |K(t, u)| at the accepted
+    rung; if that exceeds cfg's tolerance, QuadratureError is raised.
     """
+    a, c_big = params.alpha, params.C_H
     lo, hi = (k - 1) / N, k / N
+    magnitude = 0.0
 
     def stage(qo: int, qi: int, live) -> list[float]:
+        nonlocal magnitude
         d, w = _de01(qo)
         u = np.where(np.arange(qo) < qo // 2, lo + (hi - lo) * d, hi - (hi - lo) * d)
         inside = (lo < u) & (u < hi)
-        return [(hi - lo) * float(np.dot([f(x) for x in u[inside].tolist()], w[inside]))]
+        kt = np.array([[_kernel(a, c_big, t, x, _UNSCALED_INNER) for t in times]
+                       for x in u[inside].tolist()])
+        magnitude = (hi - lo) * float(np.dot(np.abs(kt).sum(axis=1), w[inside]))
+        return [(hi - lo) * float(np.dot(kt[:, 0] - kt[:, 1:].sum(axis=1), w[inside]))]
 
-    return params.sigma * math.sqrt(N) * float(_escalate(stage, cfg, [what])[0][0])
+    vals, errs = _escalate(stage, cfg, [what])
+    val = float(vals[0])
+    # one row: the last stage evaluated is the accepted rung
+    err = float(errs[0]) + _UNSCALED_ROUNDING * magnitude
+    if err > cfg.tol_for(val):
+        raise QuadratureError(f"{what}: error bound {err:g} above tolerance", best=val, err=err)
+    return params.sigma * math.sqrt(N) * val
 
 
 def J_unscaled(params: HurstParams, N: int, n: int, i: int,
@@ -462,14 +485,7 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     """
     if not (1 <= i < n <= N):
         raise ValueError(f"need 1 <= i < n <= N, got N={N}, n={n}, i={i}")
-    a, c_big = params.alpha, params.C_H
-    t_hi, t_lo = n / N, (n - 1) / N
-
-    def diff(u: float) -> float:
-        m = _UNSCALED_INNER
-        return _kernel(a, c_big, t_hi, u, m) - _kernel(a, c_big, t_lo, u, m)
-
-    return _unscaled(params, N, i, diff, cfg, f"J({N},{n},{i})")
+    return _unscaled(params, N, i, (n / N, (n - 1) / N), cfg, f"J({N},{n},{i})")
 
 
 def g_unscaled(params: HurstParams, N: int, n: int,
@@ -477,10 +493,7 @@ def g_unscaled(params: HurstParams, N: int, n: int,
     """Original N-dependent present-move weight (independent route)."""
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got N={N}, n={n}")
-    a, c_big = params.alpha, params.C_H
-    t_hi = n / N
-    return _unscaled(params, N, n, lambda u: _kernel(a, c_big, t_hi, u, _UNSCALED_INNER), cfg,
-                     f"g({N},{n})")
+    return _unscaled(params, N, n, (n / N,), cfg, f"g({N},{n})")
 
 
 # ---------------------------------------------------------------------------

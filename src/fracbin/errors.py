@@ -23,7 +23,7 @@ class QuadratureError(NonconvergenceError):
 
 
 class TruncationError(FracbinError):
-    """A requested series-tail target is unachievable within the term cap."""
+    """A series or the sampler cannot meet its target within its term cap."""
 
 
 class CapExceededError(FracbinError):

@@ -4,10 +4,11 @@ Everything downstream is driven by a memory exponent ``H`` in (1/2, 1) and a
 volatility ``sigma``.  This module owns the derived constants, the
 autocovariance ``rho_h(k) = ((k+1)^{2h} + (k-1)^{2h} - 2 k^{2h}) / 2`` of a
 long-memory Gaussian increment process at the auxiliary exponent
-``h = H/2 + 1/4``, certified partial/tail sums of ``rho_h^2``, and the solver
-for the critical exponent where the full series crosses 1/4.
+``h = H/2 + 1/4``, the zeta-accelerated tail sums of its even powers (the
+tail a truncation at K drops) and the full sum of ``rho_h^2``, and the
+solver for the critical exponent where that sum crosses 1/4.
 
-All functions are pure; returned dataclasses are frozen.
+All functions are pure; HurstParams is frozen.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonconvergenceError, TruncationError
+from .errors import NonconvergenceError
 from .special import zeta
 
 # k above which the binomial-series evaluation of rho is used.  Chosen where
@@ -26,12 +27,6 @@ from .special import zeta
 # (direct evaluation loses ~k^2 * eps to cancellation).
 _RHO_SERIES_MIN_K = 64
 _RHO_SERIES_TERMS = 10
-
-# Direct summation is used for partial sums up to this many terms; beyond it
-# the partial sum is formed as total minus the zeta-accelerated tail.
-_DIRECT_SUM_MAX = 2_000_000
-
-_DEFAULT_K_CAP = 10**8
 
 
 def normalizing_constant(H: float) -> float:
@@ -190,12 +185,9 @@ def rho_pow_tail_bracket(h: float, K: int, power: int) -> tuple[float, float]:
 
 
 def rho_sq_partial(h: float, K: int) -> float:
-    """Partial sum of rho_h(k)^2 for k = 1..K (direct for moderate K)."""
+    """Partial sum of rho_h(k)^2 for k = 1..K, summed directly."""
     _check_h(h)
-    if K <= _DIRECT_SUM_MAX:
-        k = np.arange(1, K + 1)
-        return float(np.sum(rho(h, k) ** 2))
-    return rho_sq_total(h) - rho_pow_tail(h, K, 2)
+    return float(np.sum(rho(h, np.arange(1, K + 1)) ** 2))
 
 
 @lru_cache(maxsize=256)
@@ -204,51 +196,6 @@ def rho_sq_total(h: float) -> float:
     _check_h(h)
     head = rho_sq_partial(h, 1000)
     return head + rho_pow_tail(h, 1000, 2)
-
-
-@dataclass(frozen=True)
-class RhoTailSum:
-    """A truncation point K with the partial sum of rho^2 and a certified tail.
-
-    tail_bound is the series/zeta tail value (exact up to fp).
-    """
-
-    h: float
-    K: int
-    partial_sum_sq: float
-    tail_bound: float
-
-
-def rho_sq_sum(h: float, target_tail: float, k_cap: int = _DEFAULT_K_CAP) -> RhoTailSum:
-    """Smallest truncation K whose rho^2 tail is <= target_tail, by bisection.
-
-    Raises TruncationError when no K <= k_cap achieves the target: the tail
-    only decays like K^{1-2beta}, so ambitious targets are genuinely
-    unreachable for h near 3/4.
-    """
-    _check_h(h)
-    if not target_tail > 0:
-        raise ValueError("target_tail must be positive")
-    if rho_pow_tail(h, k_cap, 2) > target_tail:
-        raise TruncationError(
-            f"tail target {target_tail:g} unachievable within K cap {k_cap} "
-            f"(tail at cap is {rho_pow_tail(h, k_cap, 2):g})"
-        )
-    if rho_pow_tail(h, 1, 2) <= target_tail:
-        K = 1
-    else:
-        lo, hi = 1, _RHO_SERIES_MIN_K
-        while rho_pow_tail(h, hi, 2) > target_tail:
-            lo, hi = hi, min(2 * hi, k_cap)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if rho_pow_tail(h, mid, 2) > target_tail:
-                lo = mid
-            else:
-                hi = mid
-        K = hi
-    return RhoTailSum(h=h, K=K, partial_sum_sq=rho_sq_partial(h, K),
-                      tail_bound=rho_pow_tail(h, K, 2))
 
 
 def solve_critical_hurst(tol: float = 1e-8) -> tuple[float, float]:

@@ -35,29 +35,25 @@ CF_GOLDEN_08 = {0.6: 0.9417141483226103, 1.8: 0.5724281204101848, 5.0: -0.016989
 
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
-        McConfig(truncation_k=None, tail_sd_tol=None)
+        McConfig(truncation_k=None)
     with pytest.raises(ValueError):
-        McConfig(truncation_k=100, tail_sd_tol=1e-3)
+        McConfig(truncation_k=0)
+    with pytest.raises(ValueError):
+        McConfig(truncation_k=asym._SAMPLER_K_CAP + 1)
     with pytest.raises(ValueError):
         McConfig(confidence=1.0)
     with pytest.raises(ValueError):
         McConfig(samples=0)
 
 
-def test_resolve_truncation_modes(p08, monkeypatch):
-    k_explicit, sd = asym.resolve_truncation(p08, McConfig(truncation_k=4096))
-    assert k_explicit == 4096 and sd > 0
-    tol = 0.05 * p08.g_H
-    cfg = McConfig(truncation_k=None, tail_sd_tol=tol)
-    monkeypatch.setattr(asym, "_SAMPLER_K_CAP", 1 << 22)
-    k_auto, sd_auto = asym.resolve_truncation(p08, cfg)
-    assert sd_auto <= tol
-    assert 2.0 * p08.g_H * math.sqrt(
-        __import__("fracbin.hurst", fromlist=["rho_pow_tail"]).rho_pow_tail(p08.h, k_auto - 1, 2)
-    ) > tol  # minimality
-    monkeypatch.undo()
-    with pytest.raises(TruncationError):
-        asym.resolve_truncation(p08, McConfig(truncation_k=None, tail_sd_tol=1e-6 * p08.g_H))
+def test_limit_law_tail_sd_at_an_explicit_k(p08):
+    # the sd of the tail a truncation at K drops, 2 g_H sqrt(sum_{k>K} rho^2),
+    # is what the partial sum leaves of the whole series
+    law = asym.SignSum.limit(p08, McConfig(truncation_k=4096))
+    assert len(law.head) == 4096 and law.tail_sd > 0
+    rest = rho_sq_total(p08.h) - hurst.rho_sq_partial(p08.h, 4096)
+    assert law.tail_sd == pytest.approx(2.0 * p08.g_H * math.sqrt(rest), rel=1e-9)
+    assert asym.SignSum.limit(p08, McConfig(truncation_k=8192)).tail_sd < law.tail_sd
 
 
 def test_sampler_golden_trace():
@@ -211,8 +207,7 @@ def test_partial_last_chunk_is_a_prefix_of_whole_chunks(p08, K):
 def test_sampler_moments(p08):
     cfg = McConfig(samples=200_000, seed=1, truncation_k=8192)
     y = sample_limit_variable(p08, cfg)
-    K, _ = asym.resolve_truncation(p08, cfg)
-    w = asym.limit_weights(p08, K)
+    w = asym.limit_weights(p08, cfg.truncation_k)
     var_analytic = float(np.sum(w**2))
     assert abs(y.mean()) <= 4.0 * y.std() / math.sqrt(len(y))
     assert y.var() == pytest.approx(var_analytic, rel=0.02)

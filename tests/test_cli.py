@@ -196,25 +196,10 @@ def test_csv_header_carries_dict_fields(tmp_path):
     assert "limit.ci" not in head  # lists stay out of the header
 
 
-@pytest.mark.parametrize("H, tol", [("0.9", "0.1"), ("0.85", "0.001")])
-def test_infeasible_tail_sd_tol_is_reported_in_its_own_units(tmp_path, capsys, H, tol):
-    # the message names the tail sd asked for and the tail sd reached at the
-    # K cap, not squared rho-tail sums
-    from fracbin import asymptotics as asym
-
-    rc, out = run(["mc-limit", "--H", H, "--tail-sd-tol", tol, "--samples", "10"], tmp_path)
-    assert rc == EXIT_CAP and not out.exists()
-    params, cap = HurstParams(float(H)), asym._SAMPLER_K_CAP
-    at_cap = asym.resolve_truncation(params, asym.McConfig(truncation_k=cap))[1]
-    err = capsys.readouterr().err
-    assert f"tail sd target {tol} unachievable within K cap {cap}" in err
-    assert f"(tail sd at the cap is {at_cap:g})" in err and at_cap > float(tol)
-
-
 def test_exit_codes(tmp_path):
     assert main(["census", "--H", "1.2", "--N", "5"]) == EXIT_VALIDATION
     assert main(["census", "--H", "0.75", "--N", "40"]) == EXIT_CAP
-    assert main(["mc-limit", "--H", "0.7", "--tail-sd-tol", "1e-9", "--samples", "10"]) == EXIT_CAP
+    assert main(["charfn", "--v-min", "1e6", "--v-max", "1e6", "--points", "1"]) == EXIT_CAP
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == EXIT_VALIDATION
@@ -420,10 +405,13 @@ _TOLERANCE = "non-finite boundary tolerance"
     (["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"], _TOLERANCE),
     (["coeffs", "--n", "3", "--sigma", "1.7e308"], "non-finite table value"),
     (["coeffs", "--n", "3", "--sigma", "1.7e308", "--format", "csv"], "non-finite table value"),
-], ids=["reach", "mc-level-exact", "mc-level-sampled", "coeffs-json", "coeffs-csv"])
+    (["mc-limit", "--sigma", "1.7e308", "--trunc-k", "65", "--samples", "100"],
+     "non-finite limit law"),
+], ids=["reach", "mc-level-exact", "mc-level-sampled", "coeffs-json", "coeffs-csv", "mc-limit"])
 def test_overflowing_sigma_exits_2(tmp_path, capsys, argv, message):
     # the census's finiteness check, met before any sum of the level is
-    # formed; coeffs checks its tables (g_1 overflows) before writing a file
+    # formed; coeffs checks its tables (g_1 overflows) before writing a file,
+    # and the limit law its weights and thresholds before any is sampled
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, _ = run(argv, tmp_path)
@@ -462,7 +450,8 @@ def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypat
     ("FRACBIN_DIRECTION", "sideways", ["reach", "--prefix=---"]),
     ("FRACBIN_DIRECTION", "sideways", ["hc"]),
     ("FRACBIN_FORMAT", "xml", ["hc"]),
-], ids=["samples", "H", "direction", "direction-hc", "format"])
+    ("FRACBIN_TRUNC_K", "4.5", ["mc-limit", "--samples", "100"]),
+], ids=["samples", "H", "direction", "direction-hc", "format", "trunc-k"])
 def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, var, raw, argv):
     monkeypatch.setenv(var, raw)
     rc, out = run(argv, tmp_path)
@@ -478,10 +467,12 @@ def test_flags_beat_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("FRACBIN_SAMPLES", "1500")
     monkeypatch.setenv("FRACBIN_DIRECTION", "down")
     monkeypatch.setenv("FRACBIN_FORMAT", "csv")
+    monkeypatch.setenv("FRACBIN_TRUNC_K", "64")
     rc, out = run(["mc-limit", "--samples", "1000", "--format", "json"], tmp_path, "mc.json")
     assert rc == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["config"]["samples"] == doc["samples"] == 1000
+    assert doc["config"]["trunc_k"] == doc["K"] == 64
     rc, out = run(["reach", "--prefix=+-", "--direction", "up"], tmp_path, "reach.csv")
     assert rc == EXIT_OK
     assert "# direction=up" in out.read_text().splitlines()
@@ -747,15 +738,14 @@ _MARKET_KEYS = {"H", "sigma", "N", "drift", "cap"} | _QUAD_KEYS
     (["census", "--N", "8"], _MARKET_KEYS),
     (["paths", "--N", "8"], _MARKET_KEYS),
     (["mc-limit", "--samples", "500", "--threads", "8"],
-     {"H", "sigma", "samples", "seed", "trunc_k", "tail_sd_tol", "confidence"}),
+     {"H", "sigma", "samples", "seed", "trunc_k", "confidence"}),
     (["mc-level", "--n", "12", "--threads", "8"],
      {"H", "sigma", "n", "samples", "seed", "offset", "confidence"} | _QUAD_KEYS),
     (["hc"], {"tol"}),
     (["charfn", "--points", "2"], {"H", "sigma", "v_min", "v_max", "points", "tol", "fit"}),
     (["reach", "--prefix=+-"], {"H", "sigma", "prefix", "direction", "n_max", "drift"} | _QUAD_KEYS),
     (["convergence", "--n-list", "10", "--samples", "500"],
-     {"H", "sigma", "n_list", "samples", "seed", "trunc_k", "tail_sd_tol", "confidence"}
-     | _QUAD_KEYS),
+     {"H", "sigma", "n_list", "samples", "seed", "trunc_k", "confidence"} | _QUAD_KEYS),
     (["verify"], {"full"}),
 ], ids=["coeffs", "census", "paths", "mc-limit", "mc-level", "hc", "charfn", "reach",
         "convergence", "verify"])
@@ -813,19 +803,17 @@ _MARKET_DEFAULTS = {"H": 0.75, "sigma": 1.0, "N": 16, "drift": "zero", "cap": 26
     (["coeffs"], {"H": 0.75, "sigma": 1.0, "n": 16, **_QUAD_DEFAULTS}),
     (["census"], _MARKET_DEFAULTS),
     (["paths"], _MARKET_DEFAULTS),
-    (["mc-limit"], {**_MC_DEFAULTS, "trunc_k": 8192, "tail_sd_tol": None}),
-    (["mc-limit", "--tail-sd-tol", "0.5"], {**_MC_DEFAULTS, "trunc_k": None, "tail_sd_tol": 0.5}),
+    (["mc-limit"], {**_MC_DEFAULTS, "trunc_k": 8192}),
     (["mc-level"], {**_MC_DEFAULTS, "n": 16, "offset": 0.0, **_QUAD_DEFAULTS}),
     (["hc"], {"tol": 1e-8}),
     (["charfn"], {"H": 0.75, "sigma": 1.0, "v_min": 0.0, "v_max": 4.0, "points": 21, "tol": 1e-8,
                   "fit": False}),
     (["reach"], {"H": 0.75, "sigma": 1.0, "prefix": "", "direction": "up", "n_max": 10_000,
                  "drift": "zero", **_QUAD_DEFAULTS}),
-    (["convergence"], {**_MC_DEFAULTS, "n_list": "10,14,18", "trunc_k": 8192, "tail_sd_tol": None,
-                       **_QUAD_DEFAULTS}),
+    (["convergence"], {**_MC_DEFAULTS, "n_list": "10,14,18", "trunc_k": 8192, **_QUAD_DEFAULTS}),
     (["verify"], {"full": False}),
-], ids=["coeffs", "census", "paths", "mc-limit", "mc-limit-tail", "mc-level", "hc", "charfn",
-        "reach", "convergence", "verify"])
+], ids=["coeffs", "census", "paths", "mc-limit", "mc-level", "hc", "charfn", "reach",
+        "convergence", "verify"])
 def test_default_config_values(tmp_path, monkeypatch, argv, config):
     # every command's config block at its defaults, value and type, so a
     # default moved or retyped changes a report only with this test; each

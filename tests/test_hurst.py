@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from fracbin import (
     HurstParams,
     NonconvergenceError,
-    TruncationError,
     normalizing_constant,
     rho,
-    rho_sq_sum,
     rho_sq_total,
     solve_critical_hurst,
 )
@@ -168,22 +166,6 @@ def test_rho_sq_partial_consistency():
     )
 
 
-def test_rho_sq_sum_golden():
-    # smallest K whose exact tail meets 2e-2, oracle-checked on both sides
-    ts = rho_sq_sum(0.7, 2e-2)
-    assert ts.K == 2892547
-    assert ts.partial_sum_sq == pytest.approx(0.4443149204059508, rel=1e-10)
-    assert ts.tail_bound <= 2e-2
-
-
-def test_rho_sq_sum_monotone_in_target():
-    a = rho_sq_sum(0.65, 1e-2)
-    b = rho_sq_sum(0.65, 1e-3)
-    assert b.K > a.K
-    assert b.partial_sum_sq > a.partial_sum_sq
-    assert a.partial_sum_sq + a.tail_bound == pytest.approx(rho_sq_total(0.65), rel=1e-12)
-
-
 def test_rho_sq_sum_small_h_partial_vanishes():
     assert rho_sq_partial(0.5001, 1000) < 1e-6
     assert rho_sq_partial(0.5001, 1000) < rho_sq_partial(0.6, 1000)
@@ -195,11 +177,6 @@ def test_rho_sq_zeta_lower_bound():
     for h in (0.6, 0.65, 0.7):
         floor = h**2 * (2 * h - 1) ** 2 / 4.0 * float(zeta(4.0 - 4.0 * h))
         assert rho_sq_total(h) >= floor
-
-
-def test_rho_sq_sum_infeasible_target():
-    with pytest.raises(TruncationError):
-        rho_sq_sum(0.7, 1e-10)
 
 
 def test_solve_critical_hurst_golden():
