@@ -602,8 +602,7 @@ def weight_brackets(params: HurstParams, levels, columns: int = 0) -> WeightBrac
     the regularized incomplete beta function.  In g_L the factors x^-a and
     (y(L-x)+x)^a lie between their values at L-1 and L, so g_L lies in
     sigma C_H/(a(1+a)) [((L-1)/L)^a, (L/(L-1))^a].  Each bound holds in real
-    arithmetic and is moved outwards by its evaluation error, _BRACKET_ERR;
-    a sigma near overflow gives infinite or NaN bounds, never a warning.
+    arithmetic and is moved outwards by its evaluation error, _BRACKET_ERR.
     """
     a = params.alpha
     L = np.asarray(levels, dtype=np.float64)[:, None]
@@ -611,20 +610,19 @@ def weight_brackets(params: HurstParams, levels, columns: int = 0) -> WeightBrac
         raise ValueError(f"need levels >= 2 and columns <= level-1, got columns={columns}")
     i = np.arange(1.0, columns + 1.0)
     lo, hi = 1.0 - _BRACKET_ERR, 1.0 + _BRACKET_ERR
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_lo = params.sigma * params.c_H * (L - 1.0) ** a * lo
-        s_hi = params.sigma * params.c_H * L**a * hi
-        x = _pow_step(i - 1.0, 1.0 - a) / (1.0 - a)
-        q = 1.0 - L[:, 0] * betainc(1.0 + a, 1.0 - a, 1.0 / L[:, 0])
-        b = math.pi * a / math.sin(math.pi * a)
-        ratio = ((L[:, 0] - 1.0) / L[:, 0]) ** a
-        return WeightBrackets(
-            j_lo=s_lo * _pow_step(L - i, a) * x,
-            j_hi=s_hi * _pow_step(L - 1.0 - i, a) * x,
-            sum_lo=s_lo[:, 0] * b * (q - _BRACKET_ERR),
-            sum_hi=s_hi[:, 0] * b * (q + _BRACKET_ERR),
-            g_lo=params.g_H * ratio * lo,
-            g_hi=params.g_H / ratio * hi)
+    s_lo = params.sigma * params.c_H * (L - 1.0) ** a * lo
+    s_hi = params.sigma * params.c_H * L**a * hi
+    x = _pow_step(i - 1.0, 1.0 - a) / (1.0 - a)
+    q = 1.0 - L[:, 0] * betainc(1.0 + a, 1.0 - a, 1.0 / L[:, 0])
+    b = math.pi * a / math.sin(math.pi * a)
+    ratio = ((L[:, 0] - 1.0) / L[:, 0]) ** a
+    return WeightBrackets(
+        j_lo=s_lo * _pow_step(L - i, a) * x,
+        j_hi=s_hi * _pow_step(L - 1.0 - i, a) * x,
+        sum_lo=s_lo[:, 0] * b * (q - _BRACKET_ERR),
+        sum_hi=s_hi[:, 0] * b * (q + _BRACKET_ERR),
+        g_lo=params.g_H * ratio * lo,
+        g_hi=params.g_H / ratio * hi)
 
 
 # ---------------------------------------------------------------------------

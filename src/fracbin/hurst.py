@@ -1,12 +1,14 @@
 """Hurst-parameter constants and the lag autocovariance series.
 
 Everything downstream is driven by a memory exponent ``H`` in (1/2, 1) and a
-volatility ``sigma``.  This module owns the derived constants, the
-autocovariance ``rho_h(k) = ((k+1)^{2h} + (k-1)^{2h} - 2 k^{2h}) / 2`` of a
-long-memory Gaussian increment process at the auxiliary exponent
-``h = H/2 + 1/4``, the zeta-accelerated tail sums of its even powers (the
-tail a truncation at K drops) and the full sum of ``rho_h^2``, and the
-solver for the critical exponent where that sum crosses 1/4.
+volatility ``sigma`` in (0, SCALE_MAX], the one bound on every scale the
+program reads (sigma and the drift coefficients; see SCALE_MAX).  This
+module owns the derived constants, the autocovariance
+``rho_h(k) = ((k+1)^{2h} + (k-1)^{2h} - 2 k^{2h}) / 2`` of a long-memory
+Gaussian increment process at the auxiliary exponent ``h = H/2 + 1/4``, the
+zeta-accelerated tail sums of its even powers (the tail a truncation at K
+drops) and the full sum of ``rho_h^2``, and the solver for the critical
+exponent where that sum crosses 1/4.
 
 All functions are pure; HurstParams is frozen.
 """
@@ -28,6 +30,15 @@ from .special import zeta
 _RHO_SERIES_MIN_K = 64
 _RHO_SERIES_TERMS = 10
 
+# the largest sigma, and the largest sum of a drift's coefficient sizes, that
+# HurstParams and DriftSpec accept.  Below it no value the program forms can
+# overflow: every sigma-scaled value (a weight, a level sum, g_n, g_H) is
+# sigma times a sigma-free factor below about 1e5 (level sums up to n = 65537,
+# limit weights up to K = 65536), and none is squared more than once (the
+# variances), so every value stays below about 1e210; on [0, 1] a drift's
+# |a(t)| is at most the sum of its coefficients' sizes
+SCALE_MAX = 1e100
+
 
 def normalizing_constant(H: float) -> float:
     """Kernel normalizer c_H = sqrt(2H * G(3/2-H) / (G(H+1/2) * G(2-2H))).
@@ -44,7 +55,7 @@ def normalizing_constant(H: float) -> float:
 
 @dataclass(frozen=True)
 class HurstParams:
-    """Validated (H, sigma) pair plus every derived constant.
+    """Validated (H, sigma) pair, 0 < sigma <= SCALE_MAX, plus every derived constant.
 
     h      -- autocovariance exponent H/2 + 1/4, in (1/2, 3/4)
     alpha  -- H - 1/2, the kernel power, in (0, 1/2)
@@ -66,8 +77,9 @@ class HurstParams:
     def __post_init__(self) -> None:
         if not 0.5 < self.H < 1.0:
             raise ValueError(f"H must lie strictly in (1/2, 1), got {self.H}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 < self.sigma <= SCALE_MAX:
+            raise ValueError(f"sigma must be positive and finite, at most {SCALE_MAX:g}, "
+                             f"got {self.sigma}")
         c = normalizing_constant(self.H)
         object.__setattr__(self, "h", self.H / 2.0 + 0.25)
         object.__setattr__(self, "alpha", self.H - 0.5)

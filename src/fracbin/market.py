@@ -56,7 +56,7 @@ from .coefficients import (
     weight_brackets,
 )
 from .errors import CapExceededError
-from .hurst import HurstParams
+from .hurst import SCALE_MAX, HurstParams
 
 __all__ = [
     "DriftSpec",
@@ -84,7 +84,11 @@ _POPCOUNT_PIECE = 1 << 16
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Deterministic drift a(t) on [0,1]: zero, a constant, or a polynomial."""
+    """Deterministic drift a(t) on [0,1]: zero, a constant, or a polynomial.
+
+    The coefficients' sizes sum to at most SCALE_MAX, which bounds |a(t)| on
+    [0, 1], so no offset a(t) N^{H-1} overflows.
+    """
 
     kind: str = "zero"
     coefficients: tuple[float, ...] = ()
@@ -98,8 +102,9 @@ class DriftSpec:
             raise ValueError("constant drift takes exactly one coefficient")
         if self.kind == "polynomial" and not self.coefficients:
             raise ValueError("polynomial drift needs at least one coefficient")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError(f"drift coefficients must be finite, got {self.coefficients}")
+        if not sum(map(abs, self.coefficients)) <= SCALE_MAX:
+            raise ValueError(f"drift coefficients must be finite, their sizes summing to at most "
+                             f"{SCALE_MAX:g}, got {self.coefficients}")
 
     @classmethod
     def parse(cls, text: str) -> "DriftSpec":
@@ -122,19 +127,12 @@ class DriftSpec:
 
     def value(self, t):
         """a(t) by one polyval for every kind, zero drift as the coefficients (0.0,)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.polynomial.polynomial.polyval(t, self.coefficients or (0.0,))
+        out = np.polynomial.polynomial.polyval(t, self.coefficients or (0.0,))
         return out if out.ndim else float(out)
 
     def step_drift(self, n: int, N: int) -> float:
-        """a_n^{(N)} = a(n/N) / N, |a_n| <= max |a| / N; ValueError if not finite."""
-        return self._finite_step(self.value(n / N) / N, n, N)
-
-    def _finite_step(self, a: float, n: int, N: int) -> float:
-        if not math.isfinite(a):
-            raise ValueError(f"drift {self.to_text()} gives a non-finite offset at level {n} "
-                             f"of N={N}")
-        return a
+        """a_n^{(N)} = a(n/N) / N, |a_n| <= max |a| / N."""
+        return self.value(n / N) / N
 
     def offset_scaled(self, n: int, N: int, H: float) -> float:
         """a_n^{(N)} N^H, the scaled drift offset; finite, as |a_n N^H| <= |a(n/N)|."""
@@ -144,11 +142,10 @@ class DriftSpec:
         """offset_scaled(L, L, H) at each level L, evaluating a(1) once.
 
         With the horizon N = L, L/N is 1.0 at every level, so each offset is
-        (a(1) / L) L^H in offset_scaled's float operations, and a non-finite
-        a(1) raises its ValueError at the first level.
+        (a(1) / L) L^H in offset_scaled's float operations.
         """
         a1 = self.value(1.0)
-        return [self._finite_step(a1 / L, L, L) * L**H for L in levels]
+        return [a1 / L * L**H for L in levels]
 
 
 ZERO_DRIFT = DriftSpec()
@@ -289,21 +286,6 @@ def _level_tolerance(table: CoefficientTable, offset: float) -> float:
     quad = float(np.sum(table.j_err)) + table.g_err
     slop = 1e-13 * (float(np.sum(np.abs(table.j))) + table.g + abs(offset))
     return quad + slop
-
-
-def _finite_tolerance(table: CoefficientTable, offset: float, what: str = "level") -> float:
-    """_level_tolerance, or ValueError when it is not finite.
-
-    A finite tolerance bounds g_n and every sum |y| + g_n + |o| of the level,
-    so no node value or test on it can overflow; an infinite one certifies
-    nothing.
-    """
-    with np.errstate(over="ignore"):
-        tol = _level_tolerance(table, offset)
-    if not math.isfinite(tol):
-        raise ValueError(f"{what} {table.n} has a non-finite boundary tolerance "
-                         f"(sigma={table.params.sigma!r} is too large)")
-    return tol
 
 
 # the ordered lattice of doubles: _key gives a double's rank among all
@@ -548,10 +530,7 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     separately in boundary_uncertain, never silently reclassified.  N above
     cap, or two half masks of more than _MASK_BUDGET_BYTES in all (N >= 35,
     counted whether or not the mirror is kept), raise CapExceededError
-    before anything is computed; a drift offset that is not finite at some
-    level raises ValueError, also before any table or mask is built; so
-    does, when it is reached, a level whose tolerance is not finite, which
-    certifies nothing.
+    before anything is computed.
     """
     if spec.N > cap:
         raise CapExceededError(f"census N={spec.N} exceeds enumeration cap {cap}")
@@ -570,18 +549,16 @@ def census(spec: MarketSpec, cfg: QuadratureConfig = DEFAULT_QUAD,
     alive[-1] >>= -words % 8  # the padding bits past the last word stay clear
     mirror = alive.copy() if any(offsets) else None
     for n, (o, table) in enumerate(zip(offsets, tables), 1):
-        tol = _finite_tolerance(table, o, "census level")
-        # a sum that overflows is +-inf, which the cuts order like any double
-        with np.errstate(over="ignore"):
-            if n == 1:  # the root is its own complement
-                cnt, unc = _census_level(table.j, table.g, o, tol, alive)
-                if mirror is not None:  # its first byte: bit 0 and bits still set in both
-                    mirror[:1] = alive[:1]
-            else:
-                cnt, unc = _census_level(table.j[1:], table.g, o, tol, alive,
-                                         start=-table.j[0], mirror=mirror)
-                if mirror is None:
-                    cnt, unc = 2 * cnt, 2 * unc
+        tol = _level_tolerance(table, o)
+        if n == 1:  # the root is its own complement
+            cnt, unc = _census_level(table.j, table.g, o, tol, alive)
+            if mirror is not None:  # its first byte: bit 0 and bits still set in both
+                mirror[:1] = alive[:1]
+        else:
+            cnt, unc = _census_level(table.j[1:], table.g, o, tol, alive,
+                                     start=-table.j[0], mirror=mirror)
+            if mirror is None:
+                cnt, unc = 2 * cnt, 2 * unc
         counts.append(cnt)
         props.append(cnt / 2 ** (n - 1))
         uncertain.append(unc)
@@ -624,10 +601,8 @@ def _reach_screen(params: HurstParams, prefix: np.ndarray, direction: int, level
         sums.
     The brackets' evaluation error is already in their bounds.  The offset o
     is offset_scaled(L, L, H), a(1) evaluated once per call by
-    horizon_offsets, which raises ValueError, before any table is built, for
-    a drift whose a(1) is not finite.  A level where 4 (sum_hi +
-    g_hi + |o| + error) is not finite (a sigma or a drift near overflow) is
-    left undecided, so its table route raises as it would without the screen.
+    horizon_offsets.  A tolerance so large that the slack overflows leaves
+    the level undecided: an infinite slack clears no inequality.
     """
     br = weight_brackets(params, levels, len(prefix))
     c = prefix - direction  # 0 or +-2 per prefix column
@@ -644,8 +619,7 @@ def _reach_screen(params: HurstParams, prefix: np.ndarray, direction: int, level
         slack = quad + 8.0 * n_u / (1.0 - n_u) * size
         sure = (y_hi + br.g_hi + slack < -o) | (y_lo - br.g_hi - slack > -o)
         never = (y_lo + br.g_lo - slack > -o) & (y_hi - br.g_lo + slack < -o)
-        finite = np.isfinite(4.0 * size)
-    return np.where(finite & sure, 1, np.where(finite & never, 0, -1))
+    return np.where(sure, 1, np.where(never, 0, -1))
 
 
 def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
@@ -666,8 +640,7 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
     canonical sum), so the answer is the one a table at every level gives,
     and near H = 1/2 a walk to n_max = 1e4 builds no table at all.  A level
     the screen decides runs no quadrature, so a tolerance the ladder cannot
-    meet fails only at an undecided level.  A level whose sums can overflow
-    raises ValueError.
+    meet fails only at an undecided level.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -687,7 +660,6 @@ def monotone_reach(params: HurstParams, prefix: Sequence[int], direction: int,
             if decided[t] < 0:
                 table = coefficient_table(params, level, cfg)
                 o = drift.offset_scaled(level, level, params.H)
-                _finite_tolerance(table, o)
                 if not arbitrage_event(_node_sum(signs[:level - 1], table.j), table.g, o):
                     continue
             return m + t

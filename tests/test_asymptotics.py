@@ -589,3 +589,29 @@ def test_non_finite_inputs_rejected(p08, bad):
         finite_level_proportion(p08, 12, bad, t, McConfig(samples=10, truncation_k=11))
     with pytest.raises(ValueError, match="finite"):
         characteristic_function(p08, bad)
+
+
+@pytest.mark.parametrize("H", [0.6, 0.8, 0.95])
+def test_a_power_of_two_sigma_changes_no_zero_drift_answer(H):
+    # every weight, g_n, g_H and tail sd is sigma times a sigma-free value,
+    # and scaling by 2^k is exact in floating point, so with no drift each
+    # comparison of a sum against a threshold, and so each answer, is the
+    # one at sigma = 1
+    from fracbin.market import monotone_reach
+
+    cfg = McConfig(samples=4000, seed=3, truncation_k=512)
+    walks = [((), 1), ((), -1), ((-1, -1, -1, -1), 1), ((1, -1) * 4, 1), ((1, 1, -1), -1),
+             ((-1, 1, 1, 1, -1), -1)]
+
+    def answers(sigma):
+        p = HurstParams(H, sigma)
+        cen = census(MarketSpec(N=14, params=p))
+        lim = limit_proportion(p, cfg)
+        levels = [asym._level_estimate(coefficient_table(p, n), 0.0, cfg) for n in (12, 30)]
+        return (cen.per_level_counts, cen.path_count, cen.boundary_uncertain,
+                lim.p_hat, lim.ci_low, lim.ci_high, lim.bias_window, levels,
+                [monotone_reach(p, prefix, d, 300) for prefix, d in walks])
+
+    want = answers(1.0)
+    for sigma in (2.0**-300, 0.5, 8.0, 2.0**300):
+        assert answers(sigma) == want, sigma

@@ -14,6 +14,7 @@ import fracbin
 from fracbin import HurstParams, coefficient_table, solve_critical_hurst
 from fracbin.cli import EXIT_CAP, EXIT_NONCONVERGENCE, EXIT_OK, EXIT_VALIDATION, main
 from fracbin.coefficients import _TABLE_CACHE
+from fracbin.hurst import SCALE_MAX
 from fracbin.reports import render_json
 from fracbin import verify as verify_mod
 
@@ -357,68 +358,58 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["census", "--N", "5", "--drift", "poly:1e308,1e308"],
-    ["paths", "--N", "5", "--drift", "poly:1e308,1e308"],
-    ["reach", "--prefix=+-", "--drift", "poly:1e308,1e308"],
-], ids=["census", "paths", "reach"])
-def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # a(t) overflows to inf at t = 1: the census must check every level's
-    # offset before it builds a table or a mask, the reach screen its first
-    # level's, and no numpy warning leaks
-    from fracbin import market
+def _refused_before_any_table(argv, tmp_path, capsys, monkeypatch):
+    """A sigma or drift above SCALE_MAX exits 2 naming the bound, before any
+    table is built or sample drawn: no file under tmp_path, no numpy warning."""
+    from fracbin import asymptotics, cli, market
 
-    def no_tables(*args):
-        raise AssertionError(f"{argv[0]} built a table before checking its offsets")
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} built a table or sampled before refusing its scale")
 
-    monkeypatch.setattr(market, "coefficient_table", no_tables)
-    monkeypatch.setattr(market, "coefficient_tables", no_tables)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out = run(argv, tmp_path)
-    assert rc == EXIT_VALIDATION
-    assert not out.exists()
-    assert caught == []
-    assert "non-finite offset" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["census", "paths"])
-@pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])
-def test_census_with_a_non_finite_tolerance_exits_2(tmp_path, capsys, command, sigma):
-    # the boundary tolerance (or g itself) overflows: such a census would
-    # report every word as boundary-uncertain and certify nothing
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out = run([command, "--sigma", sigma, "--N", "12", "--drift", "const:0.5"], tmp_path)
-    assert rc == EXIT_VALIDATION
-    assert not out.exists()
-    assert caught == []
-    assert "non-finite boundary tolerance" in capsys.readouterr().err
-
-
-_TOLERANCE = "non-finite boundary tolerance"
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["reach", "--sigma", "1e308", "--prefix=+-", "--n-max", "20"], _TOLERANCE),
-    (["mc-level", "--sigma", "1.7e308", "--n", "12", "--samples", "100"], _TOLERANCE),
-    (["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"], _TOLERANCE),
-    (["coeffs", "--n", "3", "--sigma", "1.7e308"], "non-finite table value"),
-    (["coeffs", "--n", "3", "--sigma", "1.7e308", "--format", "csv"], "non-finite table value"),
-    (["mc-limit", "--sigma", "1.7e308", "--trunc-k", "65", "--samples", "100"],
-     "non-finite limit law"),
-], ids=["reach", "mc-level-exact", "mc-level-sampled", "coeffs-json", "coeffs-csv", "mc-limit"])
-def test_overflowing_sigma_exits_2(tmp_path, capsys, argv, message):
-    # the census's finiteness check, met before any sum of the level is
-    # formed; coeffs checks its tables (g_1 overflows) before writing a file,
-    # and the limit law its weights and thresholds before any is sampled
+    for module in (market, cli):
+        monkeypatch.setattr(module, "coefficient_table", no_work)
+        monkeypatch.setattr(module, "coefficient_tables", no_work)
+    monkeypatch.setattr(asymptotics.SignSum, "estimates", no_work)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, _ = run(argv, tmp_path)
     assert rc == EXIT_VALIDATION
     assert not any(tmp_path.iterdir())
     assert caught == []
-    assert message in capsys.readouterr().err
+    assert f"at most {SCALE_MAX:g}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--N", "5", "--drift", "poly:1e308,1e308"],
+    ["paths", "--N", "5", "--drift", "poly:1e308,1e308"],
+    ["reach", "--prefix=+-", "--drift", "poly:1e308,1e308"],
+], ids=["census", "paths", "reach"])
+def test_overflowing_drift_exits_2(tmp_path, capsys, monkeypatch, argv):
+    _refused_before_any_table(argv, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command", ["census", "paths"])
+@pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])
+def test_census_with_a_non_finite_tolerance_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                    sigma):
+    argv = [command, "--sigma", sigma, "--N", "12", "--drift", "const:0.5"]
+    _refused_before_any_table(argv, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "--sigma", "1e308", "--prefix=+-", "--n-max", "20"],
+    ["mc-level", "--sigma", "1.7e308", "--n", "12", "--samples", "100"],
+    ["mc-level", "--sigma", "1.7e308", "--n", "40", "--samples", "100"],
+    ["coeffs", "--n", "3", "--sigma", "1.7e308"],
+    ["coeffs", "--n", "3", "--sigma", "1.7e308", "--format", "csv"],
+    ["mc-limit", "--sigma", "1.7e308", "--trunc-k", "65", "--samples", "100"],
+    ["census", "--N", "8", "--sigma", "1.1e100"],
+    ["census", "--N", "8", "--drift", "const:1.1e100"],
+    ["mc-limit", "--sigma", "1e300", "--samples", "100"],
+], ids=["reach", "mc-level-exact", "mc-level-sampled", "coeffs-json", "coeffs-csv", "mc-limit",
+        "sigma-just-above", "drift-just-above", "mc-limit-1e300"])
+def test_overflowing_sigma_exits_2(tmp_path, capsys, monkeypatch, argv):
+    _refused_before_any_table(argv, tmp_path, capsys, monkeypatch)
 
 
 def test_parser_is_rebuilt_only_when_the_environment_changes(tmp_path, monkeypatch):
@@ -546,38 +537,18 @@ def test_level_cap_is_checked_before_building_any_table(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("sigma", ["1e154", "1e300", "1.7e308"])
 def test_convergence_with_an_overflowing_variance_exits_2_before_sampling(
         tmp_path, capsys, monkeypatch, sigma):
-    # g_H**2 or a level's sum of squares overflows while the level sums stay
-    # finite; nothing is sampled, and no numpy warning leaks
-    from fracbin import asymptotics
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the variances were checked")
-
-    monkeypatch.setattr(asymptotics.SignSum, "estimates", no_sampling)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out = run(["convergence", "--n-list", "30,10", "--sigma", sigma], tmp_path)
-    assert rc == EXIT_VALIDATION
-    assert not out.exists()
-    assert caught == []
-    assert "non-finite" in capsys.readouterr().err
+    argv = ["convergence", "--n-list", "30,10", "--sigma", sigma]
+    _refused_before_any_table(argv, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("sigma, prefix, direction", [
     ("1.7e308", "", "up"), ("1.7e308", "+-", "down"), ("1e308", "----", "up"),
     ("1e308", "+-+-+-+-", "down"),
 ])
-def test_reach_near_overflow_sigma_exits_2(tmp_path, capsys, sigma, prefix, direction):
-    # the bracket screen leaves a level whose sums can overflow to its table,
-    # whose non-finite tolerance stops the walk, at the default n_max too
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out = run(["reach", "--sigma", sigma, f"--prefix={prefix}", "--direction", direction],
-                      tmp_path)
-    assert rc == EXIT_VALIDATION
-    assert not out.exists()
-    assert caught == []
-    assert "non-finite boundary tolerance" in capsys.readouterr().err
+def test_reach_near_overflow_sigma_exits_2(tmp_path, capsys, monkeypatch, sigma, prefix,
+                                           direction):
+    argv = ["reach", "--sigma", sigma, f"--prefix={prefix}", "--direction", direction]
+    _refused_before_any_table(argv, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("n, budget, built", [

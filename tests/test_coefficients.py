@@ -38,6 +38,7 @@ from fracbin.coefficients import (
     write_tables_csv,
 )
 from fracbin.errors import QuadratureError
+from fracbin.hurst import SCALE_MAX
 
 # 40-digit nested-quadrature oracle values (sigma = 1)
 KERNEL_GOLDEN = 0.9375919636980572333  # k_H(1, 0.5) at H = 0.75
@@ -788,9 +789,11 @@ def test_weight_brackets_widths_shrink_like_one_over_n():
 
 
 def test_weight_brackets_never_warn_near_overflow():
+    # at the largest sigma HurstParams accepts, every bound is finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = coefficients.weight_brackets(HurstParams(0.75, 1.7e308), [2, 50], 1)
-    assert not np.all(np.isfinite(4.0 * (b.sum_hi + b.g_hi)))
+        for H in (0.5 + 1e-7, 0.75, 1.0 - 1e-7):
+            b = coefficients.weight_brackets(HurstParams(H, SCALE_MAX), [2, 50, 10**6], 1)
+            assert all(np.all(np.isfinite(v)) for v in b)
     with pytest.raises(ValueError):
         coefficients.weight_brackets(HurstParams(0.75), [5, 3], 3)

@@ -15,7 +15,7 @@ from fracbin import (
     rho_sq_total,
     solve_critical_hurst,
 )
-from fracbin.hurst import rho_pow_tail, rho_pow_tail_bracket, rho_sq_partial
+from fracbin.hurst import SCALE_MAX, rho_pow_tail, rho_pow_tail_bracket, rho_sq_partial
 
 # 50-digit gamma-oracle values
 C_H_GOLDEN = {0.6: 1.0760051841318071863, 0.75: 1.0696446350319903241, 0.9: 0.81122064814335251477}
@@ -209,5 +209,7 @@ def test_solve_critical_hurst_validation():
 
 
 def test_params_reject_infinite_sigma():
-    with pytest.raises(ValueError, match="finite"):
-        HurstParams(0.75, sigma=math.inf)
+    for sigma in (math.inf, 1.0000001e100, 1.7e308):
+        with pytest.raises(ValueError, match="finite"):
+            HurstParams(0.75, sigma=sigma)
+    assert HurstParams(0.75, sigma=SCALE_MAX).sigma == SCALE_MAX

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -23,7 +24,8 @@ from fracbin import (
 )
 from fracbin import market
 from fracbin.cli import EXIT_CAP, main
-from fracbin.coefficients import DEFAULT_QUAD, WeightBrackets, coefficient_tables
+from fracbin.coefficients import DEFAULT_QUAD, QuadratureConfig, WeightBrackets, coefficient_tables
+from fracbin.hurst import SCALE_MAX
 from fracbin.market import ZERO_DRIFT, arbitrage_event, level_sign_values
 from fracbin.verify import gray_level_counts, naive_level_values
 
@@ -669,14 +671,6 @@ def test_monotone_reach_validation(p075):
         monotone_reach(p075, (), 0, 10)
 
 
-def test_step_drift_rejects_a_non_finite_offset():
-    # a(t) = 1e308 (1 + t) overflows at t = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite offset"):
-            DriftSpec.parse("poly:1e308,1e308").step_drift(4, 4)
-
-
 def test_tables_vanish_near_memoryless_boundary():
     # as H -> 1/2+ all past weights vanish: the walk forgets its moves
     params = HurstParams(0.5 + 1e-7, sigma=0.05)
@@ -689,11 +683,43 @@ def test_market_spec_validation(p075):
         MarketSpec(N=0, params=p075)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e308])
 def test_non_finite_drift_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
-        DriftSpec("constant", (bad,))
-    with pytest.raises(ValueError, match="finite"):
-        DriftSpec("polynomial", (0.1, bad))
-    with pytest.raises(ValueError, match="finite"):
-        DriftSpec.parse(f"poly:0.2,{bad}")
+    # 1e308: a(t) = 1e308 (1 + t) would overflow at t = 1; it is refused
+    # when the drift is made, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            DriftSpec("constant", (bad,))
+        with pytest.raises(ValueError, match="finite"):
+            DriftSpec("polynomial", (0.1, bad))
+        with pytest.raises(ValueError, match="finite"):
+            DriftSpec.parse(f"poly:0.2,{bad}")
+        with pytest.raises(ValueError, match="finite"):
+            DriftSpec.parse(f"poly:{bad},{bad}")
+
+
+def test_drift_bound_is_on_the_sum_of_coefficient_sizes():
+    # the sizes bound |a(t)| on [0, 1]; signs do not cancel in the bound
+    assert DriftSpec.parse(f"const:{SCALE_MAX!r}").value(1.0) == SCALE_MAX
+    assert DriftSpec.parse("poly:5e99,-5e99").value(0.5) == 2.5e99
+    for text in ("const:1.0000001e100", "poly:6e99,-6e99", "poly:0,0,6e99,6e99"):
+        with pytest.raises(ValueError, match=re.escape(f"at most {SCALE_MAX:g}")):
+            DriftSpec.parse(text)
+
+
+@pytest.mark.parametrize("abs_tol, rel_tol", [(1e307, 1e-9), (1e-10, 1.0), (1e-10, 2.0),
+                                              (1e308, 1e308)])
+def test_reach_screen_decides_nothing_at_extreme_tolerances(abs_tol, rel_tol):
+    # a slack that overflows, or is at least 1e307, clears no inequality, so
+    # every level is left to its table; nothing warns
+    cfg = QuadratureConfig(abs_tol, rel_tol)
+    levels = np.arange(2, 40)
+    for sigma in (1.0, SCALE_MAX):
+        for drift in (ZERO_DRIFT, DriftSpec.parse("const:1e100"), DriftSpec.parse("const:-1e100")):
+            for prefix, direction in (((), 1), ((1.0,), -1), ((-1.0, 1.0, -1.0), 1)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    decided = market._reach_screen(HurstParams(0.75, sigma), np.array(prefix),
+                                                   direction, levels[len(prefix):], drift, cfg)
+                assert np.all(decided == -1)
