@@ -2,8 +2,9 @@
 
 Each check recomputes a mathematical property through an independent route
 (naive enumeration, bracket inequalities, bound checks) and reports the
-measured value against its bound.  The fast battery targets about a minute;
-`full=True` tightens sizes towards the acceptance-grade versions.
+measured value against its bound.  The fast battery takes a few seconds.
+`full=True` runs the acceptance battery: every check at the sizes, seeds and
+bounds in `_FULL_SIZES`, the one place they are kept.
 """
 
 from __future__ import annotations
@@ -88,17 +89,33 @@ def check_goldens() -> dict:
     return _check("stored_goldens", worst <= 1e-9, worst, 1e-9)
 
 
-def check_scaling_law(tuples: int = 12, n_cap: int = 64) -> dict:
-    rng = np.random.default_rng(1)
+def check_scaling_law(tuples: int = 12, n_cap: int = 64, seed: int = 1,
+                      g_tuples: int = 0) -> dict:
+    """N^H J_N(n, i) = j_n(i) and N^H g_N(n) = g_n on seeded random tuples.
+
+    Each of `tuples` draws (H, N, n, i) with 2 <= n <= N <= n_cap and checks
+    both weights; each of `g_tuples` after them draws (H, N, n) with
+    1 <= n <= N and checks g alone, so that n = 1 is reached too.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(lo: int) -> tuple:
+        H = float(rng.uniform(0.55, 0.95))
+        N = int(rng.integers(lo, n_cap + 1))
+        return H, N, int(rng.integers(lo, N + 1))
+
+    def g_diff(H: float, N: int, n: int) -> float:
+        p = HurstParams(H)
+        return abs(N**H * g_unscaled(p, N, n) - coefficient_table(p, n).g)
+
     worst = 0.0
     for _ in range(tuples):
-        H = float(rng.uniform(0.55, 0.95))
-        N = int(rng.integers(2, n_cap + 1))
-        n = int(rng.integers(2, N + 1))
+        H, N, n = draw(2)
         i = int(rng.integers(1, n))
         p = HurstParams(H)
-        worst = max(worst, abs(N**H * J_unscaled(p, N, n, i) - j_coeff(p, n, i)))
-        worst = max(worst, abs(N**H * g_unscaled(p, N, n) - coefficient_table(p, n).g))
+        worst = max(worst, abs(N**H * J_unscaled(p, N, n, i) - j_coeff(p, n, i)), g_diff(H, N, n))
+    for _ in range(g_tuples):
+        worst = max(worst, g_diff(*draw(1)))
     return _check("scaling_law", worst <= 1e-8, worst, 1e-8)
 
 
@@ -142,26 +159,30 @@ def check_turning_point() -> dict:
         worst = max(worst, abs(x_n / (10**5 - 1) - (H - 0.5)))
     mono_ok = True
     for H in H_GRID:
-        i_vals = I_integrals(H, 40)
-        _, i_n = turning_point(H, 40)
-        d = np.diff(i_vals)
-        # unimodality claim skips the step across the minimum cell
-        if i_n > 2 and not np.all(d[: i_n - 2] < 0):
-            mono_ok = False
-        if not np.all(d[i_n:] > 0):
-            mono_ok = False
+        for n in range(3, 41):
+            d = np.diff(I_integrals(H, n))
+            _, i_n = turning_point(H, n)
+            # decreasing on {1..i_n-1}, increasing on {i_n+1..n-1}; the step
+            # across the minimum cell itself is not claimed
+            mono_ok = mono_ok and bool(np.all(d[: max(i_n - 2, 0)] < 0) and np.all(d[i_n:] > 0))
     return _check("turning_point", worst <= 1e-3 and mono_ok, worst, 1e-3)
 
 
-def check_census_agreement() -> dict:
-    p = HurstParams(0.75)
+def check_census_agreement(N: int = 19, hs: tuple = (0.75,)) -> dict:
+    """The census against naive and Gray-code counts, at zero drift and with a drift.
+
+    At N >= 19 the census walks half of each level, and at level 19 that half
+    passes 2^14-word blocks through two high signs; per-level counts and the
+    path count are checked against a naive path mask.  With several H the
+    measured keys start with the H.
+    """
     agree = symmetric = True
     measured = {}
-    # N = 19 at zero drift and with a drift: the census walks half of each
-    # level, and at level 19 that half passes 2^14-word blocks through two
-    # high signs; per-level counts and the path count against a naive path mask
-    for key, drift in (("", DriftSpec()), ("drifted_", DriftSpec("polynomial", (0.4, -1.5, 3.0)))):
-        spec = MarketSpec(N=19, params=p, drift=drift)
+    drifts = (("", DriftSpec()), ("drifted_", DriftSpec("polynomial", (0.4, -1.5, 3.0))))
+    for H, (key, drift) in [(H, d) for H in hs for d in drifts]:
+        p = HurstParams(H)
+        key = (f"H={H}_" if len(hs) > 1 else "") + key
+        spec = MarketSpec(N=N, params=p, drift=drift)
         c = census(spec)
         alive = np.ones(1, dtype=bool)
         for n in range(1, spec.N + 1):
@@ -184,12 +205,20 @@ def check_census_agreement() -> dict:
     return _check("census_agreement", agree and symmetric, measured, "exact")
 
 
-def check_reach() -> dict:
+def check_reach(prefix_len: int | None = None) -> dict:
+    """monotone_reach finds an arbitrage level within 10^4 levels from sample prefixes.
+
+    `prefix_len` replaces the three sample prefixes by every prefix of length
+    0..prefix_len.
+    """
+    prefixes = (((), (-1, -1, -1), (1, -1, 1)) if prefix_len is None else
+                [tuple(1 if (w >> b) & 1 else -1 for b in range(k))
+                 for k in range(prefix_len + 1) for w in range(1 << k)])
     n_max = 10**4
     worst = 0
     for H in H_GRID:
         p = HurstParams(H)
-        for prefix in ((), (-1, -1, -1), (1, -1, 1)):
+        for prefix in prefixes:
             for direction in (1, -1):
                 m = monotone_reach(p, prefix, direction, n_max)
                 if m is None:
@@ -207,36 +236,44 @@ def check_variance_limit(n: int = 3000, rel_tol: float = 0.03) -> dict:
     return _check("variance_limit", rel <= rel_tol and vb_large < vb_small, rel, rel_tol)
 
 
-def check_limit_bounds(samples: int = 10**5) -> dict:
-    ok = True
-    measured = {}
-    for H in (0.55, 0.95):
-        p = HurstParams(H)
-        est = asym.limit_proportion(p, asym.McConfig(samples=samples, seed=11,
-                                                     truncation_k=asym.DEFAULT_TRUNCATION_K))
-        s = rho_sq_total(p.h)
-        measured[str(H)] = est.p_hat
-        if H == 0.55:
-            ok &= est.p_hat <= 4.0 * s + 3.0 * est.stderr and est.p_hat <= 0.2
-        else:
-            floor = (1.0 - 1.0 / (4.0 * s)) ** 2 / 3.0
-            ok &= est.p_hat >= floor - 3.0 * est.stderr and est.ci_low > 0.0
-    return _check("limit_proportion_bounds", ok, measured, "Tchebysheff/Paley-Zygmund")
+def check_limit_bounds(samples: int = 10**5, seed: int = 11, hs: tuple = (0.55, 0.95)) -> dict:
+    """The limit proportion within Tchebysheff at the lowest H, Paley-Zygmund at the highest.
+
+    Between neighbours of the ascending `hs` it may not fall by more than
+    three standard errors of the pair.
+    """
+    est = [asym.limit_proportion(HurstParams(H), asym.McConfig(
+        samples=samples, seed=seed, truncation_k=asym.DEFAULT_TRUNCATION_K)) for H in hs]
+    s_lo, s_hi = (rho_sq_total(HurstParams(H).h) for H in (hs[0], hs[-1]))
+    lo, hi = est[0], est[-1]
+    floor = (1.0 - 1.0 / (4.0 * s_hi)) ** 2 / 3.0
+    ok = (lo.p_hat <= 4.0 * s_lo + 3.0 * lo.stderr and lo.p_hat <= 0.2
+          and hi.p_hat >= floor - 3.0 * hi.stderr and hi.ci_low > 0.0
+          and all(b.p_hat >= a.p_hat - 3.0 * (a.stderr + b.stderr) for a, b in zip(est, est[1:])))
+    return _check("limit_proportion_bounds", ok, {str(H): e.p_hat for H, e in zip(hs, est)},
+                  "Tchebysheff/Paley-Zygmund")
 
 
-def check_cf(samples: int = 10**5) -> dict:
+def check_cf(samples: int = 10**5, seed: int = 5, truncation_k: int = 1 << 14,
+             v_grid: tuple = (0.1, 1.2, 10), budget_factor: float = 6.0, tol: float = 1e-8) -> dict:
+    """F(0) = 1, F even, the empirical CF within budget_factor/sqrt(samples), and the decay exponent.
+
+    The empirical and the analytic F (at `tol`) are compared at
+    np.linspace(*v_grid) / g_H; the exponent of the fitted decay must be
+    within 15% of 1/(2 - 2h).
+    """
     p = HurstParams(0.75)
     if asym.characteristic_function(p, 0.0) != 1.0:
         return _check("characteristic_function", False, "F(0) != 1", None)
     if asym.characteristic_function(p, -0.7) != asym.characteristic_function(p, 0.7):
         return _check("characteristic_function", False, "evenness", None)
-    cfg = asym.McConfig(samples=samples, seed=5, truncation_k=1 << 14)
+    cfg = asym.McConfig(samples=samples, seed=seed, truncation_k=truncation_k)
     y = asym.sample_limit_variable(p, cfg)
-    vs = np.linspace(0.1, 1.2, 10) / p.g_H
+    vs = np.linspace(*v_grid) / p.g_H
     ecf = asym.empirical_cf(y, vs)
-    ana = asym.characteristic_function(p, vs)
+    ana = asym.characteristic_function(p, vs, tol)
     worst = float(np.max(np.abs(ecf - ana)))
-    budget = 6.0 / math.sqrt(samples)
+    budget = budget_factor / math.sqrt(samples)
     _, expo, _ = asym.fit_cf_decay(p, points=40)
     target = 1.0 / (2.0 - 2.0 * p.h)
     slope_ok = abs(expo - target) / target <= 0.15
@@ -244,12 +281,14 @@ def check_cf(samples: int = 10**5) -> dict:
                   {"ecf_worst": worst, "exponent": expo}, {"ecf": budget, "exponent": "±15%"})
 
 
-def check_determinism() -> dict:
+def check_determinism(samples: int = 50_000, seed: int = 3, truncation_k: int = 4096) -> dict:
+    """limit_proportion returns the same estimate twice and on 8 threads."""
     p = HurstParams(0.8)
-    cfg = asym.McConfig(samples=50_000, seed=3, truncation_k=4096)
+    cfg = asym.McConfig(samples=samples, seed=seed, truncation_k=truncation_k)
     a = asym.limit_proportion(p, cfg)
     b = asym.limit_proportion(p, cfg)
-    return _check("mc_determinism", a == b, a.p_hat, "byte-identical")
+    c = asym.limit_proportion(p, cfg, threads=8)
+    return _check("mc_determinism", a == b == c, a.p_hat, "byte-identical")
 
 
 def check_critical_point() -> dict:
@@ -275,21 +314,28 @@ _FAST_CHECKS = (
     check_critical_point,
 )
 
-# acceptance-grade keyword sizes that `full=True` passes to a check
+# the acceptance battery: the keyword sizes, seeds and bounds that
+# `full=True` passes to a check (tests/test_acceptance.py runs the same)
 _FULL_SIZES = {
-    "scaling_law": dict(tuples=30, n_cap=128),
+    "scaling_law": dict(tuples=100, n_cap=128, seed=20260809, g_tuples=15),
     "brackets": dict(n_max=200),
     "weight_brackets": dict(levels=(2, 3, 17, 200, 1000, 2000)),
+    "census_agreement": dict(N=20, hs=H_GRID),
+    "reach": dict(prefix_len=8),
     "variance_limit": dict(n=10**4, rel_tol=0.02),
-    "limit_bounds": dict(samples=10**6),
-    "cf": dict(samples=10**6),
+    "limit_bounds": dict(samples=10**6, seed=20260809, hs=(0.55, 0.65, 0.75, 0.85, 0.95)),
+    "cf": dict(samples=10**6, seed=31, truncation_k=1 << 15, v_grid=(0.075, 1.5, 20),
+               budget_factor=4.0, tol=1e-9),
+    "determinism": dict(samples=10**5, seed=99, truncation_k=8192),
 }
 
 
+def full_sizes(check) -> dict:
+    """The keywords `run_checks(full=True)` passes to `check`."""
+    return _FULL_SIZES.get(check.__name__.removeprefix("check_"), {})
+
+
 def run_checks(full: bool = False) -> dict:
-    """Run the battery; `full` raises sizes towards acceptance grade."""
-    results = []
-    for fn in _FAST_CHECKS:
-        sizes = _FULL_SIZES.get(fn.__name__.removeprefix("check_"), {}) if full else {}
-        results.append(fn(**sizes))
+    """Run the battery; `full` runs it at the acceptance battery's sizes."""
+    results = [fn(**full_sizes(fn)) if full else fn() for fn in _FAST_CHECKS]
     return {"checks": results, "all_passed": all(r["passed"] for r in results)}

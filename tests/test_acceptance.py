@@ -1,11 +1,14 @@
 """Acceptance battery: one test per criterion, at its stated tolerance.
 
+Where `fracbin.verify` has a check for the criterion, the test runs that check
+at its `verify --full` sizes, seeds and bounds (`verify._FULL_SIZES`, the one
+place they are kept) and adds only what the check does not assert.
+
 Each test prints a single PASS line with the measured values once its
 assertions hold, so `pytest -s tests/test_acceptance.py` reads as a report.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -13,32 +16,19 @@ import pytest
 
 from fracbin import (
     HurstParams,
-    I_integrals,
-    J_unscaled,
     MarketSpec,
     McConfig,
     census,
     characteristic_function,
     coefficient_table,
-    fit_cf_decay,
-    g_unscaled,
     limit_proportion,
     finite_level_proportion,
-    monotone_reach,
-    rho_sq_total,
-    sample_limit_variable,
-    solve_critical_hurst,
-    split_variances,
-    turning_point,
+    verify,
 )
-from fracbin import asymptotics as asym
 from fracbin.cli import main
-from fracbin.market import level_sign_values
-from fracbin.verify import gray_level_counts, naive_level_values
 
 pytestmark = pytest.mark.acceptance
 
-H_GRID = (0.6, 0.75, 0.9)
 H_C_GOLDEN = 0.6765697566038956  # extended-precision bisection oracle
 N_H_GOLDEN_09 = 2  # first nonempty level at H = 0.9 (exhaustive scan)
 
@@ -47,98 +37,51 @@ def _report(num: int, text: str) -> None:
     print(f"PASS criterion-{num}: {text}")
 
 
+def _passes(check) -> dict:
+    """Run a verify check at its `verify --full` sizes and assert that it passed."""
+    result = check(**verify.full_sizes(check))
+    assert result["passed"], result
+    return result
+
+
 def test_criterion_01_scaling_law():
     t0 = time.time()
-    rng = np.random.default_rng(20260809)
-    worst = 0.0
-    for _ in range(100):
-        H = float(rng.uniform(0.55, 0.95))
-        N = int(rng.integers(2, 129))
-        n = int(rng.integers(2, N + 1))
-        i = int(rng.integers(1, n))
-        p = HurstParams(H)
-        table = coefficient_table(p, n)
-        diff = abs(N**H * J_unscaled(p, N, n, i) - table.j[i - 1])
-        tol = 1e-8 + table.j_err[i - 1] + 1e-10
-        assert diff <= tol, (H, N, n, i, diff)
-        worst = max(worst, diff)
-    for _ in range(15):
-        H = float(rng.uniform(0.55, 0.95))
-        N = int(rng.integers(1, 129))
-        n = int(rng.integers(1, N + 1))
-        p = HurstParams(H)
-        table = coefficient_table(p, n)
-        diff = abs(N**H * g_unscaled(p, N, n) - table.g)
-        assert diff <= 1e-8 + table.g_err + 1e-10
-        worst = max(worst, diff)
+    worst = _passes(verify.check_scaling_law)["measured"]
     elapsed = time.time() - t0
     assert elapsed <= 120.0
-    _report(1, f"scaling law on 115 tuples, worst |N^H J - j| = {worst:.2e}, {elapsed:.1f}s")
+    sizes = verify.full_sizes(verify.check_scaling_law)
+    _report(1, f"scaling law on {sizes['tuples']} (J, g) and {sizes['g_tuples']} g tuples, "
+               f"worst |N^H J - j| = {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_coefficient_brackets():
     t0 = time.time()
-    checked = 0
-    for H in H_GRID:
-        p = HurstParams(H)
-        for n in range(2, 201):
-            t = coefficient_table(p, n)
-            i_vals = I_integrals(H, n)
-            slack = t.j_err + 1e-10 + 1e-9 * np.abs(t.j)
-            lo = p.c_H * (n - 1.0) ** p.alpha * i_vals - slack
-            hi = p.c_H * float(n) ** p.alpha * i_vals + slack
-            assert np.all(t.j >= lo) and np.all(t.j <= hi), (H, n)
-            g_lo = p.g_H - t.g_err - 1e-10
-            g_hi = p.g_H * (1.0 + 1.0 / (n - 1.0)) ** p.alpha + t.g_err + 1e-10
-            assert g_lo <= t.g <= g_hi, (H, n)
-            checked += n - 1
+    _passes(verify.check_brackets)
     elapsed = time.time() - t0
     assert elapsed <= 60.0
-    _report(2, f"{checked} bracket pairs over n<=200 at 3 H values, 0 violations, {elapsed:.1f}s")
+    _report(2, f"bracket pairs over n<=200 at 3 H values, 0 violations, {elapsed:.1f}s")
 
 
 def test_criterion_03_last_coefficient_limit():
     rels = {}
-    for H in H_GRID:
+    for H in verify.H_GRID:
         p = HurstParams(H)
         t = coefficient_table(p, 10**4)
         want = p.g_H * (2.0 ** (H + 0.5) - 2.0)
         rels[H] = abs(t.j[-1] - want) / want
         assert rels[H] <= 1e-2
     _report(3, "last-coefficient limit rel errs " +
-            ", ".join(f"H={H}: {rels[H]:.1e}" for H in H_GRID))
+            ", ".join(f"H={H}: {rel:.1e}" for H, rel in rels.items()))
 
 
 def test_criterion_04_turning_point():
-    for H in H_GRID:
-        x_n, _ = turning_point(H, 10**5)
-        assert abs(x_n / (10**5 - 1) - (H - 0.5)) <= 1e-3
-        for n in range(3, 41):
-            i_vals = I_integrals(H, n)
-            _, i_n = turning_point(H, n)
-            d = np.diff(i_vals)
-            # decreasing on {1..i_n-1}, increasing on {i_n+1..n-1}; the step
-            # across the minimum cell itself is not claimed
-            assert np.all(d[: max(i_n - 2, 0)] < 0), (H, n)
-            assert np.all(d[i_n:] > 0), (H, n)
-    _report(4, "turning-point ratio within 1e-3 at n=1e5 and discrete "
+    worst = _passes(verify.check_turning_point)["measured"]
+    _report(4, f"turning-point ratio within {worst:.1e} at n=1e5 and discrete "
                "unimodality exact for n<=40 at 3 H values")
 
 
 def test_criterion_05_census_exactness():
-    for H in H_GRID:
-        p = HurstParams(H)
-        c = census(MarketSpec(N=20, params=p))
-        for n in range(1, 21):
-            t = coefficient_table(p, n)
-            prod_vals = level_sign_values(t.j)
-            naive = naive_level_values(t.j)
-            assert np.array_equal(prod_vals, naive), (H, n)
-            arb = (naive + t.g <= 0.0) | (naive - t.g >= 0.0)
-            cnt = int(np.count_nonzero(arb))
-            assert cnt == c.per_level_counts[n - 1], (H, n)
-            assert gray_level_counts(t.j, t.g, 0.0) == cnt, (H, n)
-            assert np.array_equal(arb, arb[::-1]), (H, n)  # sign-flip symmetry
+    _passes(verify.check_census_agreement)
     t0 = time.time()
     census(MarketSpec(N=24, params=HurstParams(0.75)))
     elapsed = time.time() - t0
@@ -149,18 +92,7 @@ def test_criterion_05_census_exactness():
 
 def test_criterion_06_arbitrage_existence():
     t0 = time.time()
-    worst = {}
-    for H in H_GRID:
-        p = HurstParams(H)
-        longest = 0
-        for length in range(0, 9):
-            for word in range(1 << length):
-                prefix = tuple(1 if (word >> b) & 1 else -1 for b in range(length))
-                for direction in (1, -1):
-                    m = monotone_reach(p, prefix, direction, 10**4)
-                    assert m is not None, (H, prefix, direction)
-                    longest = max(longest, m)
-        worst[H] = longest
+    longest = _passes(verify.check_reach)["measured"]
     # first nonempty level at H = 0.9 and the path-proportion floor at N=24
     p9 = HurstParams(0.9)
     n_h = None
@@ -175,47 +107,22 @@ def test_criterion_06_arbitrage_existence():
     assert c24.path_proportion >= floor
     elapsed = time.time() - t0
     _report(6, f"reach finite for all 511 prefixes x2 directions at 3 H "
-               f"(worst {worst}); n_H(0.9)={n_h}; path proportion "
+               f"(worst {longest}); n_H(0.9)={n_h}; path proportion "
                f"{c24.path_proportion:.4f} >= {floor:.4f}; {elapsed:.1f}s")
 
 
 def test_criterion_07_variance_limit():
-    p7 = HurstParams(0.7)
-    _, var_hat = split_variances(p7, 10**4, coefficient_table(p7, 10**4))
-    target = 4.0 * p7.g_H**2 * rho_sq_total(p7.h)
-    rel = abs(var_hat - target) / target
-    assert rel <= 0.02
-    vb4, _ = split_variances(p7, 10**4, coefficient_table(p7, 10**4))
-    vb2, _ = split_variances(p7, 10**2, coefficient_table(p7, 10**2))
-    assert vb4 < vb2
-    _report(7, f"var_hat(1e4) within {rel:.2%} of the series limit; "
-               f"var_bar shrinks {vb2:.2e} -> {vb4:.2e}")
+    rel = _passes(verify.check_variance_limit)["measured"]
+    _report(7, f"var_hat(1e4) within {rel:.2%} of the series limit; var_bar shrinks")
 
 
 def test_criterion_08_limit_proportion():
     t0 = time.time()
-    seed = 20260809
-    estimates = {}
-    for H in (0.55, 0.65, 0.75, 0.85, 0.95):
-        p = HurstParams(H)
-        estimates[H] = limit_proportion(p, McConfig(samples=10**6, seed=seed, truncation_k=8192))
-    e55, e95 = estimates[0.55], estimates[0.95]
-    s55 = rho_sq_total(HurstParams(0.55).h)
-    assert e55.p_hat <= 4.0 * s55 + 3.0 * e55.stderr
-    assert e55.p_hat <= 0.2
-    s95 = rho_sq_total(HurstParams(0.95).h)
-    floor = (1.0 - 1.0 / (4.0 * s95)) ** 2 / 3.0
-    assert e95.p_hat >= floor - 3.0 * e95.stderr
-    assert e95.ci_low > 0.0
-    hs = sorted(estimates)
-    for a, b in zip(hs, hs[1:]):
-        slack = 3.0 * (estimates[a].stderr + estimates[b].stderr)
-        assert estimates[b].p_hat >= estimates[a].p_hat - slack
+    estimates = _passes(verify.check_limit_bounds)["measured"]
     elapsed = time.time() - t0
     assert elapsed <= 180.0
     _report(8, "limit proportion: " +
-            ", ".join(f"p({H})={estimates[H].p_hat:.4f}" for H in hs) +
-            f"; PZ floor {floor:.3f}; {elapsed:.0f}s")
+            ", ".join(f"p({H})={p:.4f}" for H, p in estimates.items()) + f"; {elapsed:.0f}s")
 
 
 def test_criterion_09_finite_level_vs_limit():
@@ -231,52 +138,31 @@ def test_criterion_09_finite_level_vs_limit():
 
 
 def test_criterion_10_critical_parameter():
-    h_c, H_c = solve_critical_hurst(1e-8)
-    assert 0.5 < h_c < 0.75
-    assert 0.5 < H_c < 1.0
-    residual = abs(rho_sq_total(h_c) - 0.25)
-    assert residual <= 1e-8 + 1e-12
-    assert abs(h_c - H_C_GOLDEN) <= 5e-7  # 6-digit agreement with the oracle
-    _report(10, f"h_c={h_c:.8f}, H_c={H_c:.8f}, residual {residual:.1e}")
+    r = _passes(verify.check_critical_point)["measured"]
+    assert abs(r["h_c"] - H_C_GOLDEN) <= 5e-7  # 6-digit agreement with the oracle
+    _report(10, f"h_c={r['h_c']:.8f}, H_c={r['H_c']:.8f}, residual {r['residual']:.1e}")
 
 
 def test_criterion_11_characteristic_function():
     p = HurstParams(0.75)
-    assert characteristic_function(p, 0.0) == 1.0
     for v in (0.3, 1.1, 2.7):
         assert characteristic_function(p, -v) == characteristic_function(p, v)
-    cfg = McConfig(samples=10**6, seed=31, truncation_k=1 << 15)
-    y = sample_limit_variable(p, cfg)
-    vs = np.linspace(0.075, 1.5, 20) / p.g_H
-    ecf = asym.empirical_cf(y, vs)
-    ana = np.array([characteristic_function(p, float(v), 1e-9) for v in vs])
-    worst = float(np.max(np.abs(ecf - ana)))
-    budget = 4.0 / math.sqrt(cfg.samples)
-    assert worst <= budget
-    theta, expo, used = fit_cf_decay(p, 40.0 / p.g_H, 400.0 / p.g_H, points=40)
-    target = 1.0 / (2.0 - 2.0 * p.h)
-    rel = abs(expo - target) / target
-    assert rel <= 0.15
-    _report(11, f"ECF worst gap {worst:.1e} <= {budget:.1e} over 20 points; "
-                f"decay exponent {expo:.3f} vs {target:.3f} ({rel:.1%}), theta={theta:.3f}")
+    r = _passes(verify.check_cf)
+    _report(11, f"ECF worst gap {r['measured']['ecf_worst']:.1e} <= {r['bound']['ecf']:.1e}; "
+                f"decay exponent {r['measured']['exponent']:.3f}")
 
 
 def test_criterion_12_determinism(tmp_path):
-    p = HurstParams(0.8)
-    cfg = McConfig(samples=10**5, seed=99, truncation_k=8192)
-    a = limit_proportion(p, cfg)
-    b = limit_proportion(p, cfg)
-    c = limit_proportion(p, cfg, threads=8)
-    assert a == b == c
+    p_hat = _passes(verify.check_determinism)["measured"]
+    sizes = verify.full_sizes(verify.check_determinism)
     files = []
     for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
         out = tmp_path / f"det_{tag}.json"
-        rc = main(["mc-limit", "--H", "0.8", "--samples", "100000", "--seed", "99",
+        rc = main(["mc-limit", "--H", "0.8", "--samples", str(sizes["samples"]),
+                   "--seed", str(sizes["seed"]), "--trunc-k", str(sizes["truncation_k"]),
                    "--threads", threads, "--out", str(out)])
         assert rc == 0
         files.append(out.read_bytes())
     assert files[0] == files[1] == files[2]
-    doc = json.loads(files[0])
-    assert doc["p_hat"] == a.p_hat
-    _report(12, f"MC outputs byte-identical across reruns and threads 1 vs 8 "
-                f"(p_hat={a.p_hat})")
+    assert json.loads(files[0])["p_hat"] == p_hat
+    _report(12, f"MC outputs byte-identical across reruns and threads 1 vs 8 (p_hat={p_hat})")

@@ -1,5 +1,6 @@
 """CLI surface: determinism of reports, exit codes, env overrides, verify."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -324,6 +325,31 @@ def test_verify_detects_corrupted_table():
     finally:
         _TABLE_CACHE[key] = table
         assert verify_mod.check_goldens()["passed"]
+
+
+def test_verify_full_passes_each_check_its_acceptance_sizes(monkeypatch):
+    # a misspelled _FULL_SIZES key would run a check at fast sizes under
+    # --full, and a misspelled keyword would only fail there; the checks are
+    # replaced by recorders, so nothing is computed
+    checks = {fn.__name__.removeprefix("check_"): fn for fn in verify_mod._FAST_CHECKS}
+    assert set(verify_mod._FULL_SIZES) <= set(checks)
+    for name, sizes in verify_mod._FULL_SIZES.items():
+        inspect.signature(checks[name]).bind(**sizes)
+    calls = []
+
+    def recorder(name):
+        def check(**sizes):
+            calls.append((name, sizes))
+            return {"name": name, "passed": True, "measured": None, "bound": None}
+        check.__name__ = "check_" + name
+        return check
+
+    monkeypatch.setattr(verify_mod, "_FAST_CHECKS", tuple(map(recorder, checks)))
+    assert verify_mod.run_checks(full=True)["all_passed"]
+    assert calls == [(name, verify_mod._FULL_SIZES.get(name, {})) for name in checks]
+    calls.clear()
+    verify_mod.run_checks()
+    assert calls == [(name, {}) for name in checks]
 
 
 @pytest.mark.parametrize("argv", [

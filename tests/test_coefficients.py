@@ -142,16 +142,6 @@ def test_scaling_identity_near_half(H):
                 assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j_coeff(p, n, i), abs=1e-8)
 
 
-def test_bracket_at_spec_point():
-    p = HurstParams(0.75)
-    t = coefficient_table(p, 50)
-    i_vals = I_integrals(0.75, 50)
-    j10 = t.j[9]
-    lo = p.c_H * 49.0**0.25 * i_vals[9]
-    hi = p.c_H * 50.0**0.25 * i_vals[9]
-    assert lo - t.j_err[9] - 1e-12 <= j10 <= hi + t.j_err[9] + 1e-12
-
-
 def test_brackets_whole_table():
     p = HurstParams(0.7)
     for n in (2, 3, 7, 25, 60):
@@ -162,13 +152,6 @@ def test_brackets_whole_table():
         assert np.all(t.j >= lo - t.j_err - 1e-12)
         assert np.all(t.j <= hi + t.j_err + 1e-12)
         assert np.all(t.j > 0)
-
-
-def test_last_coefficient_limit():
-    p = HurstParams(0.75)
-    t = coefficient_table(p, 10**4)
-    want = p.g_H * (2.0 ** (p.H + 0.5) - 2.0)
-    assert t.j[-1] == pytest.approx(want, rel=1e-2)
 
 
 def test_j_fixed_i_decays_engineering_tolerance():
