@@ -15,10 +15,7 @@ from .coefficients import (
     clear_table_cache,
     coefficient_table,
     coefficient_tables,
-    g_coeff,
     g_unscaled,
-    j_coeff,
-    kernel,
     turning_point,
 )
 from .errors import (CapExceededError, FracbinError, NonconvergenceError, QuadratureError,
@@ -34,9 +31,7 @@ from .market import (
     ArbitrageCensus,
     DriftSpec,
     MarketSpec,
-    NodeId,
     census,
-    is_arbitrage,
     monotone_reach,
 )
 from .asymptotics import (
@@ -56,12 +51,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ArbitrageCensus", "CapExceededError", "CoefficientTable", "DriftSpec",
     "FracbinError", "HurstParams", "I_integrals", "J_unscaled", "McConfig",
-    "McEstimate", "MarketSpec", "NodeId", "NonconvergenceError", "QuadratureConfig",
+    "McEstimate", "MarketSpec", "NonconvergenceError", "QuadratureConfig",
     "QuadratureError", "TruncationError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
     "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
-    "g_coeff", "g_unscaled", "is_arbitrage", "j_coeff", "kernel",
-    "limit_proportion", "monotone_reach", "normalizing_constant", "rho",
+    "g_unscaled", "limit_proportion", "monotone_reach", "normalizing_constant", "rho",
     "rho_sq_total", "sample_limit_variable", "solve_critical_hurst", "split_variances",
     "turning_point",
 ]

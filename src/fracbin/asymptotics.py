@@ -316,7 +316,7 @@ class SignSum:
         return out
 
 
-def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1,
+def limit_proportion(params: HurstParams, cfg: McConfig,
                      law: Optional[SignSum] = None) -> McEstimate:
     """Estimate of P(|Y^(K)| > g_H) from the truncated sampler.
 
@@ -327,9 +327,8 @@ def limit_proportion(params: HurstParams, cfg: McConfig, threads: int = 1,
     d = 6 * tail_sd: the truncated law's proportion with its threshold moved
     by six discarded-tail standard deviations.  It is a sensitivity of the
     truncated answer, not a bracket of the untruncated P(|Y| > g_H)
-    (ROADMAP item 1).  threads is accepted for compatibility and ignored:
-    sampling always runs on the calling thread.  law, if given, is
-    SignSum.limit(params, cfg) as the caller already built it.
+    (ROADMAP item 1).  law, if given, is SignSum.limit(params, cfg) as the
+    caller already built it.
     """
     law = SignSum.limit(params, cfg) if law is None else law
     g, d = params.g_H, 6.0 * law.tail_sd

@@ -62,16 +62,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureError
-from .hurst import HurstParams, normalizing_constant
+from .hurst import HurstParams
 from .reports import float_reprs
 from .special import _gauss_rule, betainc
 
 __all__ = [
     "QuadratureConfig",
     "CoefficientTable",
-    "kernel",
-    "j_coeff",
-    "g_coeff",
     "J_unscaled",
     "g_unscaled",
     "turning_point",
@@ -404,37 +401,12 @@ def _inner_t(a: float, c: float, m: int) -> float:
 
 
 def _kernel(a: float, c_big: float, t: float, s: float, m: int) -> float:
-    """The kernel C_H s^{-a} (t-s)^{2a} T(s/(t-s)), T by m-node rules."""
-    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * _inner_t(a, s / (t - s), m)
+    """Singular kernel C_H s^{-a} int_s^t u^a (u-s)^{a-1} du, T by m-node rules.
 
-
-def kernel(H: float, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Singular kernel C_H s^{1/2-H} int_s^t u^{H-1/2} (u-s)^{H-3/2} du.
-
-    Substituting u = s + (t-s) z gives C_H s^{-a} (t-s)^{2a} T(s/(t-s)) with
-    T as above; the endpoint blow-up becomes the Jacobi weight z^{a-1}.
+    Substituting u = s + (t-s) z gives C_H s^{-a} (t-s)^{2a} T(s/(t-s)); the
+    endpoint blow-up becomes the Jacobi weight z^{a-1}.
     """
-    if s <= 0 or t <= s:
-        raise ValueError(f"kernel requires 0 < s < t, got t={t}, s={s}")
-    a = H - 0.5
-    c_big = normalizing_constant(H) * a
-    vals, _ = _escalate(lambda qo, qi, _: [_kernel(a, c_big, t, s, qi)], cfg,
-                        [f"kernel(H={H},t={t},s={s})"])
-    return float(vals[0])
-
-
-def j_coeff(params: HurstParams, n: int, i: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Scaled weight j_n(i) of the i-th past move at level n (1 <= i <= n-1)."""
-    if not (n >= 2 and 1 <= i <= n - 1):
-        raise ValueError(f"need n >= 2 and 1 <= i <= n-1, got n={n}, i={i}")
-    return float(coefficient_table(params, n, cfg).j[i - 1])
-
-
-def g_coeff(params: HurstParams, n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Scaled present-move weight g_n at level n (n >= 1)."""
-    if n < 1:
-        raise ValueError("level n must be >= 1")
-    return coefficient_table(params, n, cfg).g
+    return c_big * s ** (-a) * (t - s) ** (2.0 * a) * _inner_t(a, s / (t - s), m)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +452,9 @@ def J_unscaled(params: HurstParams, N: int, n: int, i: int,
     """Original N-dependent weight: direct quadrature of the kernel increment.
 
     Deliberately does not reuse the scaled-integral code path, so that
-    N^H * J_unscaled == j_coeff is a two-route consistency check: a tanh-sinh
-    outer rule in place of the tables' Gauss-Jacobi rules.
+    N^H * J_unscaled(N, n, i) == coefficient_table(n).j[i - 1] is a two-route
+    consistency check: a tanh-sinh outer rule in place of the tables'
+    Gauss-Jacobi rules.
     """
     if not (1 <= i < n <= N):
         raise ValueError(f"need 1 <= i < n <= N, got N={N}, n={n}, i={i}")

@@ -23,10 +23,10 @@ so a word's complement has the negated sum at every prefix and is
 classified by the same sums at the negated offset.  One float rule
 classifies every node: arbitrage_event(y, g_n, o), fl(y + g) <= -o or
 fl(y - g) >= -o, on the canonical sum y (_node_sum for one word);
-is_arbitrage, monotone_reach and the finite-level estimates apply it, and
-the census's cuts mirror it.  monotone_reach first screens its levels with
-closed-form weight brackets (_reach_screen) and applies the rule only where
-they cannot tell.
+monotone_reach and the finite-level estimates apply it, and the census's
+cuts mirror it.  monotone_reach first screens its levels with closed-form
+weight brackets (_reach_screen) and applies the rule only where they cannot
+tell.
 
 Classification is by sorted blocks.  Round-to-nearest fl(x + c) is monotone
 in x, so the low sums, sorted once per level, stay sorted through the walk,
@@ -61,9 +61,7 @@ from .hurst import SCALE_MAX, HurstParams
 __all__ = [
     "DriftSpec",
     "MarketSpec",
-    "NodeId",
     "ArbitrageCensus",
-    "is_arbitrage",
     "arbitrage_event",
     "census",
     "monotone_reach",
@@ -172,37 +170,6 @@ class MarketSpec:
         }
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """A tree node: level in [1, N] and a little-endian sign word of n-1 bits."""
-
-    level: int
-    signs: int = 0
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if not 0 <= self.signs < (1 << (self.level - 1)):
-            raise ValueError(f"sign word {self.signs:#x} out of range for level {self.level}")
-
-    @classmethod
-    def from_signs(cls, signs: Sequence[int]) -> "NodeId":
-        word = 0
-        for pos, s in enumerate(signs):
-            if s == 1:
-                word |= 1 << pos
-            elif s != -1:
-                raise ValueError("signs must be +-1")
-        return cls(level=len(signs) + 1, signs=word)
-
-    def sign_tuple(self) -> tuple[int, ...]:
-        return tuple(1 if (self.signs >> i) & 1 else -1 for i in range(self.level - 1))
-
-    def complement(self) -> "NodeId":
-        mask = (1 << (self.level - 1)) - 1
-        return NodeId(self.level, self.signs ^ mask)
-
-
 def _node_sum(signs: Sequence[int], j: np.ndarray) -> float:
     """The canonical sum ((0.0 +- j_1) +- j_2) ... of a node's +-1 signs."""
     return float(np.add.accumulate(np.r_[0.0, np.multiply(signs, j[:len(signs)])])[-1])
@@ -212,14 +179,6 @@ def arbitrage_event(y, g, o, strict: bool = False):
     """u <= -a or d >= -a on floats or arrays; strict=True: u < -a or d > -a."""
     with np.errstate(over="ignore"):  # y +- g may overflow to +-inf, which compares as usual
         return ((y + g < -o) | (y - g > -o)) if strict else ((y + g <= -o) | (y - g >= -o))
-
-
-def is_arbitrage(spec: MarketSpec, node: NodeId, table: CoefficientTable) -> bool:
-    """u <= -a or d >= -a, evaluated in scaled coordinates (x N^H)."""
-    if table.n != node.level:
-        raise ValueError(f"table level {table.n} does not match node level {node.level}")
-    o = spec.drift.offset_scaled(node.level, spec.N, spec.params.H)
-    return bool(arbitrage_event(_node_sum(node.sign_tuple(), table.j), table.g, o))
 
 
 def _sign_sums(w: np.ndarray, start: float = 0.0) -> np.ndarray:

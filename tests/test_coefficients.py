@@ -20,14 +20,12 @@ from fracbin import (
     clear_table_cache,
     coefficient_table,
     coefficients,
-    g_coeff,
     g_unscaled,
-    j_coeff,
-    kernel,
     turning_point,
 )
 from fracbin.coefficients import (
     _ORDER_LADDER,
+    _UNSCALED_INNER,
     DEFAULT_QUAD,
     _crossing_rows,
     _gj01,
@@ -58,64 +56,63 @@ G_GOLDEN = {
 }
 
 
+def unscaled_kernel(H, t, s):
+    # the kernel at the fixed inner order the unscaled routes evaluate it at
+    p = HurstParams(H)
+    return coefficients._kernel(p.alpha, p.C_H, t, s, _UNSCALED_INNER)
+
+
 def test_kernel_golden():
-    assert kernel(0.75, 1.0, 0.5) == pytest.approx(KERNEL_GOLDEN, rel=5e-13)
+    assert unscaled_kernel(0.75, 1.0, 0.5) == pytest.approx(KERNEL_GOLDEN, rel=5e-13)
 
 
 def test_kernel_scaling_identity():
     # k(l t, l s) = l^{H-1/2} k(t, s) at (t, s, l) = (1, 0.3, 2)
     H, lam = 0.75, 2.0
-    left = kernel(H, lam * 1.0, lam * 0.3)
-    right = lam ** (H - 0.5) * kernel(H, 1.0, 0.3)
+    left = unscaled_kernel(H, lam * 1.0, lam * 0.3)
+    right = lam ** (H - 0.5) * unscaled_kernel(H, 1.0, 0.3)
     assert left == pytest.approx(right, rel=1e-12)
 
 
 def test_kernel_vanishes_at_coincidence():
     # k(t, s) -> 0 like (t-s)^{H-1/2} as t -> s+
-    vals = [kernel(0.7, 0.5 + dt, 0.5) for dt in (1e-2, 1e-4, 1e-6)]
+    vals = [unscaled_kernel(0.7, 0.5 + dt, 0.5) for dt in (1e-2, 1e-4, 1e-6)]
     assert vals[0] > vals[1] > vals[2]
     rate = 1e-2 ** (0.7 - 0.5)
     assert vals[1] / vals[0] == pytest.approx(rate, rel=1e-2)
     assert vals[2] / vals[1] == pytest.approx(rate, rel=1e-2)
 
 
-def test_kernel_domain_errors():
-    with pytest.raises(ValueError):
-        kernel(0.7, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        kernel(0.7, 0.3, 0.5)
-    with pytest.raises(ValueError):
-        kernel(0.45, 1.0, 0.5)
-
-
 def test_j_coeff_goldens():
     for (H, n, i), want in J_GOLDEN.items():
-        assert j_coeff(HurstParams(H), n, i) == pytest.approx(want, rel=1e-11)
+        assert coefficient_table(HurstParams(H), n).j[i - 1] == pytest.approx(want, rel=1e-11)
 
 
 def test_j_scales_with_sigma():
-    base = j_coeff(HurstParams(0.7), 6, 3)
-    assert j_coeff(HurstParams(0.7, sigma=2.5), 6, 3) == pytest.approx(2.5 * base, rel=1e-13)
+    base = coefficient_table(HurstParams(0.7), 6).j[2]
+    scaled = coefficient_table(HurstParams(0.7, sigma=2.5), 6).j[2]
+    assert scaled == pytest.approx(2.5 * base, rel=1e-13)
 
 
 def test_g_coeff_goldens():
     for (H, n), want in G_GOLDEN.items():
-        assert g_coeff(HurstParams(H), n) == pytest.approx(want, rel=1e-12)
+        assert coefficient_table(HurstParams(H), n).g == pytest.approx(want, rel=1e-12)
 
 
 def test_g_bracket_and_limit():
     p = HurstParams(0.8)
-    g100 = g_coeff(p, 100)
+    g100 = coefficient_table(p, 100).g
     assert p.g_H <= g100 <= p.g_H * (1.0 + 1.0 / 99.0) ** p.alpha
-    assert g_coeff(p, 10**4) == pytest.approx(p.g_H, rel=1e-4)
+    assert coefficient_table(p, 10**4).g == pytest.approx(p.g_H, rel=1e-4)
 
 
 def test_scaling_identities_at_spec_points():
     p = HurstParams(0.7)
-    assert 64**0.7 * J_unscaled(p, 64, 7, 3) == pytest.approx(j_coeff(p, 7, 3), abs=1e-8)
-    assert 64**0.7 * g_unscaled(p, 64, 7) == pytest.approx(g_coeff(p, 7), abs=1e-8)
+    t = coefficient_table(p, 7)
+    assert 64**0.7 * J_unscaled(p, 64, 7, 3) == pytest.approx(t.j[2], abs=1e-8)
+    assert 64**0.7 * g_unscaled(p, 64, 7) == pytest.approx(t.g, abs=1e-8)
     # N = n reduces to the scaled value
-    assert 7**0.7 * g_unscaled(p, 7, 7) == pytest.approx(g_coeff(p, 7), abs=1e-10)
+    assert 7**0.7 * g_unscaled(p, 7, 7) == pytest.approx(t.g, abs=1e-10)
     assert 2**0.75 * J_unscaled(HurstParams(0.75), 2, 2, 1) == pytest.approx(
         J_GOLDEN[(0.75, 2, 1)], abs=1e-9)
 
@@ -127,7 +124,8 @@ def test_scaling_identity_randomized(H, N):
     n = int(rng.integers(2, N + 1))
     i = int(rng.integers(1, n))
     p = HurstParams(H)
-    assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j_coeff(p, n, i), abs=1e-8)
+    j = coefficient_table(p, n).j[i - 1]
+    assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j, abs=1e-8)
 
 
 @pytest.mark.parametrize("H", [0.501, 0.51])
@@ -137,9 +135,10 @@ def test_scaling_identity_near_half(H):
     p = HurstParams(H)
     for N in range(1, 9):
         for n in range(1, N + 1):
-            assert N**H * g_unscaled(p, N, n) == pytest.approx(g_coeff(p, n), abs=1e-8)
+            t = coefficient_table(p, n)
+            assert N**H * g_unscaled(p, N, n) == pytest.approx(t.g, abs=1e-8)
             for i in range(1, n):
-                assert N**H * J_unscaled(p, N, n, i) == pytest.approx(j_coeff(p, n, i), abs=1e-8)
+                assert N**H * J_unscaled(p, N, n, i) == pytest.approx(t.j[i - 1], abs=1e-8)
 
 
 def test_brackets_whole_table():
@@ -270,7 +269,6 @@ _UNREACHABLE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 2, _UNREACHABLE), id="j2"),
     pytest.param(lambda: coefficient_table(HurstParams(0.75), 3, _UNREACHABLE), id="j_first"),
     pytest.param(lambda: I_integrals(0.75, 10, _UNREACHABLE), id="I_integrals"),
-    pytest.param(lambda: kernel(0.75, 1.0, 0.5, _UNREACHABLE), id="kernel"),
     pytest.param(lambda: J_unscaled(HurstParams(0.75), 10, 5, 2, _UNREACHABLE), id="J_unscaled"),
     pytest.param(lambda: g_unscaled(HurstParams(0.75), 4, 2, _UNREACHABLE), id="g_unscaled"),
 ])
@@ -282,15 +280,8 @@ def test_nonconvergence_raises(route):
 
 
 def test_validation_errors():
-    p = HurstParams(0.7)
     with pytest.raises(ValueError):
-        j_coeff(p, 1, 1)
-    with pytest.raises(ValueError):
-        j_coeff(p, 5, 5)
-    with pytest.raises(ValueError):
-        g_coeff(p, 0)
-    with pytest.raises(ValueError):
-        J_unscaled(p, 4, 5, 1)
+        J_unscaled(HurstParams(0.7), 4, 5, 1)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
 

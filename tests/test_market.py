@@ -1,4 +1,4 @@
-"""Tree nodes, arbitrage classification, exact censuses, reach."""
+"""Node sums, arbitrage classification, exact censuses, reach."""
 
 import itertools
 import math
@@ -16,10 +16,8 @@ from fracbin import (
     DriftSpec,
     HurstParams,
     MarketSpec,
-    NodeId,
     census,
     coefficient_table,
-    is_arbitrage,
     monotone_reach,
 )
 from fracbin import market
@@ -65,27 +63,21 @@ def test_drift_offset_scaled():
     assert ZERO_DRIFT.offset_scaled(3, 16, H) == 0.0
 
 
-@given(st.lists(st.sampled_from([-1, 1]), max_size=12))
-@settings(max_examples=40, deadline=None)
-def test_node_roundtrip(signs):
-    node = NodeId.from_signs(signs)
-    assert node.level == len(signs) + 1
-    assert list(node.sign_tuple()) == signs
-    comp = node.complement()
-    assert [a * -1 for a in signs] == list(comp.sign_tuple())
+def _signs(word, m):
+    # the little-endian sign word as +-1 signs xi_1..xi_m
+    return tuple(1 if (word >> i) & 1 else -1 for i in range(m))
 
 
-def test_node_validation():
-    with pytest.raises(ValueError):
-        NodeId(level=2, signs=2)
-    with pytest.raises(ValueError):
-        NodeId.from_signs([1, 0])
+def _node_event(params, signs, table=None):
+    # the rule every classifier applies, at zero drift, to the node of these
+    # signs at level len(signs) + 1
+    table = coefficient_table(params, len(signs) + 1) if table is None else table
+    return bool(arbitrage_event(market._node_sum(signs, table.j), table.g, 0.0))
 
 
 def test_root_node_sum_is_zero_and_not_arbitrage(p075):
-    t1 = coefficient_table(p075, 1)
-    assert market._node_sum(NodeId(1).sign_tuple(), t1.j) == 0.0
-    assert not is_arbitrage(MarketSpec(N=16, params=p075), NodeId(1), t1)
+    assert market._node_sum((), coefficient_table(p075, 1).j) == 0.0
+    assert not _node_event(p075, ())
 
 
 def test_node_sum_complement_negates(p075):
@@ -93,29 +85,20 @@ def test_node_sum_complement_negates(p075):
     # exact negation
     j = coefficient_table(p075, 9).j
     for word in range(1 << 8):
-        node = NodeId(9, word)
-        y = market._node_sum(node.sign_tuple(), j)
-        assert market._node_sum(node.complement().sign_tuple(), j) == -y
+        signs = _signs(word, 8)
+        y = market._node_sum(signs, j)
+        assert market._node_sum(tuple(-s for s in signs), j) == -y
 
 
 def test_node_sum_golden(p075):
-    node = NodeId(level=5, signs=0b1011)
-    y = market._node_sum(node.sign_tuple(), coefficient_table(p075, 5).j)
+    y = market._node_sum((1, 1, -1, 1), coefficient_table(p075, 5).j)
     assert y == pytest.approx(NODE_GOLDEN_SCALED, rel=1e-11)
 
 
-def test_node_table_mismatch(p075):
-    spec = MarketSpec(N=16, params=p075)
-    with pytest.raises(ValueError):
-        is_arbitrage(spec, NodeId(3), coefficient_table(p075, 5))
-
-
 def test_is_arbitrage_symmetry(p09):
-    spec = MarketSpec(N=10, params=p09)
-    t = coefficient_table(p09, 6)
     for word in (0, 7, 21, 31):
-        node = NodeId(6, word)
-        assert is_arbitrage(spec, node, t) == is_arbitrage(spec, node.complement(), t)
+        signs = _signs(word, 5)
+        assert _node_event(p09, signs) == _node_event(p09, tuple(-s for s in signs))
 
 
 def test_census_golden(p075):
@@ -519,21 +502,17 @@ def test_monotone_reach_goldens(p075, p09, p06):
 def test_monotone_reach_consistency(p075):
     prefix = (-1, -1, -1, -1)
     m = monotone_reach(p075, prefix, 1, 10**4)
-    level = len(prefix) + 1 + m
-    node = NodeId.from_signs(prefix + (1,) * m)
-    spec = MarketSpec(N=level, params=p075)
-    assert is_arbitrage(spec, node, coefficient_table(p075, level))
+    assert _node_event(p075, prefix + (1,) * m)
     # one step earlier must not be an arbitrage point (minimality)
-    node_prev = NodeId.from_signs(prefix + (1,) * (m - 1))
-    spec_prev = MarketSpec(N=level - 1, params=p075)
-    assert not is_arbitrage(spec_prev, node_prev, coefficient_table(p075, level - 1))
+    assert not _node_event(p075, prefix + (1,) * (m - 1))
 
 
 def test_monotone_reach_agrees_with_is_arbitrage_on_a_rounding_tie(p075, monkeypatch):
     # one weight of 1 then weights of 1e-16: the left-to-right sum stays at
     # exactly -1, while numpy's pairwise sum of 8 or more of them drops below
     # -1 - 2 ulp; with g = 1 + 2 ulp and o = 0 the two sums fall on opposite
-    # sides of -o - g, and reach must see the node that is_arbitrage sees
+    # sides of -o - g, and reach must see the node that the rule on the
+    # canonical sum sees
     import dataclasses
 
     weights = np.array([1.0] + [1e-16] * 11)
@@ -552,8 +531,7 @@ def test_monotone_reach_agrees_with_is_arbitrage_on_a_rounding_tie(p075, monkeyp
     assert -float(np.sum(weights[:8])) + g < 0.0 <= left_to_right + g
     n_max = len(weights) - 1
     want = next((m for m in range(1, n_max + 1)
-                 if is_arbitrage(MarketSpec(N=1 + m, params=p075), NodeId.from_signs((-1,) * m),
-                                 crafted(p075, 1 + m))), None)
+                 if _node_event(p075, (-1,) * m, crafted(p075, 1 + m))), None)
     assert monotone_reach(p075, (), -1, n_max) == want
 
 
