@@ -18,8 +18,7 @@ from .coefficients import (
     g_unscaled,
     turning_point,
 )
-from .errors import (CapExceededError, FracbinError, NonconvergenceError, QuadratureError,
-                     TruncationError)
+from .errors import CapExceededError, FracbinError, NonconvergenceError, QuadratureError
 from .hurst import (
     HurstParams,
     normalizing_constant,
@@ -52,7 +51,7 @@ __all__ = [
     "ArbitrageCensus", "CapExceededError", "CoefficientTable", "DriftSpec",
     "FracbinError", "HurstParams", "I_integrals", "J_unscaled", "McConfig",
     "McEstimate", "MarketSpec", "NonconvergenceError", "QuadratureConfig",
-    "QuadratureError", "TruncationError", "census",
+    "QuadratureError", "census",
     "characteristic_function", "clear_table_cache", "coefficient_table",
     "coefficient_tables", "exceedance_frequency", "finite_level_proportion", "fit_cf_decay",
     "g_unscaled", "limit_proportion", "monotone_reach", "normalizing_constant", "rho",

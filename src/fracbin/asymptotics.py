@@ -13,22 +13,24 @@ Generator.bytes.  Each sample consumes ceil(K/8) bytes, bit j of byte b
 (little-endian) being the sign of weight 8b+j+1.  The canonical float value
 of a sample is the sum of its per-byte partial sums in byte order, each
 byte's sum accumulated left-to-right from 0.0 (realised with 256-entry
-lookup tables, built by in-place doubling; padding weights are zero).  A
-sampling run builds its word buffer and per-block byte views once and every
-chunk gathers through them.  Philox is counter-based, so a chunk draws its
-stream in pieces of at most _PIECE_WORDS words (256 KiB), each transposed
-straight into the word buffer, and never holds the whole chunk's stream;
-the bytes are those of one draw.  Equality in law of the reversed-coefficient
-walk with the split tail walk is realised by feeding the sampler reversed
-weights; no separate variable is kept.
+lookup tables, built by in-place doubling; padding weights are zero).  One
+generator, _chunks, yields a run's chunks in order; it builds the word
+buffer and per-block byte views once and every chunk gathers through them.
+Philox is counter-based, so a chunk draws its stream in pieces of at most
+_PIECE_WORDS words (256 KiB), each transposed straight into the word
+buffer, and never holds the whole chunk's stream; the bytes are those of
+one draw.  Equality in law of the reversed-coefficient walk with the split
+tail walk is realised by feeding the sampler reversed weights; no separate
+variable is kept.
 
 Both proportions are probabilities of one law, the Rademacher sum
 Y = sum_k w_k xi_k of a SignSum: the level-n share of arbitrage points
 counts arbitrage_event on the level weights j_n, the limit counts the same
 rule, strict and at zero offset (|Y^(K)| > g_H), on the K-truncated limit
-weights.  SignSum.estimates counts every event on the same words, all 2^m
-of them for a finite law of at most _EXACT_LEVEL_MAX weights and cfg's
-sample stream otherwise; a truncated limit law is always sampled.
+weights.  SignSum.estimates counts every event on the same words in one
+loop, over the one array of all 2^m of them for a finite law of at most
+_EXACT_LEVEL_MAX weights and over _chunks of cfg's sample stream
+otherwise; a truncated limit law is always sampled.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import DEFAULT_QUAD, CoefficientTable, QuadratureConfig
-from .errors import TruncationError
+from .coefficients import CoefficientTable
+from .errors import CapExceededError
 from .hurst import HurstParams, rho, rho_pow_tail, rho_pow_tail_bracket, rho_sq_total
 from .market import _sign_sums, arbitrage_event, level_sign_values
 from .special import ndtri
@@ -151,20 +153,8 @@ def _block_tables(w: np.ndarray) -> np.ndarray:
     return _sign_sums(padded.reshape(nblocks, 8))
 
 
-def _chunk_views(tables: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    """(words, blocks) for chunks of up to n samples.
-
-    words is a (ceil(nblocks/8), n) buffer of little-endian words, one row
-    per 8 blocks; blocks[b] is (tables[b], byte b % 8 of word row b // 8).
-    """
-    nblocks = tables.shape[0]
-    words = np.empty(((nblocks + 7) // 8, n), dtype="<u8")
-    wbytes = words.view(np.uint8)
-    return words, [(tables[b], wbytes[b // 8, b % 8::8]) for b in range(nblocks)]
-
-
 def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
-                  views: Optional[tuple[np.ndarray, list]] = None) -> np.ndarray:
+                  views: tuple[np.ndarray, list]) -> np.ndarray:
     """Values of one chunk: n samples, each eating nblocks bytes of Philox.
 
     The stream is Philox's 64-bit outputs read little-endian, the same bytes
@@ -174,15 +164,15 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
     sequential pieces of at most _PIECE_WORDS words, each a whole multiple of
     8 samples and so of whole words; the last piece draws only the kept
     samples' bytes.  Each piece's (samples, words) matrix is transposed
-    straight into the word buffer of views, _chunk_views(tables, n') for some
-    n' >= n, so no chunk-sized stream array is held; rows not a whole number
-    of words are first zero-padded in a piece-sized buffer (pad bytes are
-    never read).  A sampling run builds views once and passes them to every
-    chunk, a short chunk using the prefix of each byte column.  Per-block
-    partial sums are added in byte order.
+    straight into the word buffer of views, the (words, blocks) _chunks
+    builds for chunks of n' >= n samples, so no chunk-sized stream array is
+    held; rows not a whole number of words are first zero-padded in a
+    piece-sized buffer (pad bytes are never read).  A short chunk uses the
+    prefix of each byte column.  Per-block partial sums are added in byte
+    order.
     """
     nblocks = tables.shape[0]
-    words, blocks = _chunk_views(tables, n) if views is None else views
+    words, blocks = views
     nwords = words.shape[0]
     bitgen = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
     step = 8 * max(1, _PIECE_WORDS // nblocks)
@@ -210,32 +200,29 @@ def _chunk_values(tables: np.ndarray, seed: int, chunk_index: int, n: int,
     return y
 
 
-def _fold_chunks(tables: np.ndarray, cfg: McConfig,
-                 step: Callable[[object, np.ndarray], object], total: object) -> object:
-    """total = step(total, values) over every chunk's kept samples, in chunk order.
+def _chunks(tables: np.ndarray, cfg: McConfig) -> Iterator[np.ndarray]:
+    """The values of cfg's sample stream, one array per chunk, in chunk order.
 
     Chunk c holds samples c*_CHUNK onwards; the last chunk draws only its
     kept prefix, which the prefix-stable stream makes equal to the head of a
     full chunk, so a sample's value never depends on cfg.samples.  The word
-    buffer and block views are built once and shared by every chunk, and no
-    chunk's values outlive its step, so memory does not grow with the
-    sample count.
+    buffer, a (ceil(nblocks/8), min(_CHUNK, samples)) array of little-endian
+    words with one row per 8 blocks, and the block views, block b's table
+    and byte b % 8 of word row b // 8, are built once and shared by every
+    chunk, so memory does not grow with the sample count.
     """
-    views = _chunk_views(tables, min(_CHUNK, cfg.samples))
+    nblocks = tables.shape[0]
+    words = np.empty(((nblocks + 7) // 8, min(_CHUNK, cfg.samples)), dtype="<u8")
+    wbytes = words.view(np.uint8)
+    views = words, [(tables[b], wbytes[b // 8, b % 8::8]) for b in range(nblocks)]
     for c, first in enumerate(range(0, cfg.samples, _CHUNK)):
-        n = min(_CHUNK, cfg.samples - first)
-        total = step(total, _chunk_values(tables, cfg.seed, c, n, views))
-    return total
+        yield _chunk_values(tables, cfg.seed, c, min(_CHUNK, cfg.samples - first), views)
 
 
 def _sample_with_weights(w: np.ndarray, cfg: McConfig) -> np.ndarray:
     out = np.empty(cfg.samples)
-
-    def put(filled: int, y: np.ndarray) -> int:
-        out[filled:filled + len(y)] = y
-        return filled + len(y)
-
-    _fold_chunks(_block_tables(w), cfg, put, 0)
+    for c, y in enumerate(_chunks(_block_tables(w), cfg)):
+        out[c * _CHUNK:c * _CHUNK + len(y)] = y
     return out
 
 
@@ -289,20 +276,16 @@ class SignSum:
         sample stream, which refuses more than _SAMPLER_K_CAP weights.
         """
         K = len(self.head)
-
-        def counts(y: np.ndarray) -> list[int]:
-            return [int(np.count_nonzero(event(y))) for event in events]
-
         exact = self.tail_sd is None and K <= _EXACT_LEVEL_MAX
         if exact:
-            total, hits = 1 << K, counts(level_sign_values(self.head))
+            total, values = 1 << K, [level_sign_values(self.head)]
         elif K > _SAMPLER_K_CAP:
-            raise TruncationError(f"sampling {K} weights exceeds the sampler cap {_SAMPLER_K_CAP}")
+            raise CapExceededError(f"sampling {K} weights exceeds the sampler cap {_SAMPLER_K_CAP}")
         else:
-            total = cfg.samples
-            hits = _fold_chunks(_block_tables(self.head), cfg,
-                                lambda hits, y: [h + c for h, c in zip(hits, counts(y))],
-                                [0] * len(events))
+            total, values = cfg.samples, _chunks(_block_tables(self.head), cfg)
+        hits = [0] * len(events)
+        for y in values:
+            hits = [hit + int(np.count_nonzero(event(y))) for hit, event in zip(hits, events)]
         out = []
         for hit in hits:
             p = hit / total
@@ -367,12 +350,12 @@ def finite_level_proportion(params: HurstParams, n: int, drift_offset: float,
     return _level_estimate(table, drift_offset, cfg)[0]
 
 
-def exceedance_frequency(params: HurstParams, n_list: Sequence[int], cfg: McConfig,
-                         quad: QuadratureConfig = DEFAULT_QUAD) -> list[tuple[int, McEstimate]]:
+def exceedance_frequency(params: HurstParams, n_list: Sequence[int],
+                         cfg: McConfig) -> list[tuple[int, McEstimate]]:
     """P(|Y_n| > g_n) across levels (strict, zero offset) as a regime diagnostic."""
     from .coefficients import coefficient_table
 
-    return [(n, _level_estimate(coefficient_table(params, n, quad), 0.0, cfg)[1])
+    return [(n, _level_estimate(coefficient_table(params, n), 0.0, cfg)[1])
             for n in n_list]
 
 
@@ -390,10 +373,10 @@ def characteristic_function(params: HurstParams, v: float | np.ndarray,
     The product is truncated once its arguments drop below 0.3; the dropped
     factors contribute -(u^2/2 S2 + u^4/12 S4 + u^6/45 S6) to log F with
     S_p the exact rho-power tails, and the first neglected term
-    (17/2520) u^8 S8 must be <= tol (else TruncationError).
+    (17/2520) u^8 S8 must be <= tol (else CapExceededError).
 
     A float v gives a float; a 1-D array of v gives F at each v in order, so
-    TruncationError names the first v that cannot meet tol.  rho(h, K),
+    CapExceededError names the first v that cannot meet tol.  rho(h, K),
     rho(h, 1..K) and the rho-power tails at K are computed once per call.
     """
     if not tol > 0:
@@ -427,7 +410,8 @@ def characteristic_function(params: HurstParams, v: float | np.ndarray,
             if u * rho_at(K) <= 0.3 and tail_term_within_tol(u, K):
                 break
             if K >= (1 << 22):
-                raise TruncationError(f"characteristic_function: tol {tol:g} infeasible at v={v:g}")
+                raise CapExceededError(
+                    f"characteristic_function: tol {tol:g} infeasible at v={v:g}")
             K *= 2
         x = u * head(K)
         c = np.cos(x)
@@ -454,8 +438,7 @@ def empirical_cf(samples: np.ndarray, v_values: np.ndarray) -> np.ndarray:
     return np.array([float(np.mean(np.cos(v * samples))) for v in v_values])
 
 
-def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
-                 v_hi: Optional[float] = None, points: int = 60) -> tuple[float, float, int]:
+def fit_cf_decay(params: HurstParams, points: int = 60) -> tuple[float, float, int]:
     """(theta, exponent, points used) fitting log|F| <= -theta u^{1/beta}.
 
     Regression of log(-log|F(v)|) on log u over a log-spaced v grid.  The fit
@@ -463,16 +446,12 @@ def fit_cf_decay(params: HurstParams, v_lo: Optional[float] = None,
     of order 10^2); there the per-point phase noise is a few percent and
     averages out, and only points where a factor lands essentially on a zero
     (|cos| < 1e-6 in the head) or |F| underflows are excluded.  The window
-    defaults to v in [40, 400] / g_H; F is at characteristic_function's tol.
+    is v in [40, 400] / g_H; F is at characteristic_function's tol.
     theta is a numerical fit, not a theoretically pinned constant.
     """
-    v_lo = 40.0 / params.g_H if v_lo is None else v_lo
-    v_hi = 400.0 / params.g_H if v_hi is None else v_hi
-    if not (0 < v_lo < v_hi):
-        raise ValueError("need 0 < v_lo < v_hi")
     rho_head = rho(params.h, np.arange(1, 513))
     us, kept = [], []
-    for v in np.geomspace(v_lo, v_hi, points):
+    for v in np.geomspace(40.0 / params.g_H, 400.0 / params.g_H, points):
         u = 2.0 * params.g_H * v
         if float(np.min(np.abs(np.cos(u * rho_head)))) < 1e-6:
             continue

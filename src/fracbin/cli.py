@@ -29,9 +29,8 @@ from .coefficients import (
     coefficient_table,
     coefficient_tables,
     table_fingerprint,
-    write_tables_csv,
 )
-from .errors import CapExceededError, NonconvergenceError, TruncationError
+from .errors import CapExceededError, NonconvergenceError
 from .hurst import HurstParams, rho_sq_total, solve_critical_hurst
 from .market import (
     DEFAULT_ENUM_CAP,
@@ -40,7 +39,7 @@ from .market import (
     census,
     monotone_reach,
 )
-from .reports import render_csv, render_json, write_text
+from .reports import render_csv, render_json, write_tables_csv, write_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -314,15 +313,10 @@ def _cmd_charfn(rc: argparse.Namespace) -> int:
 
 
 def _parse_prefix(text: str) -> tuple[int, ...]:
-    signs = []
     for ch in text:
-        if ch in "+u1":
-            signs.append(1)
-        elif ch in "-d0":
-            signs.append(-1)
-        else:
+        if ch not in "+-":
             raise ValueError(f"bad prefix character {ch!r} (use + and -)")
-    return tuple(signs)
+    return tuple(1 if ch == "+" else -1 for ch in text)
 
 
 def _cmd_reach(rc: argparse.Namespace) -> int:
@@ -426,7 +420,7 @@ def main(argv=None) -> int:
             _PARSER = (env, build_parser())
         rc = _PARSER[1].parse_args(argv)
         return _COMMANDS[rc.command][2](rc)
-    except (CapExceededError, TruncationError) as exc:
+    except CapExceededError as exc:
         print(f"fracbin: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except NonconvergenceError as exc:

@@ -63,7 +63,6 @@ import numpy as np
 
 from .errors import QuadratureError
 from .hurst import HurstParams
-from .reports import float_reprs
 from .special import _gauss_rule, betainc
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "coefficient_tables",
     "clear_table_cache",
     "table_fingerprint",
-    "write_tables_csv",
 ]
 
 # (outer, inner) Gaussian orders tried in sequence until two consecutive
@@ -606,9 +604,8 @@ def weight_brackets(params: HurstParams, levels, columns: int = 0) -> WeightBrac
 class CoefficientTable:
     """All level-n weights with error bounds and the split point.
 
-    j[i-1] holds j_n(i); g is the present-move weight; split_index is i_n
-    (the envelope minimum, clamped into [1, n-1]) and turning_point the real
-    minimiser x_n (nan at n=1).
+    j[i-1] holds j_n(i); g is the present-move weight; split_index is i_n,
+    the envelope minimum clamped into [1, n-1] (1 at n=1).
     """
 
     params: HurstParams
@@ -618,7 +615,6 @@ class CoefficientTable:
     j_err: np.ndarray
     g_err: float
     split_index: int
-    turning_point: float
 
     def var_total(self) -> float:
         """Variance of the level-n past contribution, sum of j^2."""
@@ -678,12 +674,12 @@ def _build_tables(params: HurstParams, levels: list[int], cfg: QuadratureConfig,
             g[n] = (scale * val, scale * err)
     built = {}
     for n in levels:
-        x_n, i_n = turning_point(params.H, n) if n >= 2 else (float("nan"), 1)
+        i_n = turning_point(params.H, n)[1] if n >= 2 else 1
         jv, je = scale * j[n], scale * j_err[n]
         jv.setflags(write=False)
         je.setflags(write=False)
         table = CoefficientTable(params=params, n=n, j=jv, g=g[n][0], j_err=je, g_err=g[n][1],
-                                 split_index=i_n, turning_point=x_n)
+                                 split_index=i_n)
         built[n] = _TABLE_CACHE.setdefault(_table_key(params, n, cfg), table)
     return built
 
@@ -738,16 +734,3 @@ def table_fingerprint(tables) -> str:
         acc.update(np.asarray([t.g]).tobytes())
     return acc.hexdigest()
 
-
-def write_tables_csv(tables, j_path, g_path) -> None:
-    """Dump tables as CSV: (n,i,j_value,err) and (n,g_value,err), sorted."""
-    tables = sorted(tables, key=lambda t: t.n)
-    with open(j_path, "w", newline="") as fh:
-        fh.write("n,i,j_value,err\n")
-        for t in tables:
-            rows = zip(float_reprs(t.j), float_reprs(t.j_err))
-            fh.writelines(f"{t.n},{i},{j},{err}\n" for i, (j, err) in enumerate(rows, 1))
-    with open(g_path, "w", newline="") as fh:
-        fh.write("n,g_value,err\n")
-        rows = zip(float_reprs([t.g for t in tables]), float_reprs([t.g_err for t in tables]))
-        fh.writelines(f"{t.n},{g},{err}\n" for t, (g, err) in zip(tables, rows))

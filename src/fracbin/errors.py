@@ -22,9 +22,5 @@ class QuadratureError(NonconvergenceError):
         self.err = err
 
 
-class TruncationError(FracbinError):
-    """A series or the sampler cannot meet its target within its term cap."""
-
-
 class CapExceededError(FracbinError):
-    """An enumeration or table size exceeds the configured cap."""
+    """An enumeration, table, sampler or series size exceeds its cap."""

@@ -226,18 +226,15 @@ class ArbitrageCensus:
     def path_proportion(self) -> float:
         return self.path_count / 2 ** (self.N - 1)
 
-    def to_dict(self, spec: Optional[MarketSpec] = None) -> dict:
-        out = {}
-        if spec is not None:
-            out["spec"] = spec.to_dict()
-        out.update(
-            per_level_counts=list(self.per_level_counts),
-            per_level_proportions=list(self.per_level_proportions),
-            total=self.total,
-            path_count=self.path_count,
-            boundary_uncertain=list(self.boundary_uncertain),
-        )
-        return out
+    def to_dict(self, spec: MarketSpec) -> dict:
+        return {
+            "spec": spec.to_dict(),
+            "per_level_counts": list(self.per_level_counts),
+            "per_level_proportions": list(self.per_level_proportions),
+            "total": self.total,
+            "path_count": self.path_count,
+            "boundary_uncertain": list(self.boundary_uncertain),
+        }
 
 
 def _level_tolerance(table: CoefficientTable, offset: float) -> float:

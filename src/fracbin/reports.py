@@ -1,5 +1,5 @@
 """Deterministic report writers: JSON and CSV, each headed by its command's
-resolved options.
+resolved options, and write_tables_csv's CSV dump of level tables.
 
 Formatting rules: shortest round-trip float representation, '.' decimal,
 LF line endings, fixed column order, config keys sorted.  Identical configs
@@ -134,3 +134,17 @@ def write_text(path: str, text: str) -> None:
         return
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def write_tables_csv(tables, j_path, g_path) -> None:
+    """Dump tables as CSV: (n,i,j_value,err) and (n,g_value,err), sorted."""
+    tables = sorted(tables, key=lambda t: t.n)
+    with open(j_path, "w", newline="") as fh:
+        fh.write("n,i,j_value,err\n")
+        for t in tables:
+            rows = zip(float_reprs(t.j), float_reprs(t.j_err))
+            fh.writelines(f"{t.n},{i},{j},{err}\n" for i, (j, err) in enumerate(rows, 1))
+    with open(g_path, "w", newline="") as fh:
+        fh.write("n,g_value,err\n")
+        rows = zip(float_reprs([t.g for t in tables]), float_reprs([t.g_err for t in tables]))
+        fh.writelines(f"{t.n},{g},{err}\n" for t, (g, err) in zip(tables, rows))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fracbin import (
+    CapExceededError,
     HurstParams,
     McConfig,
-    TruncationError,
     characteristic_function,
     coefficient_table,
     exceedance_frequency,
@@ -101,11 +101,19 @@ def _column_chunk_values(tables, seed, chunk_index, n):
     return y
 
 
+def _run_chunk(tables, seed, chunk_index, n):
+    # chunk chunk_index of seed's stream, n samples long, as a run that ends
+    # with it draws it: through the run's one word buffer and block views
+    for y in asym._chunks(tables, McConfig(samples=chunk_index * asym._CHUNK + n, seed=seed)):
+        pass
+    return y
+
+
 @pytest.mark.parametrize("K", [8192, 1999])
 def test_chunk_values_match_column_reference(p08, K):
     # a full 4096-sample chunk; 1999 needs rows padded to whole words
     tables = asym._block_tables(asym.limit_weights(p08, K))
-    got = asym._chunk_values(tables, 17, 2, 4096)
+    got = _run_chunk(tables, 17, 2, 4096)
     expect = _column_chunk_values(tables, 17, 2, 4096)
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
@@ -115,7 +123,7 @@ def test_short_chunk_values_match_column_reference(p08, K, n):
     # a short last chunk: padded rows (K=20, 1999) and a transpose whose one
     # column block is partial
     tables = asym._block_tables(asym.limit_weights(p08, K))
-    got = asym._chunk_values(tables, 17, 2, n)
+    got = _run_chunk(tables, 17, 2, n)
     expect = _column_chunk_values(tables, 17, 2, n)
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
@@ -129,7 +137,7 @@ def test_chunk_values_match_column_reference_across_pieces(p08, K, n):
     tables = asym._block_tables(asym.limit_weights(p08, K))
     step = 8 * (asym._PIECE_WORDS // tables.shape[0])
     assert step == {32768: 64, 1999: 1048, 8192: 256}[K]
-    got = asym._chunk_values(tables, 17, 2, n)
+    got = _run_chunk(tables, 17, 2, n)
     expect = _column_chunk_values(tables, 17, 2, n)
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
@@ -139,9 +147,9 @@ def test_chunk_values_match_column_reference_across_pieces(p08, K, n):
 def test_chunk_values_do_not_depend_on_the_piece_length(p08, monkeypatch, K, piece_words):
     # pieces of 8 samples (piece_words below nblocks) up to the whole chunk in one draw
     tables = asym._block_tables(asym.limit_weights(p08, K))
-    expect = asym._chunk_values(tables, 5, 1, 1003)
+    expect = _run_chunk(tables, 5, 1, 1003)
     monkeypatch.setattr(asym, "_PIECE_WORDS", piece_words)
-    got = asym._chunk_values(tables, 5, 1, 1003)
+    got = _run_chunk(tables, 5, 1, 1003)
     np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
@@ -149,10 +157,10 @@ def test_chunk_holds_no_chunk_sized_stream(p08):
     # the K=32768 word buffer is 16 MiB and the tables 8 MiB; a chunk-sized
     # stream array would add another 16 MiB on top of the buffer
     tables = asym._block_tables(asym.limit_weights(p08, 32768))
-    asym._chunk_values(tables, 3, 0, 8)  # numpy.random loads on first use, outside the trace
+    _run_chunk(tables, 3, 0, 8)  # numpy.random loads on first use, outside the trace
     tracemalloc.start()
     try:
-        asym._chunk_values(tables, 3, 0, 4096)
+        _run_chunk(tables, 3, 0, 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,14 +189,15 @@ def test_block_tables_equal_the_concatenation_route(p08, K):
 
 
 @pytest.mark.parametrize("K", [20, 1999, 8192])
-def test_shared_views_serve_every_chunk_of_a_run(p08, K):
+def test_shared_views_serve_every_chunk_of_a_run(p08, monkeypatch, K):
     # one run's word buffer and block views, reused by three full chunks and
     # a short tail whose width is not a multiple of the 256-sample transpose
     # block; each chunk's values stay its own after later chunks reuse the buffer
     tables = asym._block_tables(asym.limit_weights(p08, K))
-    views = asym._chunk_views(tables, 700)
+    monkeypatch.setattr(asym, "_CHUNK", 700)
     sizes = [700, 700, 700, 301]
-    got = [asym._chunk_values(tables, 31, c, n, views) for c, n in enumerate(sizes)]
+    got = list(asym._chunks(tables, McConfig(samples=sum(sizes), seed=31)))
+    assert [len(y) for y in got] == sizes
     for c, (n, y) in enumerate(zip(sizes, got)):
         expect = _column_chunk_values(tables, 31, c, n)
         np.testing.assert_array_equal(y.view(np.uint64), expect.view(np.uint64))
@@ -202,6 +211,24 @@ def test_partial_last_chunk_is_a_prefix_of_whole_chunks(p08, K):
     for s in (1903, 5999):
         got = sample_limit_variable(p08, McConfig(samples=s, seed=23, truncation_k=K))
         np.testing.assert_array_equal(got.view(np.uint64), whole[:s].view(np.uint64))
+
+
+@pytest.mark.parametrize("K", [20, 1999, 8192])
+def test_limit_proportion_counts_the_sampled_values(p08, K):
+    # both consumers of the one chunk loop agree: p_hat and both bias window
+    # ends are direct counts of |y| > t on sample_limit_variable's values at
+    # t = g_H and g_H -+ 6 tail_sd, over a stream that ends in a short chunk
+    cfg = McConfig(samples=2 * asym._CHUNK + 903, seed=13, truncation_k=K)
+    est = limit_proportion(p08, cfg)
+    y = sample_limit_variable(p08, cfg)
+    g, d = p08.g_H, 6.0 * est.tail_sd
+
+    def share(t):
+        return int(np.count_nonzero(np.abs(y) > t)) / cfg.samples
+
+    assert est.samples == cfg.samples and not est.exact
+    assert est.p_hat == share(g)
+    assert est.bias_window == (share(g + d), share(g - d))
 
 
 def test_sampler_moments(p08):
@@ -390,7 +417,7 @@ def test_sign_sum_sampler_cap(monkeypatch):
     cfg = McConfig(samples=8, seed=2)
     with monkeypatch.context() as m:
         m.setattr(asym, "_block_tables", refuse)
-        with pytest.raises(TruncationError, match="sampler cap"):
+        with pytest.raises(CapExceededError, match="sampler cap"):
             asym.SignSum(np.ones(asym._SAMPLER_K_CAP + 1), 0.0).estimates([_abs_above(1.0)], cfg)
     (est,) = asym.SignSum(np.ones(asym._SAMPLER_K_CAP), 0.0).estimates([_abs_above(1.0)], cfg)
     assert est.samples == 8 and not est.exact
@@ -487,12 +514,12 @@ def test_cf_grid_raises_at_first_infeasible_v():
     p = HurstParams(0.95)
     assert isinstance(characteristic_function(p, 1.0), float)
     assert characteristic_function(p, np.array([])).shape == (0,)
-    with pytest.raises(TruncationError, match="at v=600$"):
+    with pytest.raises(CapExceededError, match="at v=600$"):
         characteristic_function(p, np.array([1.0, 600.0, 700.0]))
 
 
 def test_cf_decay_fit(p075):
-    theta, expo, used = fit_cf_decay(p075, 40.0 / p075.g_H, 400.0 / p075.g_H, points=40)
+    theta, expo, used = fit_cf_decay(p075, points=40)
     target = 1.0 / (2.0 - 2.0 * p075.h)
     assert theta > 0 and used >= 20
     assert abs(expo - target) / target <= 0.15

@@ -114,6 +114,13 @@ def test_reach_command(tmp_path):
     assert doc["steps"] == 10 and doc["level"] == 15
 
 
+def test_reach_prefix_takes_only_plus_and_minus(tmp_path, capsys):
+    rc, out = run(["reach", "--prefix=ud"], tmp_path)
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert capsys.readouterr().err == \
+        "fracbin: invalid configuration: bad prefix character 'u' (use + and -)\n"
+
+
 def test_charfn_command(tmp_path):
     rc, out = run(["charfn", "--H", "0.8", "--v-max", "2.0", "--points", "5", "--fit"], tmp_path)
     assert rc == EXIT_OK
@@ -652,7 +659,7 @@ def test_sample_budget(tmp_path, capsys, monkeypatch, argv, lookups_per_sample, 
         raise Started
 
     for module, name in ((cli, "coefficient_table"), (cli, "coefficient_tables"),
-                         (cli.asym, "limit_weights"), (cli.asym, "_fold_chunks")):
+                         (cli.asym, "limit_weights"), (cli.asym, "_chunks")):
         monkeypatch.setattr(module, name, refuse)
     samples = cli._SAMPLE_LOOKUP_CAP // lookups_per_sample + above
     argv = [*argv, "--samples", str(samples)]

@@ -33,8 +33,8 @@ from fracbin.coefficients import (
     _gl11,
     coefficient_tables,
     table_fingerprint,
-    write_tables_csv,
 )
+from fracbin.reports import write_tables_csv
 from fracbin.errors import QuadratureError
 from fracbin.hurst import SCALE_MAX
 

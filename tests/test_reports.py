@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbin import HurstParams, coefficient_table
-from fracbin.coefficients import write_tables_csv
-from fracbin.reports import float_reprs, render_csv, render_json
+from fracbin.reports import float_reprs, render_csv, render_json, write_tables_csv
 
 
 def _dumps(doc) -> str:
